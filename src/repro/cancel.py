@@ -6,7 +6,7 @@ The executing side never receives the token explicitly below the session
 layer: :func:`cancel_scope` parks it in a module-level thread-local for
 the duration of one statement, and every morsel-grained loop in the
 engine — plan-operator boundaries, parallel shard dispatches, nested-loop
-chunks, modeled-cost sleeps — polls :func:`check_cancelled`, which raises
+chunks — polls :func:`check_cancelled`, which raises
 :class:`~repro.errors.StatementCancelledError` once the flag is set.
 
 Worker *processes* never see the token (the thread-local is empty there,
@@ -19,15 +19,9 @@ from __future__ import annotations
 
 import contextlib
 import threading
-import time
 from typing import Iterator, Optional
 
 from .errors import StatementCancelledError
-
-#: Modeled-cost sleeps (``scan_cost_per_row``, ``commit_latency``) are
-#: paid in slices of this many seconds with a cancellation poll between
-#: slices, so even a single-shard inline scan reacts within ~one slice.
-SLEEP_SLICE = 0.005
 
 _current = threading.local()
 
@@ -76,24 +70,3 @@ def check_cancelled() -> None:
     if token is not None and token._event.is_set():
         raise StatementCancelledError("statement cancelled")
 
-
-def cancellable_sleep(duration: float) -> None:
-    """``time.sleep`` in :data:`SLEEP_SLICE` slices, polling the token.
-
-    Modeled-cost kernels use this so a long inline shard (one big sleep
-    in the v0 form) stays interruptible; in worker processes there is no
-    token and the only cost is a few extra ``sleep`` calls.
-    """
-    if duration <= 0.0:
-        return
-    token = getattr(_current, "token", None)
-    if token is None:
-        time.sleep(duration)
-        return
-    deadline = time.perf_counter() + duration
-    while True:
-        token.check()
-        remaining = deadline - time.perf_counter()
-        if remaining <= 0.0:
-            return
-        time.sleep(min(SLEEP_SLICE, remaining))

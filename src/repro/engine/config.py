@@ -24,34 +24,13 @@ class EngineConfig:
 
     jits: JITSConfig = field(default_factory=lambda: JITSConfig(enabled=False))
     seed: int = DEFAULT_SEED
-    # A constant per-query fetch overhead, mimicking the paper's note that
-    # "total time ... also includes the fetch time, which is the same in
-    # all cases". Wall-clock decode time is added on top.
-    fetch_overhead: float = 0.0
     # Plan cache (the top of the compilation fast path). Off by default:
     # a cached plan skips the whole JITS pipeline, so workloads that study
     # per-query statistics collection should not silently stop collecting.
     plan_cache_enabled: bool = False
-    plan_cache_size: int = 64
-    # Fraction of a table's cardinality worth of UDI activity that moves
-    # the table into a new statistics epoch (and invalidates cached plans
-    # referencing it).
-    plan_staleness: float = 0.05
     # Thread-pool width for execute_many()/execute_streams() when the
     # caller does not pass one. 1 keeps those APIs fully sequential.
     default_workers: int = 4
-    # Lock granularity for statement execution. "table" (default) gives
-    # every statement the two-level database+table hierarchy, so DML on
-    # disjoint tables runs concurrently; "database" degrades to the
-    # pre-existing single database-level RWLock (every write exclusive) —
-    # kept as the baseline for the lock-granularity benchmark.
-    lock_granularity: str = "table"
-    # Simulated durable-commit latency (seconds) added inside a write
-    # statement's lock span, modeling the fsync/log-force a persistent
-    # engine pays before releasing locks. 0.0 (default) disables it; the
-    # concurrency benchmarks set it so lock-hold overlap is measurable on
-    # hosts with few cores (same spirit as fetch_overhead above).
-    commit_latency: float = 0.0
     # Process-parallel scans (default off). With scan_workers > 0 the
     # engine keeps a forkserver worker pool attached to shared-memory
     # column exports; predicate scans, DML WHERE targeting, JITS sample
@@ -60,12 +39,6 @@ class EngineConfig:
     # Any pool/shm failure falls back in-process with a warning.
     scan_workers: int = 0
     parallel_threshold_rows: int = 32768
-    # Modeled per-row scan cost (seconds) paid inside the scan kernels —
-    # the scan-path analogue of commit_latency, making worker overlap
-    # measurable on few-core hosts. With scan_workers=0 the cost is still
-    # paid in-process: that is the parallel-scan benchmark's sequential
-    # baseline, so both engines do identical modeled work.
-    scan_cost_per_row: float = 0.0
     # Mid-query adaptive re-optimization (default off). At pipeline
     # breakers (hash-join build complete, join output materialized, and —
     # in eager mode — group-by/sort inputs) the executor compares the
@@ -80,6 +53,19 @@ class EngineConfig:
     reopt: str = "off"
     reopt_threshold: float = 8.0
     reopt_max_rounds: int = 2
+    # MVCC snapshot reads (default on). Every mutating statement publishes
+    # an immutable epoch-stamped TableSnapshot (copy-on-write chunks of
+    # chunk_rows rows; only touched chunks are copied). With mvcc=True
+    # SELECT/EXPLAIN/RUNSTATS pin a snapshot at statement start instead of
+    # taking per-table read locks, so readers never block on (or block) a
+    # writer, and ``SELECT ... AS OF <clock>`` serves any generation still
+    # inside the snapshot_retention window. With mvcc=False reads take the
+    # blocking per-table lock path; snapshots are still published (version
+    # keying for zone maps / shm exports relies on them) but never pinned
+    # by readers.
+    mvcc: bool = True
+    chunk_rows: int = 65536
+    snapshot_retention: int = 8
     # Self-observing production plane (default off). With observe=True the
     # engine keeps a statement-fingerprint registry (literal-free normal
     # forms with p50/p95/lock-wait/staleness aggregates), per-shard
@@ -91,26 +77,7 @@ class EngineConfig:
     # exclusive lock, capped at auto_index_budget live auto-indexes, with
     # hysteresis between the create and (lower) drop thresholds. Setting
     # auto_index != "off" implies the observation plane.
-    # Attach columnar output vectors (private snapshots of the SELECT's
-    # result columns) to QueryResult.vectors. The v2 streaming wire
-    # protocol serializes results straight from these buffers; embedded
-    # row-oriented callers can turn the copy off.
-    stream_vectors: bool = True
-    # MVCC snapshot reads (default on). Every mutating statement publishes
-    # an immutable epoch-stamped TableSnapshot (copy-on-write chunks of
-    # chunk_rows rows; only touched chunks are copied). With mvcc=True
-    # SELECT/EXPLAIN/RUNSTATS pin a snapshot at statement start instead of
-    # taking per-table read locks, so readers never block on (or block) a
-    # writer, and ``SELECT ... AS OF <clock>`` serves any generation still
-    # inside the snapshot_retention window. With mvcc=False reads take the
-    # blocking per-table lock path (the benchmark baseline); snapshots are
-    # still published (version keying for zone maps / shm exports relies
-    # on them) but never pinned by readers.
-    mvcc: bool = True
-    chunk_rows: int = 65536
-    snapshot_retention: int = 8
     observe: bool = False
-    observe_fingerprints: int = 512
     zone_map_rows: int = 4096
     auto_index: str = "off"
     auto_index_budget: int = 3
@@ -119,30 +86,9 @@ class EngineConfig:
     auto_index_drop_threshold: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.lock_granularity not in ("table", "database"):
-            raise ConfigError(
-                "lock_granularity must be 'table' or 'database', "
-                f"got {self.lock_granularity!r}"
-            )
-        if self.commit_latency < 0.0:
-            raise ConfigError(
-                f"commit_latency must be >= 0, got {self.commit_latency}"
-            )
         if self.default_workers < 1:
             raise ConfigError(
                 f"default_workers must be >= 1, got {self.default_workers}"
-            )
-        if self.plan_cache_size <= 0:
-            raise ConfigError(
-                f"plan_cache_size must be positive, got {self.plan_cache_size}"
-            )
-        if self.plan_staleness <= 0.0:
-            raise ConfigError(
-                f"plan_staleness must be positive, got {self.plan_staleness}"
-            )
-        if self.fetch_overhead < 0.0:
-            raise ConfigError(
-                f"fetch_overhead must be >= 0, got {self.fetch_overhead}"
             )
         if self.scan_workers < 0:
             raise ConfigError(
@@ -152,10 +98,6 @@ class EngineConfig:
             raise ConfigError(
                 "parallel_threshold_rows must be >= 1, "
                 f"got {self.parallel_threshold_rows}"
-            )
-        if self.scan_cost_per_row < 0.0:
-            raise ConfigError(
-                f"scan_cost_per_row must be >= 0, got {self.scan_cost_per_row}"
             )
         if self.reopt not in ("off", "conservative", "eager"):
             raise ConfigError(
@@ -177,11 +119,6 @@ class EngineConfig:
         if self.snapshot_retention < 1:
             raise ConfigError(
                 f"snapshot_retention must be >= 1, got {self.snapshot_retention}"
-            )
-        if self.observe_fingerprints < 1:
-            raise ConfigError(
-                "observe_fingerprints must be >= 1, "
-                f"got {self.observe_fingerprints}"
             )
         if self.zone_map_rows < 1:
             raise ConfigError(

@@ -59,8 +59,8 @@ from ..sql.qgm import QueryBlock
 from ..storage import Database, TableSnapshot
 from ..types import DataType
 from .config import EngineConfig, StatsMode
-from .locks import AtomicCounter, LockManager, RWLock
-from .plancache import PlanCache
+from .locks import AtomicCounter, LockManager
+from .plancache import PLAN_STALENESS, PlanCache
 from .result import PHASE_COMPILE, PHASE_EXECUTE, PHASE_FETCH, QueryResult
 from .session import Session
 
@@ -91,7 +91,6 @@ class Engine:
         )
         self.observe: Optional[ObservationPlane] = (
             ObservationPlane(
-                fingerprint_capacity=self.config.observe_fingerprints,
                 zone_rows=self.config.zone_map_rows,
                 advisor=IndexAdvisor(
                     mode=self.config.auto_index,
@@ -104,27 +103,20 @@ class Engine:
             if observe_active
             else None
         )
-        # Process-parallel scan machinery. Also built (poolless) when only
-        # the modeled scan cost is set — the sequential baseline of the
-        # parallel-scan benchmark, running the same sharded kernels
-        # in-process — or when the observe plane is on, so zone-map
-        # pruning has a ranged dispatch path to hook into.
+        # Process-parallel scan machinery. Also built (poolless) when the
+        # observe plane is on, so zone-map pruning has a ranged dispatch
+        # path to hook into.
         self.parallel: Optional[ParallelScanManager] = (
             ParallelScanManager(
                 workers=self.config.scan_workers,
                 threshold_rows=self.config.parallel_threshold_rows,
-                cost_per_row=self.config.scan_cost_per_row,
                 zone_maps=(
                     self.observe.zone_maps
                     if self.observe is not None
                     else None
                 ),
             )
-            if (
-                self.config.scan_workers > 0
-                or self.config.scan_cost_per_row > 0.0
-                or observe_active
-            )
+            if self.config.scan_workers > 0 or observe_active
             else None
         )
         self.jits = JustInTimeStatistics(
@@ -135,9 +127,7 @@ class Engine:
             parallel=self.parallel,
         )
         self.plan_cache: Optional[PlanCache] = (
-            PlanCache(self.config.plan_cache_size)
-            if self.config.plan_cache_enabled
-            else None
+            PlanCache() if self.config.plan_cache_enabled else None
         )
         # Mid-query re-optimization counters (per-engine, thread-safe).
         self.reopt_telemetry: Optional[ReoptTelemetry] = (
@@ -152,21 +142,8 @@ class Engine:
         # Two-level lock hierarchy: database intent lock + per-table
         # locks. SELECT/EXPLAIN read-lock their tables, DML write-locks
         # its target, DDL/RUNSTATS take the database exclusively.
-        self.locks = LockManager(
-            granular=self.config.lock_granularity == "table",
-            snapshot_reads=self.config.mvcc,
-        )
+        self.locks = LockManager(snapshot_reads=self.config.mvcc)
         self._default_session = Session(self, session_id=0)
-
-    @property
-    def rwlock(self) -> RWLock:
-        """The database-level lock (compatibility alias).
-
-        Holding it in write mode still excludes every statement — table
-        locks are only taken under a shared database lock — so external
-        pause/drain code keeps working unchanged.
-        """
-        return self.locks.database
 
     @property
     def clock(self) -> int:
@@ -518,7 +495,7 @@ class Engine:
             parts.append(("archive", self.jits.archive.version))
         for name in tables:
             table = self.database.table(name)
-            step = int(self.config.plan_staleness * max(table.row_count, 1))
+            step = int(PLAN_STALENESS * max(table.row_count, 1))
             parts.append((name, table_stats_epoch(table, step)))
         return tuple(parts)
 
@@ -628,27 +605,22 @@ class Engine:
 
         fetch_started = time.perf_counter()
         rows = execution.rows()
-        vectors: Optional[List[ColumnVector]] = None
-        if self.config.stream_vectors:
-            # Snapshot the output columns while this statement still holds
-            # its read scope: result batches may alias live table arrays
-            # (batch_from_table with rows=None), and the v2 wire protocol
-            # serializes these buffers after the locks release. String
-            # dictionaries are append-only, so sharing the reference is
-            # safe.
-            vectors = []
-            for name in execution.output_names:
-                vec = execution.batch.column("", name)
-                vectors.append(
-                    ColumnVector(
-                        np.array(vec.values, copy=True),
-                        vec.dtype,
-                        vec.dictionary,
-                    )
+        # Snapshot the output columns while this statement still holds its
+        # read scope: result batches may alias live table arrays
+        # (batch_from_table with rows=None), and the v2 wire protocol
+        # serializes these buffers after the locks release. String
+        # dictionaries are append-only, so sharing the reference is safe.
+        vectors: List[ColumnVector] = []
+        for name in execution.output_names:
+            vec = execution.batch.column("", name)
+            vectors.append(
+                ColumnVector(
+                    np.array(vec.values, copy=True),
+                    vec.dtype,
+                    vec.dictionary,
                 )
-        fetch_time = (
-            time.perf_counter() - fetch_started + self.config.fetch_overhead
-        )
+            )
+        fetch_time = time.perf_counter() - fetch_started
 
         if time_travel:
             # No feedback from the past: cardinalities observed against a

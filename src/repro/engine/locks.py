@@ -140,11 +140,6 @@ class LockManager:
       cross-table invariants (the table dict itself, whole-database
       statistics passes) never see partial state.
 
-    With ``granular=False`` the manager degrades to the pre-existing
-    database-level behaviour (reads share one lock, every write is
-    exclusive) — the baseline the lock-granularity benchmark compares
-    against.
-
     With ``snapshot_reads=True`` (MVCC mode) the read scope stops taking
     per-table locks entirely: readers operate on a pinned immutable
     :class:`~repro.storage.snapshot.TableSnapshot`, so only the database
@@ -153,8 +148,7 @@ class LockManager:
     on, nor block, a concurrent writer's per-table exclusive lock.
     """
 
-    def __init__(self, granular: bool = True, snapshot_reads: bool = False):
-        self.granular = granular
+    def __init__(self, snapshot_reads: bool = False):
         self.snapshot_reads = snapshot_reads
         # Database lock: shared ("intent") mode for per-table statements,
         # write mode for exclusive operations.
@@ -198,10 +192,6 @@ class LockManager:
             with self.database.read_locked():
                 yield
             return
-        if not self.granular:
-            with self.database.read_locked():
-                yield
-            return
         self.database.acquire_read()
         held: List[RWLock] = []
         try:
@@ -217,10 +207,6 @@ class LockManager:
     @contextmanager
     def write_tables(self, names: Iterable[str]):
         """Writer scope over ``names`` (DML); sorted-order acquisition."""
-        if not self.granular:
-            with self.database.write_locked():
-                yield
-            return
         self.database.acquire_read()
         held: List[RWLock] = []
         try:

@@ -23,6 +23,11 @@ from ..optimizer.optimizer import OptimizedQuery
 
 DEFAULT_PLAN_CACHE_SIZE = 64
 
+#: Fraction of a table's cardinality worth of UDI activity that moves the
+#: table into a new statistics epoch (and invalidates cached plans
+#: referencing it).
+PLAN_STALENESS = 0.05
+
 
 @dataclass
 class CachedPlan:

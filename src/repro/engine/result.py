@@ -31,10 +31,10 @@ class QueryResult:
     # Mid-query plan switches (empty unless EngineConfig.reopt fired).
     reopt_events: List[ReoptEvent] = field(default_factory=list)
     # Columnar output (one ColumnVector per column, aligned with
-    # ``columns``), attached for SELECTs when EngineConfig.stream_vectors
-    # is on. The arrays are private copies snapshotted inside the
-    # statement's lock scope, so the v2 wire protocol can serialize them
-    # after the locks release without racing concurrent DML.
+    # ``columns``), attached for every SELECT. The arrays are private
+    # copies snapshotted inside the statement's lock scope, so the v2 wire
+    # protocol can serialize them after the locks release without racing
+    # concurrent DML.
     vectors: Optional[list] = None
     # MVCC provenance: the snapshot generations this statement observed
     # (SELECT: the pinned read view) or published (DML: the generations

@@ -166,11 +166,6 @@ class Session:
                     published[snap.name.lower()] = (snap.version, snap.stamp)
                 if result is not None:
                     result.snapshots = published
-            # Durable-commit cost (when configured) is paid before the
-            # locks release, like a log force: it is the lock-hold time
-            # the granularity benchmark overlaps across tables.
-            if engine.config.commit_latency > 0.0:
-                time.sleep(engine.config.commit_latency)
         return result
 
     def execute_all(self, statements: Sequence[str]) -> List[QueryResult]:

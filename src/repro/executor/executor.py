@@ -17,7 +17,7 @@ Cost realism notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from ..optimizer.plans import (
     Sort,
 )
 from ..predicates import LocalPredicate, PredOp, group_mask, predicate_mask
+from ..predicates.physical import PhysPredicate, physical_mask
 from ..sql import ast
 from ..sql.qgm import QueryBlock
 from ..storage import Database
@@ -508,61 +509,25 @@ def covered_aliases(node: PlanNode) -> Tuple[str, ...]:
 def _batch_predicate_mask(predicate: LocalPredicate, batch: Batch) -> np.ndarray:
     """Evaluate a local predicate against a batch (derived quantifiers)."""
     vector = batch.column(predicate.alias, predicate.column)
-
-    def encode(value) -> Optional[float]:
-        if vector.dictionary is not None:
-            if not isinstance(value, str):
-                raise ExecutionError(f"comparing string column with {value!r}")
-            code = vector.dictionary.find_code(value)
-            return None if code is None else float(code)
-        if isinstance(value, str):
-            raise ExecutionError(f"comparing numeric column with {value!r}")
-        return float(value)
-
-    data = vector.values
+    dictionary = vector.dictionary
     op = predicate.op
-    if op in (PredOp.EQ, PredOp.NE):
-        phys = encode(predicate.value)
-        mask = (
-            np.zeros(len(data), dtype=bool) if phys is None else data == phys
-        )
-        return ~mask if op is PredOp.NE else mask
-    if op is PredOp.IN:
-        if vector.dictionary is not None:
-            for value in predicate.values:
-                if not isinstance(value, str):
-                    raise ExecutionError(
-                        f"comparing string column with {value!r}"
-                    )
-            codes = vector.dictionary.find_codes(predicate.values)
-            codes = codes[codes >= 0]  # drop values absent from the dict
-            if len(codes) == 0:
-                return np.zeros(len(data), dtype=bool)
-            return np.isin(data, codes.astype(data.dtype))
-        for value in predicate.values:
-            if isinstance(value, str):
-                raise ExecutionError(f"comparing numeric column with {value!r}")
-        wanted = np.asarray(
-            [float(value) for value in predicate.values], dtype=data.dtype
-        )
-        if len(wanted) == 0:
-            return np.zeros(len(data), dtype=bool)
-        return np.isin(data, wanted)
-    if vector.dictionary is not None:
+    if dictionary is not None and op not in (PredOp.EQ, PredOp.NE, PredOp.IN):
         raise ExecutionError("range predicate on string output column")
-    low = encode(predicate.values[0])
-    if op is PredOp.BETWEEN:
-        high = encode(predicate.values[1])
-        return (data >= low) & (data <= high)
-    if op is PredOp.LT:
-        return data < low
-    if op is PredOp.LE:
-        return data <= low
-    if op is PredOp.GT:
-        return data > low
-    if op is PredOp.GE:
-        return data >= low
-    raise AssertionError(f"unhandled predicate op {op}")
+    for value in predicate.values:
+        if dictionary is not None and not isinstance(value, str):
+            raise ExecutionError(f"comparing string column with {value!r}")
+        if dictionary is None and isinstance(value, str):
+            raise ExecutionError(f"comparing numeric column with {value!r}")
+    if dictionary is not None:
+        codes = dictionary.find_codes(predicate.values)
+        # Values absent from the dictionary match nothing: drop them.
+        values = tuple(codes[codes >= 0].astype(np.float64).tolist())
+    else:
+        values = tuple(float(value) for value in predicate.values)
+    return physical_mask(
+        vector.values,
+        PhysPredicate(predicate.column, op.name, values, empty=not values),
+    )
 
 
 def _required_columns(block: QueryBlock) -> Dict[str, Set[str]]:

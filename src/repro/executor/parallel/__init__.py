@@ -7,22 +7,12 @@ detection, and :mod:`.manager` wires the three into the engine with
 transparent in-process fallback.
 """
 
-from .kernels import (
-    KERNELS,
-    PhysPredicate,
-    encode_predicate,
-    encode_predicates,
-    merge_aggregates,
-)
+from .kernels import KERNELS
 from .manager import DEFAULT_PARALLEL_THRESHOLD, ParallelScanManager
 from .pool import PoolUnavailable, WorkerError, WorkerPool
 
 __all__ = [
     "KERNELS",
-    "PhysPredicate",
-    "encode_predicate",
-    "encode_predicates",
-    "merge_aggregates",
     "DEFAULT_PARALLEL_THRESHOLD",
     "ParallelScanManager",
     "PoolUnavailable",

@@ -29,8 +29,7 @@ Byte-identity contract (checked by ``tests/harness/differential.py``):
   sequential ``np.lexsort`` / ``np.unique`` paths put them.
 
 Fragments dispatch even with ``workers == 0`` (single inline shard):
-that is the modeled-cost sequential baseline the plan benchmark compares
-against, identical kernels and results, no overlap.
+identical kernels and results, no overlap.
 """
 
 from __future__ import annotations
@@ -50,13 +49,13 @@ from ...optimizer.plans import (
     SeqScan,
     Sort,
 )
+from ...predicates.physical import PhysPredicate, encode_predicates
 from ...sql import ast
 from ...types import DataType
 from ..aggregate import collect_aggregates, finalize_aggregate
 from ..executor import ScanObservation
 from ..floatsum import ZERO_PAIR, add_pairs, merge_pair_arrays, pairs_to_floats
 from ..vector import Batch, ColumnVector, batch_from_table, code_lookup
-from .kernels import PhysPredicate, encode_predicates
 
 #: Largest |value| * row_count for which float64 partial sums are exact
 #: integers regardless of addition order (the int SUM/AVG fusion gate).
@@ -347,7 +346,6 @@ def _aggregate_fragment(
             preds=scan.preds,
             keys=tuple(key_columns),
             specs=prim_specs,
-            cost_per_row=manager.cost_per_row,
             ranks=rank_arrays or None,
         ),
         "aggregate fragment",
@@ -468,7 +466,6 @@ def _join_fragment(
         keys.append((probe_column, build_column, lookup))
 
     n_parts = max(1, manager.workers)
-    cost = manager.cost_per_row
     hash_key = keys[0]
     probe_parts = manager.run_ranged(
         probe.table,
@@ -478,7 +475,6 @@ def _join_fragment(
             key_column=hash_key[0],
             n_parts=n_parts,
             lookup=hash_key[2],
-            cost_per_row=cost,
         ),
         "join fragment",
         preds=probe.preds,
@@ -491,7 +487,6 @@ def _join_fragment(
             key_column=hash_key[1],
             n_parts=n_parts,
             lookup=None,
-            cost_per_row=cost,
         ),
         "join fragment",
         preds=build.preds,
@@ -515,7 +510,6 @@ def _join_fragment(
             probe_rows=probe_by_part[p],
             build_rows=build_by_part[p],
             keys=tuple(keys),
-            cost_per_row=cost,
         )
         for p in range(n_parts)
         if len(probe_by_part[p]) and len(build_by_part[p])
@@ -649,11 +643,7 @@ def _sort_fragment(
     runs = manager.run_ranged(
         scan.table,
         "sort",
-        dict(
-            preds=scan.preds,
-            keys=tuple(sort_keys),
-            cost_per_row=manager.cost_per_row,
-        ),
+        dict(preds=scan.preds, keys=tuple(sort_keys)),
         "sort fragment",
         preds=scan.preds,
     )
@@ -689,11 +679,7 @@ def _distinct_fragment(
     runs = manager.run_ranged(
         scan.table,
         "distinct",
-        dict(
-            preds=scan.preds,
-            columns=kernel_columns,
-            cost_per_row=manager.cost_per_row,
-        ),
+        dict(preds=scan.preds, columns=kernel_columns),
         "distinct fragment",
         preds=scan.preds,
     )

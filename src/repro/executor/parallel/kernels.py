@@ -7,127 +7,25 @@ views when the manager runs the same kernels in-process. Tasks name
 kernels via the :data:`KERNELS` registry (no function pickling), and all
 other arguments are plain picklable values.
 
-Predicates cross the process boundary as :class:`PhysPredicate`: the
-parent lowers each ``LocalPredicate`` to already-encoded physical values
-(:func:`encode_predicates`), so workers never touch string dictionaries
-and the shard masks are byte-identical to what
-``repro.predicates.evaluate`` computes in-process.
-
-``cost_per_row`` is the modeled per-row scan cost (seconds) from
-``EngineConfig.scan_cost_per_row`` — the scan-path analogue of
-``commit_latency``: both the sequential baseline and the worker shards
-pay it, so benchmark speedups measure genuine overlap on few-core hosts.
+Predicates cross the process boundary as
+:class:`~repro.predicates.physical.PhysPredicate`: the parent lowers each
+``LocalPredicate`` to already-encoded physical values
+(``encode_predicates``), so workers never touch string dictionaries, and
+the shard masks come from the same ``physical_mask`` that
+``repro.predicates.evaluate`` calls in-process.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...cancel import cancellable_sleep
-from ...predicates.predicate import LocalPredicate, PredOp
-from ...types import DataType
+from ...predicates.physical import PhysPredicate, physical_mask
 from ..floatsum import sum_pairs_shard
 from ..joinutil import equi_join_indices
 from ..vector import apply_code_lookup
-
-
-@dataclass(frozen=True)
-class PhysPredicate:
-    """A local predicate lowered to physical form.
-
-    ``op`` is the :class:`PredOp` name; ``values`` are the encoded
-    physical values (floats, exactly what ``evaluate._encode`` produces).
-    ``empty`` marks an EQ/NE/IN predicate whose string value is missing
-    from the dictionary: unsatisfiable for EQ/IN, tautological for NE.
-    """
-
-    column: str
-    op: str
-    values: Tuple[float, ...] = ()
-    empty: bool = False
-
-
-def encode_predicate(table, predicate: LocalPredicate) -> Optional[PhysPredicate]:
-    """Lower one predicate, or None when it is not shardable (range
-    comparison on a string column — the sequential path owns that error)."""
-    column = predicate.column.lower()
-    col = table.column(column)
-    dtype = table.schema.column(column).dtype
-    op = predicate.op
-    if op in (PredOp.EQ, PredOp.NE):
-        phys = col.lookup_value(predicate.value)
-        if phys is None:
-            return PhysPredicate(column, op.name, empty=True)
-        return PhysPredicate(column, op.name, (float(phys),))
-    if op is PredOp.IN:
-        wanted = []
-        for value in predicate.values:
-            phys = col.lookup_value(value)
-            if phys is not None:
-                wanted.append(float(phys))
-        if not wanted:
-            return PhysPredicate(column, op.name, empty=True)
-        return PhysPredicate(column, op.name, tuple(wanted))
-    if dtype is DataType.STRING:
-        return None  # dictionary codes do not follow string order
-    lo = float(col.lookup_value(predicate.values[0]))
-    if op is PredOp.BETWEEN:
-        hi = float(col.lookup_value(predicate.values[1]))
-        return PhysPredicate(column, op.name, (lo, hi))
-    return PhysPredicate(column, op.name, (lo,))
-
-
-def encode_predicates(
-    table, predicates: Sequence[LocalPredicate]
-) -> Optional[Tuple[PhysPredicate, ...]]:
-    """Lower a predicate list; None if any member is not shardable."""
-    out = []
-    for predicate in predicates:
-        phys = encode_predicate(table, predicate)
-        if phys is None:
-            return None
-        out.append(phys)
-    return tuple(out)
-
-
-def predicate_mask(data: np.ndarray, pred: PhysPredicate) -> np.ndarray:
-    """Boolean mask over ``data``; mirrors ``evaluate.predicate_mask``."""
-    op = pred.op
-    if op == "EQ" or op == "NE":
-        if pred.empty:
-            base = np.zeros(len(data), dtype=bool)
-            return ~base if op == "NE" else base
-        mask = data == pred.values[0]
-        return ~mask if op == "NE" else mask
-    if op == "IN":
-        if pred.empty:
-            return np.zeros(len(data), dtype=bool)
-        return np.isin(data, np.asarray(pred.values, dtype=data.dtype))
-    lo = pred.values[0]
-    if op == "BETWEEN":
-        return (data >= lo) & (data <= pred.values[1])
-    if op == "LT":
-        return data < lo
-    if op == "LE":
-        return data <= lo
-    if op == "GT":
-        return data > lo
-    if op == "GE":
-        return data >= lo
-    raise AssertionError(f"unhandled physical predicate op {op}")
-
-
-def _pay(cost_per_row: float, n_rows: int) -> None:
-    if cost_per_row > 0.0 and n_rows > 0:
-        # Sliced sleep: inside the parent process (inline fallback or
-        # workers == 0) the modeled cost polls the statement's cancel
-        # token; inside worker processes no token exists and this is a
-        # plain sleep.
-        cancellable_sleep(cost_per_row * n_rows)
 
 
 def scan_shard(
@@ -135,17 +33,15 @@ def scan_shard(
     preds: Tuple[PhysPredicate, ...],
     start: int,
     stop: int,
-    cost_per_row: float = 0.0,
 ) -> np.ndarray:
     """Global row positions in ``[start, stop)`` matching every predicate.
 
     Shards partition ``[0, n_rows)``, so concatenating shard results in
     order reproduces ``np.flatnonzero(group_mask(...))`` exactly.
     """
-    _pay(cost_per_row, stop - start)
     mask: Optional[np.ndarray] = None
     for pred in preds:
-        m = predicate_mask(arrays[pred.column][start:stop], pred)
+        m = physical_mask(arrays[pred.column][start:stop], pred)
         mask = m if mask is None else (mask & m)
     if mask is None:
         return np.arange(start, stop, dtype=np.int64)
@@ -156,89 +52,14 @@ def masks_shard(
     arrays: Dict[str, np.ndarray],
     preds: Tuple[PhysPredicate, ...],
     rows: np.ndarray,
-    cost_per_row: float = 0.0,
 ) -> List[np.ndarray]:
     """One boolean mask per predicate over the given row positions (the
     QSS sample-selectivity kernel; shards split the sample rows)."""
     rows = np.asarray(rows, dtype=np.int64)
-    _pay(cost_per_row, len(rows) * max(1, len(preds)))
     out = []
     for pred in preds:
-        out.append(predicate_mask(arrays[pred.column][rows], pred))
+        out.append(physical_mask(arrays[pred.column][rows], pred))
     return out
-
-
-def aggregate_shard(
-    arrays: Dict[str, np.ndarray],
-    preds: Tuple[PhysPredicate, ...],
-    start: int,
-    stop: int,
-    specs: Tuple[Tuple[str, str], ...],
-    cost_per_row: float = 0.0,
-) -> List[Tuple[float, Optional[float]]]:
-    """Partial aggregates over the shard's matching rows.
-
-    ``specs`` is ``((func, column), ...)`` with func in count/sum/min/max;
-    each partial is ``(matching_row_count, value)`` (value None when the
-    shard matched nothing), merged by :func:`merge_aggregates`.
-    """
-    idx = scan_shard(arrays, preds, start, stop, cost_per_row)
-    partials: List[Tuple[float, Optional[float]]] = []
-    n = float(len(idx))
-    for func, column in specs:
-        if func == "count":
-            partials.append((n, n))
-            continue
-        data = arrays[column][idx]
-        if len(data) == 0:
-            partials.append((n, None))
-        elif func == "sum":
-            partials.append((n, float(data.sum())))
-        elif func == "min":
-            partials.append((n, float(data.min())))
-        elif func == "max":
-            partials.append((n, float(data.max())))
-        else:
-            raise AssertionError(f"unhandled aggregate {func}")
-    return partials
-
-
-def combine_partials(
-    specs: Tuple[Tuple[str, str], ...],
-    partials_list: Sequence[List[Tuple[float, Optional[float]]]],
-) -> List[Tuple[float, Optional[float]]]:
-    """Combine shard partials into one partial of the same shape.
-
-    Closed under composition, so merging is associative: combining in
-    any grouping (or any shard layout) yields the same partial — the
-    property the kernel suite asserts.
-    """
-    combined: List[Tuple[float, Optional[float]]] = []
-    for i, (func, _) in enumerate(specs):
-        counts = [p[i][0] for p in partials_list]
-        values = [p[i][1] for p in partials_list if p[i][1] is not None]
-        n = float(sum(counts))
-        if func == "count":
-            combined.append((n, float(sum(values))))
-        elif not values:
-            combined.append((n, None))
-        elif func == "sum":
-            combined.append((n, float(sum(values))))
-        elif func == "min":
-            combined.append((n, min(values)))
-        elif func == "max":
-            combined.append((n, max(values)))
-        else:
-            raise AssertionError(f"unhandled aggregate {func}")
-    return combined
-
-
-def merge_aggregates(
-    specs: Tuple[Tuple[str, str], ...],
-    partials_list: Sequence[List[Tuple[float, Optional[float]]]],
-) -> List[Optional[float]]:
-    """Parent-side merge of :func:`aggregate_shard` partials."""
-    return [value for _, value in combine_partials(specs, partials_list)]
 
 
 def column_stats_shard(
@@ -249,7 +70,6 @@ def column_stats_shard(
     scale: float,
     n_buckets: int,
     n_frequent: int,
-    cost_per_row: float = 0.0,
 ) -> dict:
     """One column's RUNSTATS distribution pass (the per-column task unit).
 
@@ -261,7 +81,6 @@ def column_stats_shard(
     data = arrays[column]
     if rows is not None:
         data = data[np.asarray(rows, dtype=np.int64)]
-    _pay(cost_per_row, len(data))
     return column_stats_raw(
         data,
         integral=integral,
@@ -278,7 +97,6 @@ def group_aggregate_shard(
     stop: int,
     keys: Tuple[str, ...],
     specs: Tuple[Tuple[str, str], ...],
-    cost_per_row: float = 0.0,
     ranks: Optional[Dict[str, np.ndarray]] = None,
 ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...], int]:
     """Fused scan → filter → grouped partial aggregate over one shard.
@@ -298,7 +116,7 @@ def group_aggregate_shard(
     codes themselves do not follow string order and workers never see
     dictionaries.
     """
-    idx = scan_shard(arrays, preds, start, stop, cost_per_row)
+    idx = scan_shard(arrays, preds, start, stop)
     n = len(idx)
     if keys:
         key_data = [arrays[k][idx] for k in keys]
@@ -392,7 +210,6 @@ def join_partition_shard(
     key_column: str,
     n_parts: int,
     lookup: Optional[np.ndarray] = None,
-    cost_per_row: float = 0.0,
 ) -> Tuple[List[np.ndarray], int]:
     """Stage A of the partitioned hash join: scan one shard of one input
     and split its matching global row ids by join-key partition.
@@ -401,7 +218,7 @@ def join_partition_shard(
     space (see ``vector.code_lookup``) so both inputs partition over the
     same value domain.
     """
-    idx = scan_shard(arrays, preds, start, stop, cost_per_row)
+    idx = scan_shard(arrays, preds, start, stop)
     keys = arrays[key_column][idx]
     if lookup is not None:
         keys = apply_code_lookup(lookup, keys)
@@ -416,7 +233,6 @@ def join_probe_partition(
     probe_rows: np.ndarray,
     build_rows: np.ndarray,
     keys: Tuple[Tuple[str, str, Optional[np.ndarray]], ...],
-    cost_per_row: float = 0.0,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Stage B: build + probe one partition, both inputs attached.
 
@@ -429,7 +245,6 @@ def join_probe_partition(
     """
     probe_rows = np.asarray(probe_rows, dtype=np.int64)
     build_rows = np.asarray(build_rows, dtype=np.int64)
-    _pay(cost_per_row, len(probe_rows) + len(build_rows))
     probe_arrays = tables[probe_table]
     build_arrays = tables[build_table]
     probe_col, build_col, lookup = keys[0]
@@ -456,7 +271,6 @@ def sort_shard(
     start: int,
     stop: int,
     keys: Tuple[Tuple[str, bool, Optional[np.ndarray]], ...],
-    cost_per_row: float = 0.0,
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], int]:
     """Shard-local sort: scan, then order the shard's matching rows.
 
@@ -468,7 +282,7 @@ def sort_shard(
     original row order (np.lexsort is stable), matching the sequential
     sort exactly.
     """
-    idx = scan_shard(arrays, preds, start, stop, cost_per_row)
+    idx = scan_shard(arrays, preds, start, stop)
     key_arrays = []
     for column, descending, ranks in keys:
         values = arrays[column][idx]
@@ -493,7 +307,6 @@ def distinct_shard(
     start: int,
     stop: int,
     columns: Tuple[str, ...],
-    cost_per_row: float = 0.0,
 ) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], int]:
     """Shard-local duplicate elimination over the projected columns.
 
@@ -501,7 +314,7 @@ def distinct_shard(
     sequential ``Distinct`` contract); the parent re-deduplicates across
     shards, where shard order preserves global row order.
     """
-    idx = scan_shard(arrays, preds, start, stop, cost_per_row)
+    idx = scan_shard(arrays, preds, start, stop)
     matched = int(len(idx))
     values = [arrays[c][idx] for c in columns]
     if len(idx):
@@ -573,7 +386,6 @@ def sleep_shard(arrays: Dict[str, np.ndarray], duration: float) -> float:
 KERNELS = {
     "scan": scan_shard,
     "masks": masks_shard,
-    "aggregate": aggregate_shard,
     "group_aggregate": group_aggregate_shard,
     "join_partition": join_partition_shard,
     "join_probe": join_probe_partition,

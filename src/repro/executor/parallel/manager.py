@@ -17,10 +17,8 @@ Contracts:
   falls back to running the identical kernels in-process — a warning,
   never a wrong answer. A dead pool (spawn failure / repeated crashes)
   disables the process path for the rest of the engine's life.
-* **workers == 0** runs the kernels in-process over a single shard.
-  With ``cost_per_row`` set this is the modeled sequential baseline the
-  parallel-scan benchmark compares against; shard layout never changes
-  results (property-tested), only overlap.
+* **workers == 0** runs the kernels in-process over a single shard;
+  shard layout never changes results (property-tested), only overlap.
 """
 
 from __future__ import annotations
@@ -34,8 +32,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ...cancel import check_cancelled
+from ...predicates.physical import encode_predicates
 from ...storage.shm import ShmError, ShmRegistry
-from .kernels import KERNELS, encode_predicates
+from .kernels import KERNELS
 from .pool import PoolUnavailable, WorkerError, WorkerPool
 
 DEFAULT_PARALLEL_THRESHOLD = 32768
@@ -92,14 +91,12 @@ class ParallelScanManager:
         self,
         workers: int = 0,
         threshold_rows: int = DEFAULT_PARALLEL_THRESHOLD,
-        cost_per_row: float = 0.0,
         start_method: str = "forkserver",
         task_timeout: float = 120.0,
         zone_maps=None,
     ):
         self.workers = max(0, workers)
         self.threshold_rows = max(1, threshold_rows)
-        self.cost_per_row = cost_per_row
         # Optional ZoneMapStore (observe plane): ranged dispatches consult
         # it to skip row ranges every predicate provably refutes, and its
         # builds shard across the pool via the zone_stats kernel.
@@ -120,7 +117,10 @@ class ParallelScanManager:
         self._lock = threading.Lock()
         self._pool_lock = threading.Lock()
         # Adaptive shard sizing state: per-table latency profiles from
-        # the last timed dispatch, plus a sample ring for stats().
+        # the last timed dispatch, plus a sample ring for stats(). The
+        # same lock covers the counters concurrent session threads bump
+        # outside _pool_lock (rebalances, fallbacks, inline_calls,
+        # fragment_counts).
         self._profile_lock = threading.Lock()
         self._profiles: Dict[str, _Profile] = {}
         self._shard_times: deque = deque(maxlen=_LATENCY_SAMPLES)
@@ -155,7 +155,8 @@ class ParallelScanManager:
         bounds = equal_latency_bounds(profile, n, shards)
         if bounds is None or bounds == uniform:
             return uniform
-        self.rebalances += 1
+        with self._profile_lock:
+            self.rebalances += 1
         return bounds
 
     def _note_shard_times(
@@ -217,7 +218,8 @@ class ParallelScanManager:
                     out = [result for _, result in out]
                 return out
             except (PoolUnavailable, WorkerError, ShmError, OSError) as exc:
-                self.fallbacks += 1
+                with self._profile_lock:
+                    self.fallbacks += 1
                 if isinstance(exc, PoolUnavailable):
                     self._disabled = True
                 warnings.warn(
@@ -226,7 +228,8 @@ class ParallelScanManager:
                     RuntimeWarning,
                     stacklevel=4,
                 )
-        self.inline_calls += 1
+        with self._profile_lock:
+            self.inline_calls += 1
 
         def live_arrays(table):
             return {
@@ -345,7 +348,7 @@ class ParallelScanManager:
         parts = self.run_ranged(
             table,
             "scan",
-            dict(preds=phys, cost_per_row=self.cost_per_row),
+            dict(preds=phys),
             "scan",
             preds=phys,
         )
@@ -367,7 +370,8 @@ class ParallelScanManager:
         )
 
     def note_fragment(self, kind: str) -> None:
-        self.fragment_counts[kind] = self.fragment_counts.get(kind, 0) + 1
+        with self._profile_lock:
+            self.fragment_counts[kind] = self.fragment_counts.get(kind, 0) + 1
 
     # ------------------------------------------------------------------
     # QSS sample-selectivity evaluation (JITS collection)
@@ -402,11 +406,7 @@ class ParallelScanManager:
             if phys is None:
                 return None  # sequential path owns the error semantics
             kwargs = [
-                dict(
-                    preds=phys,
-                    rows=rows[s:t],
-                    cost_per_row=self.cost_per_row,
-                )
+                dict(preds=phys, rows=rows[s:t])
                 for s, t in self._shard_bounds(len(rows))
             ]
             parts = self._run(table, "masks", kwargs, "selectivity evaluation")
@@ -447,7 +447,6 @@ class ParallelScanManager:
                 scale=scale,
                 n_buckets=n_buckets,
                 n_frequent=n_frequent,
-                cost_per_row=self.cost_per_row,
             )
             for name in names
         ]

@@ -25,6 +25,9 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sql import ast
 
+#: Fingerprints the engine's registry keeps before evicting the coldest.
+FINGERPRINT_CAPACITY = 512
+
 #: Sort keys accepted by :meth:`FingerprintRegistry.top`.
 SORT_KEYS = (
     "executions",
@@ -345,7 +348,7 @@ def _sort_value(snapshot: Dict[str, object], sort_by: str):
 class FingerprintRegistry:
     """Thread-safe, bounded map of fingerprint key -> aggregates."""
 
-    def __init__(self, capacity: int = 512):
+    def __init__(self, capacity: int = FINGERPRINT_CAPACITY):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity

@@ -37,11 +37,10 @@ def _statement_label(statement) -> str:
 class ObservationPlane:
     def __init__(
         self,
-        fingerprint_capacity: int = 512,
         zone_rows: int = 4096,
         advisor: Optional[IndexAdvisor] = None,
     ):
-        self.fingerprints = FingerprintRegistry(capacity=fingerprint_capacity)
+        self.fingerprints = FingerprintRegistry()
         self.zone_maps = ZoneMapStore(zone_rows=zone_rows)
         self.advisor = advisor if advisor is not None else IndexAdvisor()
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from ..errors import ExecutionError
 from ..storage import Table
-from ..types import DataType
-from .predicate import LocalPredicate, PredOp
+from .physical import encode_predicate, physical_mask
+from .predicate import LocalPredicate
 
 
 def _column_values(
@@ -26,60 +26,19 @@ def _column_values(
     return data
 
 
-def _encode(table: Table, column: str, value) -> Optional[float]:
-    phys = table.column(column).lookup_value(value)
-    return None if phys is None else float(phys)
-
-
 def predicate_mask(
     table: Table, predicate: LocalPredicate, rows: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Boolean mask of rows satisfying the predicate."""
-    data = _column_values(table, predicate.column, rows)
-    dtype = table.schema.column(predicate.column).dtype
-    op = predicate.op
-
-    if op in (PredOp.EQ, PredOp.NE):
-        phys = _encode(table, predicate.column, predicate.value)
-        if phys is None:
-            base = np.zeros(len(data), dtype=bool)
-            return ~base if op is PredOp.NE else base
-        mask = data == phys
-        return ~mask if op is PredOp.NE else mask
-
-    if op is PredOp.IN:
-        # Encode the whole value list once and test membership in a single
-        # vectorized pass instead of one equality scan per list element.
-        encoded = (
-            _encode(table, predicate.column, value)
-            for value in predicate.values
-        )
-        wanted = [phys for phys in encoded if phys is not None]
-        if not wanted:
-            return np.zeros(len(data), dtype=bool)
-        return np.isin(data, np.asarray(wanted, dtype=data.dtype))
-
-    # Order comparisons: meaningful for numeric columns. Dictionary codes
-    # do not follow string order, so range predicates on strings are
-    # rejected rather than silently wrong.
-    if dtype is DataType.STRING:
+    phys = encode_predicate(table, predicate)
+    if phys is None:
+        # Dictionary codes do not follow string order, so range predicates
+        # on strings are rejected rather than silently wrong.
         raise ExecutionError(
             f"range predicate on string column "
             f"{predicate.alias}.{predicate.column} is not supported"
         )
-    phys = _encode(table, predicate.column, predicate.values[0])
-    if op is PredOp.BETWEEN:
-        hi = _encode(table, predicate.column, predicate.values[1])
-        return (data >= phys) & (data <= hi)
-    if op is PredOp.LT:
-        return data < phys
-    if op is PredOp.LE:
-        return data <= phys
-    if op is PredOp.GT:
-        return data > phys
-    if op is PredOp.GE:
-        return data >= phys
-    raise AssertionError(f"unhandled predicate op {op}")
+    return physical_mask(_column_values(table, predicate.column, rows), phys)
 
 
 def masks_for_predicates(

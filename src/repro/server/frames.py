@@ -138,15 +138,10 @@ def build_stream_frames(
 ) -> Tuple[Dict, List[bytes], Dict]:
     """Frames for one streamed SELECT: (header, binary payloads, end).
 
-    ``result`` must carry columnar vectors (``EngineConfig.stream_vectors``);
-    the caller wraps the binary payloads with
+    ``result`` is a SELECT's (it carries columnar vectors); the caller
+    wraps the binary payloads with
     :func:`repro.server.protocol.encode_binary_frame`.
     """
-    if result.vectors is None:
-        raise ProtocolError(
-            "result has no columnar vectors; enable "
-            "EngineConfig.stream_vectors to stream it"
-        )
     arrays, dictionaries = _wire_columns(result)
     n_rows = len(arrays[0][1]) if arrays else 0
     n_chunks = (n_rows + chunk_rows - 1) // chunk_rows if n_rows else 0

@@ -492,7 +492,6 @@ class ReproServer:
             if (
                 conn.protocol_version >= PROTOCOL_VERSION_2
                 and result.statement_type == "select"
-                and result.vectors is not None
                 and len(result.rows) >= self.stream_threshold_rows
             ):
                 header, payloads, end = build_stream_frames(

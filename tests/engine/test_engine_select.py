@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro import Engine, EngineConfig
 from repro.errors import BindingError, SqlSyntaxError
 
 
@@ -84,11 +83,3 @@ def test_jits_exact_estimates_used(jits_engine, mini_db):
     assert record.source == "qss-exact"
     # Sampled at 400 rows from 600: close to exact.
     assert record.symmetric_accuracy > 0.8
-
-
-def test_fetch_overhead_configurable(mini_db):
-    config = EngineConfig.traditional()
-    config.fetch_overhead = 0.25
-    engine = Engine(mini_db, config)
-    result = engine.execute("SELECT id FROM owner WHERE id = 1")
-    assert result.fetch_time >= 0.25

@@ -197,35 +197,6 @@ def test_lockmanager_disjoint_table_writers_overlap():
     assert broken == []
 
 
-def test_lockmanager_coarse_mode_serializes_disjoint_writers():
-    """granular=False degrades to the database-level lock: writers on
-    different tables never overlap."""
-    manager = LockManager(granular=False)
-    state = {"active": 0, "peak": 0}
-    gate = threading.Lock()
-
-    def worker(name):
-        for _ in range(5):
-            with manager.write_tables((name,)):
-                with gate:
-                    state["active"] += 1
-                    state["peak"] = max(state["peak"], state["active"])
-                time.sleep(0.001)
-                with gate:
-                    state["active"] -= 1
-
-    threads = [
-        threading.Thread(target=worker, args=(name,))
-        for name in ("car", "owner", "demographics")
-    ]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10)
-    assert not any(t.is_alive() for t in threads)
-    assert state["peak"] == 1
-
-
 def test_lockmanager_same_table_writers_exclude():
     """Unsynchronized read-modify-write under the same table's write
     scope must not lose updates."""

@@ -1,5 +1,7 @@
 """Engine plan cache + compilation fast path end-to-end behavior."""
 
+import dataclasses
+
 import pytest
 
 from repro import Engine, EngineConfig, ReproError
@@ -114,13 +116,22 @@ def test_fastpath_results_match_cache_disabled_engine():
         assert fa.total_mass == pytest.approx(sa.total_mass, rel=0.05)
 
 
-def test_engine_config_validation():
-    with pytest.raises(ReproError):
-        EngineConfig(plan_cache_size=0)
-    with pytest.raises(ReproError):
-        EngineConfig(plan_staleness=0.0)
-    with pytest.raises(ReproError):
-        EngineConfig(fetch_overhead=-0.1)
+def test_engine_config_surface_stays_small():
+    """The knob diet holds: removed knobs are gone as keywords (not
+    silently ignored) and the field count does not creep back up."""
+    assert len(dataclasses.fields(EngineConfig)) <= 19
+    for removed in (
+        "fetch_overhead",
+        "commit_latency",
+        "scan_cost_per_row",
+        "lock_granularity",
+        "stream_vectors",
+        "plan_cache_size",
+        "plan_staleness",
+        "observe_fingerprints",
+    ):
+        with pytest.raises(TypeError):
+            EngineConfig(**{removed: 1})
 
 
 def test_jits_config_validation():

@@ -11,16 +11,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.executor.parallel import encode_predicates, merge_aggregates
 from repro.executor.parallel.fragments import (
     merge_group_partials,
     merge_sorted_runs,
 )
 from repro.executor.parallel.kernels import (
-    PhysPredicate,
-    aggregate_shard,
     column_stats_shard,
-    combine_partials,
     distinct_shard,
     group_aggregate_shard,
     join_partition_shard,
@@ -33,6 +29,7 @@ from repro.executor.parallel.kernels import (
 from repro.executor.joinutil import equi_join_indices
 from repro.catalog.runstats import column_stats_raw
 from repro.predicates import LocalPredicate, PredOp, group_mask
+from repro.predicates.physical import PhysPredicate, encode_predicates
 from repro.rng import make_rng
 from tests.conftest import build_mini_db
 
@@ -120,25 +117,6 @@ def test_sharded_masks_equal_single_shard(trial):
     for i in range(len(preds)):
         merged = np.concatenate([part[i] for part in parts])
         np.testing.assert_array_equal(merged, single[i])
-
-
-@pytest.mark.parametrize("trial", range(N_TRIALS))
-def test_sharded_aggregates_equal_single_shard(trial):
-    rng = make_rng(3000 + trial)
-    n = int(rng.integers(0, 400))
-    arrays = random_arrays(rng, n)
-    preds = random_predicates(rng, arrays)
-    specs = (("count", "i"), ("sum", "f"), ("min", "i"), ("max", "f"))
-    bounds = random_bounds(rng, n)
-    single = merge_aggregates(specs, [aggregate_shard(arrays, preds, 0, n, specs)])
-    partials = [aggregate_shard(arrays, preds, s, t, specs) for s, t in bounds]
-    merged = merge_aggregates(specs, partials)
-    assert len(merged) == len(single)
-    for got, want in zip(merged, single):
-        if want is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(want)
 
 
 def test_empty_table_scan():
@@ -284,31 +262,6 @@ def test_group_partials_merge_is_associative(trial):
             halves.append((k, p, m))
     nested = merge_group_partials(halves or parts, len(keys), GROUP_SPECS)
     _assert_group_results_equal(nested, flat)
-
-
-@pytest.mark.parametrize("trial", range(N_TRIALS))
-def test_combine_partials_is_associative(trial):
-    """The keyless merge is associative under any grouping of shards."""
-    rng = make_rng(7000 + trial)
-    n = int(rng.integers(0, 300))
-    arrays = random_arrays(rng, n)
-    preds = random_predicates(rng, arrays)
-    specs = (("count", "i"), ("sum", "f"), ("min", "i"), ("max", "f"))
-    bounds = random_bounds(rng, n)
-    parts = [aggregate_shard(arrays, preds, s, t, specs) for s, t in bounds]
-    flat = merge_aggregates(specs, parts)
-    cut = int(rng.integers(0, len(parts) + 1))
-    grouped = [
-        combine_partials(specs, half)
-        for half in (parts[:cut], parts[cut:])
-        if half
-    ]
-    nested = merge_aggregates(specs, grouped or parts)
-    for got, want in zip(nested, flat):
-        if want is None:
-            assert got is None
-        else:
-            assert got == pytest.approx(want)
 
 
 def test_partition_codes_canonicalize_across_dtypes():

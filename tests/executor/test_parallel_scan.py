@@ -7,6 +7,9 @@ collected statistics are byte-identical to the sequential engine.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,8 @@ from repro.catalog import SystemCatalog
 from repro.catalog.runstats import run_runstats
 from repro.engine import Engine, EngineConfig
 from repro.executor import run_reference
+from repro.executor.parallel import ParallelScanManager
+from repro.predicates import LocalPredicate, PredOp, group_mask
 from repro.sql import build_query_graph, parse_select
 from tests.conftest import build_mini_db
 from tests.harness.differential import (
@@ -228,20 +233,56 @@ def test_below_threshold_stays_inline(engine_factory):
     assert snap["tables_exported"] == 0
 
 
-def test_workers_zero_with_cost_is_sequential_baseline(engine_factory):
-    """scan_workers=0 + scan_cost_per_row>0 runs the same kernels inline
-    over a single shard — the benchmark's modeled sequential engine."""
-    config = _base_config()
-    config.scan_workers = 0
-    config.scan_cost_per_row = 1e-7
-    config.parallel_threshold_rows = 64
-    engine = engine_factory(_build_db(), config)
-    ref = engine_factory(_build_db(), _base_config())
-    sql = "SELECT id, price FROM car WHERE price > 20000 AND year >= 2000"
-    assert sorted(engine.execute(sql).rows) == sorted(ref.execute(sql).rows)
-    snap = engine.stats_snapshot()["parallel"]
-    assert snap["inline_calls"] > 0
-    assert snap["parallel_calls"] == 0
+_CAR_PREDICATES = [
+    LocalPredicate("car", "price", PredOp.GT, (20000.0,)),
+    LocalPredicate("car", "year", PredOp.GE, (2000,)),
+]
+
+
+def test_workers_zero_runs_kernels_inline():
+    """A pool-less manager runs the same kernels in-process over a single
+    shard: identical rows, counted as an inline call."""
+    table = _build_db().table("car")
+    manager = ParallelScanManager(workers=0, threshold_rows=64)
+    try:
+        rows = manager.scan_rows(table, _CAR_PREDICATES)
+        np.testing.assert_array_equal(
+            rows, np.flatnonzero(group_mask(table, _CAR_PREDICATES))
+        )
+        stats = manager.stats()
+        assert stats["inline_calls"] == 1
+        assert stats["parallel_calls"] == 0
+    finally:
+        manager.close()
+
+
+def test_inline_call_counter_survives_concurrent_sessions():
+    """Session threads dispatch concurrently; every inline dispatch must
+    be counted (``+=`` on shared state is not atomic by language rule, so
+    the counters are bumped under a lock)."""
+    table = _build_db().table("car")
+    manager = ParallelScanManager(workers=0, threshold_rows=64)
+    n_threads, per_thread = 4, 300
+    start = threading.Barrier(n_threads)
+
+    def dispatch():
+        start.wait(timeout=10)
+        for _ in range(per_thread):
+            manager.scan_rows(table, _CAR_PREDICATES)
+
+    threads = [threading.Thread(target=dispatch) for _ in range(n_threads)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+        manager.close()
+    assert not any(t.is_alive() for t in threads)
+    assert manager.stats()["inline_calls"] == n_threads * per_thread
 
 
 def test_two_registries_in_one_process_do_not_collide():
@@ -263,9 +304,9 @@ def test_two_registries_in_one_process_do_not_collide():
 def test_pool_shm_round_trip_property():
     """Raw pool + registry round-trip: sharded kernel results through
     worker processes equal the same kernels run on the live arrays."""
-    from repro.executor.parallel import WorkerPool, encode_predicates
+    from repro.executor.parallel import WorkerPool
     from repro.executor.parallel.kernels import scan_shard
-    from repro.predicates import LocalPredicate, PredOp
+    from repro.predicates.physical import encode_predicates
     from repro.storage.shm import ShmRegistry
 
     db = _build_db()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro import Database, DataType, Engine, EngineConfig, make_schema
-from repro.executor.parallel.kernels import PhysPredicate, predicate_mask
+from repro.predicates.physical import PhysPredicate, physical_mask
 from repro.observe import ZoneMapStore, build_column_zones
 from repro.observe.zonemap import ndv_from_bitmap, refuted_zones
 from tests.conftest import build_mini_db
@@ -124,7 +124,7 @@ def test_refuted_zones_never_refute_a_matching_row():
             continue
         for z in np.flatnonzero(mask):
             chunk = data[z * zone_rows : (z + 1) * zone_rows]
-            assert not predicate_mask(chunk, pred).any(), (
+            assert not physical_mask(chunk, pred).any(), (
                 f"trial {trial}: {pred} refuted zone {z} "
                 f"containing a matching row"
             )

@@ -36,9 +36,9 @@ def busy_server():
     server = ReproServer(
         engine, port=0, max_inflight=4, per_client_inflight=1
     ).start_in_thread()
-    engine.rwlock.acquire_write()
+    engine.locks.database.acquire_write()
     yield server
-    engine.rwlock.release_write()
+    engine.locks.database.release_write()
     server.stop_from_thread()
 
 
@@ -98,7 +98,7 @@ def test_retries_succeed_once_the_slot_frees(busy_server):
         occupy(client)
         # Release the blocker shortly after the retry loop starts.
         releaser = threading.Timer(
-            0.3, busy_server.engine.rwlock.release_write
+            0.3, busy_server.engine.locks.database.release_write
         )
         releaser.start()
         try:
@@ -111,4 +111,4 @@ def test_retries_succeed_once_the_slot_frees(busy_server):
         finally:
             releaser.join()
             # The fixture's teardown releases again; re-acquire for it.
-            busy_server.engine.rwlock.acquire_write()
+            busy_server.engine.locks.database.acquire_write()

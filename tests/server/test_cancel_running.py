@@ -4,12 +4,12 @@ The queued-cancel path is covered in test_server.py; these tests pin the
 harder guarantee — a ``cancel`` frame interrupts an *executing*
 statement at the next morsel/checkpoint boundary, the reply is a typed
 ``CANCELLED`` error, the interruption is prompt (a fraction of the
-statement's remaining modeled work), and the session stays usable.
+statement's remaining work), and the session stays usable.
 
-The modeled scan cost (``scan_cost_per_row``) is only paid once the
-parallel scan manager engages, i.e. when the scanned row count reaches
-``parallel_threshold_rows`` — the fixtures lower that threshold so a
-mini table's scan carries seconds of interruptible work.
+The long statement is real work: a self cross product, which can only be
+planned as the chunked nested-loop join, so its one
+``check_cancelled()`` poll per cross-product chunk is what these tests
+depend on.
 """
 
 import time
@@ -21,21 +21,16 @@ from repro.errors import StatementCancelledError
 from repro.server import ReproServer, connect
 from tests.conftest import build_mini_db
 
-SQL = "SELECT COUNT(*) FROM car WHERE price >= 0"
+SQL = "SELECT COUNT(*) FROM car a, car b"
 
-# 20k rows x 0.2 ms/row = ~4 s of modeled, GIL-releasing scan work,
-# sliced into ~5 ms cancellable sleeps.
-N_CARS = 20_000
-SCAN_COST = 2e-4
+# 10k x 10k = 1e8 cross-product cells, 2^22 cells per chunk: seconds of
+# nested-loop work in ~24 chunks, one cancellation poll between chunks.
+N_CARS = 10_000
 
 
 def make_engine() -> Engine:
     db = build_mini_db(n_owners=50, n_cars=N_CARS, seed=5)
-    config = EngineConfig(
-        scan_cost_per_row=SCAN_COST,
-        parallel_threshold_rows=100,
-    )
-    return Engine(db, config)
+    return Engine(db, EngineConfig())
 
 
 @pytest.fixture
@@ -49,7 +44,7 @@ def test_cancel_interrupts_running_statement(server):
     with connect(port=server.port) as client:
         rid = client.next_id()
         client.send_raw({"type": "query", "id": rid, "sql": SQL})
-        time.sleep(0.3)  # let it get admitted and start scanning
+        time.sleep(0.3)  # let it get admitted and start joining
         started = time.perf_counter()
         assert client.cancel(rid) is True
         reply = client._out_of_order.pop(rid, None)
@@ -59,8 +54,8 @@ def test_cancel_interrupts_running_statement(server):
         assert reply["type"] == "error"
         assert reply["code"] == "CANCELLED"
         assert reply["id"] == rid
-        # Far sooner than the ~4 s the scan had left: the token is
-        # polled every morsel / modeled-sleep slice (~5 ms).
+        # Far sooner than the seconds the join had left: the token is
+        # polled once per cross-product chunk.
         assert elapsed < 1.0, f"cancel took {elapsed:.2f}s"
         # The session is immediately reusable on the same connection.
         result = client.execute("SELECT COUNT(*) FROM owner")
@@ -95,7 +90,7 @@ def test_disconnect_cancels_running_statement(server):
     rid = victim.next_id()
     victim.send_raw({"type": "query", "id": rid, "sql": SQL})
     time.sleep(0.3)
-    victim.close()  # abrupt: the ~4 s scan must not run to completion
+    victim.close()  # abrupt: the join must not run to completion
     started = time.perf_counter()
     with connect(port=server.port) as probe:
         deadline = time.monotonic() + 5.0

@@ -191,7 +191,7 @@ def test_cancel_dequeues_pending_statement():
         victim = connect(port=server.port)
         # Hold the database write lock so the blocker's statement occupies
         # the single global slot, guaranteeing the victim's stays queued.
-        engine.rwlock.acquire_write()
+        engine.locks.database.acquire_write()
         try:
             blocker.send_raw(
                 {
@@ -216,7 +216,7 @@ def test_cancel_dequeues_pending_statement():
             # Cancelling an unknown id reports cancelled=False.
             assert victim.cancel(99999) is False
         finally:
-            engine.rwlock.release_write()
+            engine.locks.database.release_write()
         blocker.recv_raw()  # the unblocked DELETE's result
         blocker.close()
         victim.close()

@@ -44,10 +44,9 @@ from tests.conftest import build_mini_db
 SQL = "SELECT id, name, salary, city FROM owner ORDER BY id"
 
 
-def make_engine(stream_vectors: bool = True) -> Engine:
+def make_engine() -> Engine:
     db = build_mini_db(n_owners=300, n_cars=60, seed=11)
-    config = EngineConfig(stream_vectors=stream_vectors)
-    return Engine(db, config)
+    return Engine(db, EngineConfig())
 
 
 @pytest.fixture
@@ -164,14 +163,6 @@ def test_stream_frames_roundtrip_chunked():
     assert decoder.rows == result.rows
     # DICT frames yield no rows; CHUNK frames drain incrementally.
     assert [b for b in batches if b] == [90, 90, 90, 30]
-
-
-def test_stream_frames_require_vectors():
-    engine = make_engine(stream_vectors=False)
-    result = engine.execute(SQL)
-    assert result.vectors is None
-    with pytest.raises(ProtocolError, match="stream_vectors"):
-        build_stream_frames(1, result)
 
 
 def test_decoder_rejects_out_of_order_chunks():
