@@ -1,21 +1,14 @@
-"""Streaming wire protocol throughput and acceptor fleet scaling.
+"""Streaming wire protocol throughput: v1 JSON vs v2 binary stream.
 
-Part 1 — stream throughput: fetch a 1,000,000-row SELECT over loopback
-through the legacy v1 JSON protocol and through the v2 binary columnar
-stream, against the *same* server and engine. The v1 path serializes the
-whole result as one JSON frame (bounded by the 32 MiB frame cap — the
-bench's narrow 3-column rows keep it under); the v2 path ships a typed
-header plus raw little-endian column buffers in bounded chunks. Client-
-observed throughput (send query -> all rows decoded) is printed per
-protocol; the gate is that every row matches bit-for-bit between the two
-protocols (1.00 result match) and that v2, and only v2, streamed.
-
-Part 2 — acceptor fleet: aggregate QPS through an ``AcceptorGroup``
-fleet at 1 vs 4 acceptor processes, each deliberately narrow
-(``max_inflight=1``, one executor thread). QPS and the served split are
-printed; the gate is that every COUNT matches the single-engine
-reference and no acceptor process is left running. Skipped where
-``SO_REUSEPORT`` is missing.
+Fetch a 1,000,000-row SELECT over loopback through the legacy v1 JSON
+protocol and through the v2 binary columnar stream, against the *same*
+server and engine. The v1 path serializes the whole result as one JSON
+frame (bounded by the 32 MiB frame cap — the bench's narrow 3-column rows
+keep it under); the v2 path ships a typed header plus raw little-endian
+column buffers in bounded chunks. Client-observed throughput (send query
+-> all rows decoded) is printed per protocol; the gate is that every row
+matches bit-for-bit between the two protocols (1.00 result match) and
+that v2, and only v2, streamed.
 
 Every number is real wall-clock on real work and carries no ratio bar:
 the regression gate for the wire path is the ``wire_fetch`` workload of
@@ -29,9 +22,7 @@ Run under pytest or standalone:
 from __future__ import annotations
 
 import argparse
-import socket
 import sys
-import threading
 import time
 from typing import Dict, List
 
@@ -39,7 +30,7 @@ import numpy as np
 
 from repro import Engine, EngineConfig
 from repro.schema import make_schema
-from repro.server import AcceptorGroup, connect
+from repro.server import connect
 from repro.server.server import ReproServer
 from repro.storage import Database
 from repro.types import DataType
@@ -47,12 +38,6 @@ from repro.workload import format_table
 
 STREAM_ROWS = 1_000_000
 STREAM_SQL = "SELECT id, val, tag FROM points"
-
-FLEET_COUNTS = [1, 4]
-FLEET_CLIENTS = 12
-FLEET_QUERIES_PER_CLIENT = 4
-FLEET_TABLE_ROWS = 4_000
-FLEET_SQL = "SELECT COUNT(*) FROM points WHERE val >= 0"
 
 
 def build_points_db(n_rows: int, seed: int) -> Database:
@@ -86,7 +71,7 @@ def build_points_db(n_rows: int, seed: int) -> Database:
 
 
 # ----------------------------------------------------------------------
-# Part 1: v1 JSON vs v2 binary stream on one large result
+# v1 JSON vs v2 binary stream on one large result
 # ----------------------------------------------------------------------
 def run_stream(n_rows: int, seed: int, repeats: int = 2) -> Dict:
     db = build_points_db(n_rows, seed)
@@ -160,140 +145,25 @@ def check_stream(stream: Dict) -> List[str]:
 
 
 # ----------------------------------------------------------------------
-# Part 2: aggregate QPS at 1 vs 4 acceptor processes
-# ----------------------------------------------------------------------
-def _fleet_clients(
-    port: int, n_clients: int, queries_each: int
-) -> tuple:
-    """Persistent connections hammering the fleet; returns (rows, sec)."""
-    results: List = [None] * (n_clients * queries_each)
-    errors: List = []
-
-    def client_thread(index: int) -> None:
-        try:
-            with connect(port=port) as client:
-                for q in range(queries_each):
-                    result = client.execute(
-                        FLEET_SQL, busy_retries=500, busy_backoff=0.005
-                    )
-                    results[index * queries_each + q] = result.rows
-        except Exception as exc:  # surfaced by the caller's assert
-            errors.append(exc)
-
-    threads = [
-        threading.Thread(target=client_thread, args=(i,))
-        for i in range(n_clients)
-    ]
-    started = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - started
-    assert not errors, errors
-    return results, elapsed
-
-
-def run_fleet(
-    seed: int,
-    n_clients: int = FLEET_CLIENTS,
-    queries_each: int = FLEET_QUERIES_PER_CLIENT,
-) -> Dict:
-    db = build_points_db(FLEET_TABLE_ROWS, seed)
-    want = Engine(db, EngineConfig()).execute(FLEET_SQL).rows
-    total_queries = n_clients * queries_each
-    qps: Dict[int, float] = {}
-    mismatches = 0
-    served: Dict[int, List[int]] = {}
-    for n_acceptors in FLEET_COUNTS:
-        group = AcceptorGroup(
-            lambda: Engine(db, EngineConfig()),
-            n_acceptors=n_acceptors,
-            port=0,
-            max_inflight=1,
-            per_client_inflight=1,
-            workers=1,
-        ).start()
-        try:
-            results, elapsed = _fleet_clients(
-                group.port, n_clients, queries_each
-            )
-            snapshot = group.snapshot()
-        finally:
-            group.stop()
-        assert group.alive() == 0, "acceptor processes left running"
-        qps[n_acceptors] = total_queries / elapsed
-        mismatches += sum(1 for rows in results if rows != want)
-        served[n_acceptors] = snapshot["served"]
-    base = qps[FLEET_COUNTS[0]]
-    table = format_table(
-        ["acceptors", "agg q/s", "scaling", "served split", "wrong"],
-        [
-            [
-                str(n),
-                f"{qps[n]:.1f}",
-                f"{qps[n] / base:.2f}x",
-                "/".join(str(s) for s in served[n]),
-                str(mismatches),
-            ]
-            for n in FLEET_COUNTS
-        ],
-    )
-    table += (
-        f"\n{n_clients} clients x {queries_each} statements; "
-        "each acceptor capped at 1 in-flight statement"
-    )
-    return {
-        "qps": qps,
-        "scaling": qps[FLEET_COUNTS[-1]] / base,
-        "mismatches": mismatches,
-        "served": served,
-        "table": table,
-    }
-
-
-def check_fleet(fleet: Dict) -> List[str]:
-    if fleet["mismatches"]:
-        return [f"{fleet['mismatches']} wrong COUNT results through the fleet"]
-    return []
-
-
-# ----------------------------------------------------------------------
 # pytest entry point
 # ----------------------------------------------------------------------
-def test_stream_and_acceptor_throughput():
+def test_stream_throughput():
     from conftest import DATA_SEED, emit
 
     stream = run_stream(STREAM_ROWS, DATA_SEED)
-    have_reuseport = hasattr(socket, "SO_REUSEPORT")
-    fleet = run_fleet(DATA_SEED) if have_reuseport else None
-
-    text = stream["table"]
-    metrics = {
-        "v1_rows_per_sec": STREAM_ROWS / stream["timings"][1],
-        "v2_rows_per_sec": STREAM_ROWS / stream["timings"][2],
-        "stream_speedup": stream["ratio"],
-        "result_match": stream["match"],
-    }
-    if fleet is not None:
-        text += "\n\nacceptor fleet scaling:\n" + fleet["table"]
-        metrics["fleet_qps"] = {str(n): q for n, q in fleet["qps"].items()}
-        metrics["acceptor_scaling"] = fleet["scaling"]
     emit(
         "bench_stream_throughput",
-        text,
-        metrics=metrics,
-        config={
-            "stream_rows": STREAM_ROWS,
-            "fleet_counts": FLEET_COUNTS,
-            "fleet_clients": FLEET_CLIENTS,
-            "so_reuseport": have_reuseport,
+        stream["table"],
+        metrics={
+            "v1_rows_per_sec": STREAM_ROWS / stream["timings"][1],
+            "v2_rows_per_sec": STREAM_ROWS / stream["timings"][2],
+            "stream_speedup": stream["ratio"],
+            "result_match": stream["match"],
         },
+        config={"stream_rows": STREAM_ROWS},
     )
     failures = check_stream(stream)
-    if fleet is not None:
-        failures += check_fleet(fleet)
-    assert not failures, "\n".join(failures) + "\n" + text
+    assert not failures, "\n".join(failures) + "\n" + stream["table"]
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +174,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--smoke",
         action="store_true",
-        help="smaller result / fewer statements for CI",
+        help="smaller result for CI",
     )
     parser.add_argument("--rows", type=int, default=STREAM_ROWS)
     parser.add_argument("--seed", type=int, default=0)
@@ -315,17 +185,6 @@ def main(argv=None) -> int:
     stream = run_stream(n_rows, args.seed)
     print(stream["table"])
     failures = check_stream(stream)
-
-    if hasattr(socket, "SO_REUSEPORT"):
-        fleet = run_fleet(
-            args.seed, queries_each=2 if args.smoke else FLEET_QUERIES_PER_CLIENT
-        )
-        print("\nacceptor fleet scaling:")
-        print(fleet["table"])
-        failures += check_fleet(fleet)
-    else:
-        print("\nacceptor fleet scaling skipped: no SO_REUSEPORT")
-
     if failures:
         print("FAIL: " + "; ".join(failures))
         return 1

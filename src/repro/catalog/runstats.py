@@ -56,7 +56,6 @@ def run_runstats(
     sample_size: Optional[int] = None,
     rng: Optional[np.random.Generator] = None,
     parallel=None,
-    zone_maps=None,
 ) -> TableStatistics:
     """Collect statistics on one table and store them in the catalog.
 
@@ -65,9 +64,7 @@ def run_runstats(
     ``parallel`` (a ``ParallelScanManager``) shards the per-column
     distribution passes across the worker pool — one task per column over
     the same parent-drawn sample rows, so statistics are identical either
-    way. ``zone_maps`` (a ``ZoneMapStore``) piggybacks zone-map synopsis
-    builds on the statistics pass: RUNSTATS already walks every column,
-    so the observe plane's shard-skipping maps come up warm.
+    way.
     """
     table = database.table(table_name)
     cardinality = table.row_count
@@ -121,8 +118,6 @@ def run_runstats(
                     table, name, rows, scale, now, n_buckets, n_frequent
                 )
             catalog.set_column_stats(table.name, stats)
-    if zone_maps is not None and cardinality > 0:
-        zone_maps.build(table)
     return table_stats
 
 

@@ -11,9 +11,7 @@ Usage::
     python -m repro connect --port 7433   # shell against a server
 
 Shell commands: ``\\q`` quit, ``\\explain <sql>`` plan without executing,
-``\\stats`` JITS state summary, ``\\tables`` table sizes,
-``\\fingerprints [sort [limit]]`` top statement fingerprints (needs
-``--observe`` or ``--auto-index``), ``\\help``.
+``\\stats`` JITS state summary, ``\\tables`` table sizes, ``\\help``.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import asyncio
 import sys
 from typing import List, Optional
 
-from . import Engine, EngineConfig, ReproError, SqlSyntaxError
+from . import Engine, EngineConfig, JITSConfig, ReproError, SqlSyntaxError
 from .workload import build_car_database
 
 PROMPT = "repro> "
@@ -77,8 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="minimum scanned row count before scans go parallel "
         "(default 32768)",
     )
-    _add_reopt_arguments(parser)
-    _add_observe_arguments(parser)
     _add_mvcc_arguments(parser)
     return parser
 
@@ -100,89 +96,40 @@ def _add_mvcc_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_observe_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--observe", action="store_true",
-        help="enable the observation plane: statement fingerprints, "
-        "zone-map scan skipping, and workload heat tracking",
-    )
-    parser.add_argument(
-        "--auto-index", choices=("off", "advise", "auto"), default="off",
-        help="JIT index advisor: advise only records recommendations, "
-        "auto creates/drops indexes under budget (implies --observe)",
-    )
-    parser.add_argument(
-        "--auto-index-budget", type=int, default=None, metavar="N",
-        help="max live advisor-created indexes (default 3)",
-    )
-    parser.add_argument(
-        "--zone-map-rows", type=int, default=None, metavar="ROWS",
-        help="rows per zone-map zone (default 4096)",
-    )
-
-
-def _add_reopt_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--reopt", choices=("off", "conservative", "eager"), default="off",
-        help="mid-query re-optimization at pipeline breakers: conservative "
-        "reacts to underestimates at join breakers, eager also checks "
-        "aggregate/sort inputs and overestimates (default off)",
-    )
-    parser.add_argument(
-        "--reopt-threshold", type=float, default=None, metavar="RATIO",
-        help="estimated/actual cardinality error ratio that triggers a "
-        "plan switch (default 8.0)",
-    )
-    parser.add_argument(
-        "--reopt-max-rounds", type=int, default=None, metavar="N",
-        help="plan switches allowed per statement (default 2)",
-    )
-
-
 def make_engine(args: argparse.Namespace) -> Engine:
+    config = make_config(args)
     db, _ = build_car_database(scale=args.scale, seed=args.seed)
-    return Engine(db, make_config(args))
+    return Engine(db, config)
 
 
 def make_config(args: argparse.Namespace) -> EngineConfig:
+    """One EngineConfig construction from the parsed flags, so every value
+    passes ``EngineConfig.__post_init__`` (bad ones raise ConfigError)."""
+    knobs = dict(
+        scan_workers=max(0, getattr(args, "scan_workers", 0) or 0),
+        mvcc=not getattr(args, "no_mvcc", False),
+    )
+    for field, flag in (
+        ("parallel_threshold_rows", "parallel_threshold"),
+        ("chunk_rows", "snapshot_chunk_rows"),
+        ("snapshot_retention", "snapshot_retention"),
+    ):
+        value = getattr(args, flag, None)
+        if value is not None:
+            knobs[field] = value
     if args.no_jits:
-        config = EngineConfig.traditional()
+        jits = JITSConfig(enabled=False)
     else:
-        config = EngineConfig.with_jits(
+        caches = not getattr(args, "no_caches", False)
+        jits = JITSConfig(
+            enabled=True,
             s_max=args.smax,
-            plan_cache_enabled=getattr(args, "fastpath", False),
+            sample_cache_enabled=caches,
+            mask_cache_enabled=caches,
+            deferred_calibration=caches,
         )
-        if getattr(args, "no_caches", False):
-            config.jits.sample_cache_enabled = False
-            config.jits.mask_cache_enabled = False
-            config.jits.deferred_calibration = False
-    config.scan_workers = max(0, getattr(args, "scan_workers", 0) or 0)
-    threshold = getattr(args, "parallel_threshold", None)
-    if threshold is not None:
-        config.parallel_threshold_rows = threshold
-    config.reopt = getattr(args, "reopt", "off") or "off"
-    reopt_threshold = getattr(args, "reopt_threshold", None)
-    if reopt_threshold is not None:
-        config.reopt_threshold = reopt_threshold
-    reopt_rounds = getattr(args, "reopt_max_rounds", None)
-    if reopt_rounds is not None:
-        config.reopt_max_rounds = reopt_rounds
-    config.observe = bool(getattr(args, "observe", False))
-    config.auto_index = getattr(args, "auto_index", "off") or "off"
-    budget = getattr(args, "auto_index_budget", None)
-    if budget is not None:
-        config.auto_index_budget = budget
-    zone_rows = getattr(args, "zone_map_rows", None)
-    if zone_rows is not None:
-        config.zone_map_rows = zone_rows
-    config.mvcc = not getattr(args, "no_mvcc", False)
-    snap_chunk = getattr(args, "snapshot_chunk_rows", None)
-    if snap_chunk is not None:
-        config.chunk_rows = snap_chunk
-    retention = getattr(args, "snapshot_retention", None)
-    if retention is not None:
-        config.snapshot_retention = retention
-    return config
+        knobs["plan_cache_enabled"] = getattr(args, "fastpath", False)
+    return EngineConfig(jits=jits, **knobs)
 
 
 def format_rows(columns: List[str], rows, limit: int = 25) -> str:
@@ -243,13 +190,6 @@ def run_statement(
                     f"[jits] sampled {', '.join(report.tables_collected)}; "
                     f"{report.collection.groups_computed} group(s), "
                     f"{report.collection.groups_materialized} materialized\n"
-                )
-            for event in getattr(result, "reopt_events", ()):
-                out.write(
-                    f"[reopt] round {event.round}: {event.kind} at "
-                    f"{event.operator} — est {event.est_rows:.0f} vs actual "
-                    f"{event.actual_rows} (x{event.ratio:.1f}), switched in "
-                    f"{event.switch_seconds * 1000:.2f} ms\n"
                 )
         else:
             out.write(
@@ -314,47 +254,6 @@ def print_stats(engine: Engine, out) -> None:
             f"over {latency['samples']} shard(s), "
             f"{par['rebalances']} rebalance(s)\n"
         )
-    if engine.reopt_telemetry is not None:
-        reopt = engine.reopt_telemetry.snapshot()
-        triggers = ", ".join(
-            f"{kind}={count}"
-            for kind, count in sorted(reopt["triggers_by_kind"].items())
-        )
-        skips = ", ".join(
-            f"{reason}={count}"
-            for reason, count in sorted(reopt["skips_by_reason"].items())
-        )
-        out.write(
-            f"reopt [{engine.config.reopt}]: {reopt['events']} switch(es) in "
-            f"{reopt['queries_reoptimized']} query(ies), "
-            f"{reopt['checkpoints_evaluated']} checkpoint(s); "
-            f"triggers: {triggers or 'none'}; skips: {skips or 'none'}; "
-            f"switch time {reopt['switch_ms_total']} ms, "
-            f"est/actual ratio mean/max "
-            f"{reopt['est_actual_ratio_mean']}/{reopt['est_actual_ratio_max']}\n"
-        )
-    if engine.observe is not None:
-        obs = engine.observe.snapshot()
-        fp = obs["fingerprints"]
-        zm = obs["zone_maps"]
-        out.write(
-            f"fingerprints: {fp['fingerprints']} tracked "
-            f"({fp['recorded']} recorded, {fp['evicted']} evicted, "
-            f"capacity {fp['capacity']})\n"
-            f"zone maps: {zm['tables']} table(s), "
-            f"{zm['scans_pruned']}/{zm['scans_considered']} scan(s) pruned, "
-            f"{zm['zones_skipped']}/{zm['zones_considered']} zone(s) "
-            f"skipped, {zm['rows_skipped']} row(s) skipped\n"
-        )
-        adv = obs["advisor"]
-        if adv["mode"] != "off":
-            out.write(
-                f"index advisor [{adv['mode']}]: {adv['ticks']} tick(s), "
-                f"{adv['created']} created, {adv['dropped']} dropped, "
-                f"{adv['advised']} advised, "
-                f"{adv['live_auto_indexes']} live auto index(es)\n"
-            )
-
 
 def print_tables(engine: Engine, out) -> None:
     for table in engine.database.tables():
@@ -365,58 +264,13 @@ def print_tables(engine: Engine, out) -> None:
 
 
 def print_stats_dict(stats: dict, out, indent: str = "") -> None:
-    """Render a (possibly nested) stats snapshot, one counter per line.
-
-    Nested dicts become indented sections; lists of dicts (fingerprint
-    rows, advisor audit entries) print one numbered sub-section per
-    element instead of a raw JSON blob.
-    """
+    """Render a (possibly nested) stats snapshot, one counter per line."""
     for key, value in stats.items():
         if isinstance(value, dict):
             out.write(f"{indent}{key}:\n")
             print_stats_dict(value, out, indent + "  ")
-        elif isinstance(value, list) and any(
-            isinstance(item, dict) for item in value
-        ):
-            out.write(f"{indent}{key}: ({len(value)} entries)\n")
-            for position, item in enumerate(value):
-                if isinstance(item, dict):
-                    out.write(f"{indent}  [{position}]\n")
-                    print_stats_dict(item, out, indent + "    ")
-                else:
-                    out.write(f"{indent}  [{position}] {item}\n")
         else:
             out.write(f"{indent}{key}={value}\n")
-
-
-def print_fingerprints(snapshot: dict, out) -> None:
-    """Render a fingerprint snapshot as an aligned table."""
-    if not snapshot.get("enabled", False):
-        out.write(
-            "observation plane disabled (start with --observe or "
-            "--auto-index)\n"
-        )
-        return
-    rows = snapshot.get("fingerprints", [])
-    if not rows:
-        out.write("no fingerprints recorded yet\n")
-        return
-    columns = [
-        "key", "type", "executions", "total_ms", "p50_ms", "p95_ms",
-        "rows_out", "staleness", "statement",
-    ]
-    table = [
-        tuple(str(row.get(column, "")) for column in columns)
-        for row in rows
-    ]
-    out.write(format_rows(columns, table, limit=len(table)) + "\n")
-    summary = snapshot.get("summary", {})
-    if summary:
-        out.write(
-            f"{summary.get('fingerprints', len(rows))} fingerprint(s) "
-            f"tracked, {summary.get('recorded', '?')} statement(s) "
-            f"recorded, {summary.get('evicted', 0)} evicted\n"
-        )
 
 
 def run_network_statement(
@@ -506,9 +360,7 @@ def run_network_statement(
         )
 
 
-def _repl_loop(
-    executor, stdin, out, stats, tables, fingerprints, run=run_statement
-) -> None:
+def _repl_loop(executor, stdin, out, stats, tables, run=run_statement) -> None:
     out.write(
         "repro SQL shell — \\help for commands, \\q to quit.\n"
     )
@@ -527,22 +379,12 @@ def _repl_loop(
             if command == "\\help":
                 out.write(
                     "\\q quit | \\explain <sql> | \\stats | \\tables | "
-                    "\\fingerprints [sort [limit]] | "
                     "end statements with ';'\n"
                 )
             elif command == "\\stats":
                 stats()
             elif command == "\\tables":
                 tables()
-            elif command == "\\fingerprints":
-                words = rest.split()
-                sort_by = words[0] if words else "total_ms"
-                try:
-                    limit = int(words[1]) if len(words) > 1 else 20
-                except ValueError:
-                    out.write(f"bad limit {words[1]!r}\n")
-                    continue
-                fingerprints(sort_by, limit)
             elif command == "\\explain":
                 run(executor, rest.rstrip(";"), explain=True, out=out)
             else:
@@ -558,23 +400,12 @@ def _repl_loop(
 
 
 def repl(engine: Engine, stdin, out) -> None:
-    def fingerprints(sort_by: str, limit: int) -> None:
-        try:
-            snapshot = engine.fingerprint_snapshot(
-                limit=limit, sort_by=sort_by
-            )
-        except ValueError as exc:
-            out.write(f"error: {exc}\n")
-            return
-        print_fingerprints(snapshot, out)
-
     _repl_loop(
         engine,
         stdin,
         out,
         stats=lambda: print_stats(engine, out),
         tables=lambda: print_tables(engine, out),
-        fingerprints=fingerprints,
     )
 
 
@@ -596,24 +427,12 @@ def network_repl(client, stdin, out, busy_retries: int = 0) -> None:
         except ReproError as exc:
             out.write(f"error: {exc}\n")
 
-    def fingerprints(sort_by: str, limit: int) -> None:
-        try:
-            print_fingerprints(
-                client.fingerprints(limit=limit, sort=sort_by), out
-            )
-        except ReproError as exc:
-            out.write(f"error: {exc}\n")
-
     def run(executor, sql, explain, out):
         run_network_statement(
             executor, sql, explain, out, busy_retries=busy_retries
         )
 
-    _repl_loop(
-        client, stdin, out,
-        stats=stats, tables=tables, fingerprints=fingerprints,
-        run=run,
-    )
+    _repl_loop(client, stdin, out, stats=stats, tables=tables, run=run)
 
 
 def build_serve_parser() -> argparse.ArgumentParser:
@@ -645,12 +464,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="per-connection admission cap before BUSY frames",
     )
     parser.add_argument(
-        "--acceptors", type=int, default=1, metavar="N",
-        help="acceptor processes sharing the port via SO_REUSEPORT "
-        "(each runs its own event loop and engine over copy-on-write "
-        "storage; default 1 = single-process server)",
-    )
-    parser.add_argument(
         "--stream-threshold", type=int, default=256, metavar="ROWS",
         help="v2 connections stream SELECTs with at least this many rows "
         "as binary chunks (default 256)",
@@ -659,8 +472,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--chunk-rows", type=int, default=None, metavar="ROWS",
         help="rows per binary chunk frame (default 65536)",
     )
-    _add_reopt_arguments(parser)
-    _add_observe_arguments(parser)
     _add_mvcc_arguments(parser)
     return parser
 
@@ -678,50 +489,6 @@ async def _serve_async(server, out) -> None:
         out.write("server stopped\n")
 
 
-def _serve_acceptors(args, port: int, out) -> int:
-    """Fork an SO_REUSEPORT acceptor fleet and babysit it."""
-    import signal as signal_module
-    import time as time_module
-
-    from .server import AcceptorGroup
-
-    db, _ = build_car_database(scale=args.scale, seed=args.seed)
-    config = make_config(args)
-    server_kwargs = dict(
-        workers=args.workers,
-        max_inflight=args.max_inflight,
-        per_client_inflight=args.per_client_inflight,
-        stream_threshold_rows=args.stream_threshold,
-    )
-    if args.chunk_rows is not None:
-        server_kwargs["chunk_rows"] = args.chunk_rows
-    group = AcceptorGroup(
-        lambda: Engine(db, config),
-        n_acceptors=args.acceptors,
-        host=args.host,
-        port=port,
-        **server_kwargs,
-    ).start()
-    out.write(
-        f"listening on {args.host}:{group.port} "
-        f"with {args.acceptors} acceptor(s)\n"
-    )
-    out.flush()
-    stop = {"flag": False}
-    signal_module.signal(
-        signal_module.SIGTERM, lambda *_: stop.update(flag=True)
-    )
-    try:
-        while not stop["flag"] and group.alive() == args.acceptors:
-            time_module.sleep(0.2)
-    except KeyboardInterrupt:
-        out.write("interrupted\n")
-    finally:
-        group.stop()
-        out.write("server stopped\n")
-    return 0
-
-
 def serve_main(argv: Optional[List[str]] = None) -> int:
     from .server import DEFAULT_PORT, ReproServer
 
@@ -730,8 +497,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
     out.write(f"building car database (scale={args.scale}) ...\n")
     port = args.port if args.port is not None else DEFAULT_PORT
     try:
-        if args.acceptors > 1:
-            return _serve_acceptors(args, port, out)
         engine = make_engine(args)
         server = ReproServer(
             engine,

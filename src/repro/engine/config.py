@@ -39,20 +39,6 @@ class EngineConfig:
     # Any pool/shm failure falls back in-process with a warning.
     scan_workers: int = 0
     parallel_threshold_rows: int = 32768
-    # Mid-query adaptive re-optimization (default off). At pipeline
-    # breakers (hash-join build complete, join output materialized, and —
-    # in eager mode — group-by/sort inputs) the executor compares the
-    # observed cardinality against the optimizer's estimate; when the
-    # error ratio reaches reopt_threshold the materialized intermediate
-    # is registered as an ephemeral base table with exact statistics and
-    # the remaining join graph is re-planned. "conservative" triggers on
-    # underestimates only (the direction that turns nested-loop probes
-    # into disasters); "eager" also re-plans on overestimates and checks
-    # aggregate/sort inputs. reopt_max_rounds bounds re-entries per
-    # statement. "off" reproduces today's plans byte-identically.
-    reopt: str = "off"
-    reopt_threshold: float = 8.0
-    reopt_max_rounds: int = 2
     # MVCC snapshot reads (default on). Every mutating statement publishes
     # an immutable epoch-stamped TableSnapshot (copy-on-write chunks of
     # chunk_rows rows; only touched chunks are copied). With mvcc=True
@@ -61,29 +47,10 @@ class EngineConfig:
     # writer, and ``SELECT ... AS OF <clock>`` serves any generation still
     # inside the snapshot_retention window. With mvcc=False reads take the
     # blocking per-table lock path; snapshots are still published (version
-    # keying for zone maps / shm exports relies on them) but never pinned
-    # by readers.
+    # keying for shm exports relies on them) but never pinned by readers.
     mvcc: bool = True
     chunk_rows: int = 65536
     snapshot_retention: int = 8
-    # Self-observing production plane (default off). With observe=True the
-    # engine keeps a statement-fingerprint registry (literal-free normal
-    # forms with p50/p95/lock-wait/staleness aggregates), per-shard
-    # zone-map synopses that let parallel scans skip refuted shards
-    # (results stay byte-identical; pruning only drops provably-empty row
-    # ranges), and the JIT index advisor's heat tracking. auto_index
-    # escalates the advisor: "advise" scores and audits index decisions
-    # without DDL, "auto" creates/drops secondary indexes under the
-    # exclusive lock, capped at auto_index_budget live auto-indexes, with
-    # hysteresis between the create and (lower) drop thresholds. Setting
-    # auto_index != "off" implies the observation plane.
-    observe: bool = False
-    zone_map_rows: int = 4096
-    auto_index: str = "off"
-    auto_index_budget: int = 3
-    auto_index_interval: int = 32
-    auto_index_threshold: float = 0.6
-    auto_index_drop_threshold: float = 0.2
 
     def __post_init__(self) -> None:
         if self.default_workers < 1:
@@ -99,19 +66,6 @@ class EngineConfig:
                 "parallel_threshold_rows must be >= 1, "
                 f"got {self.parallel_threshold_rows}"
             )
-        if self.reopt not in ("off", "conservative", "eager"):
-            raise ConfigError(
-                "reopt must be 'off', 'conservative' or 'eager', "
-                f"got {self.reopt!r}"
-            )
-        if self.reopt_threshold <= 1.0:
-            raise ConfigError(
-                f"reopt_threshold must be > 1, got {self.reopt_threshold}"
-            )
-        if self.reopt_max_rounds < 1:
-            raise ConfigError(
-                f"reopt_max_rounds must be >= 1, got {self.reopt_max_rounds}"
-            )
         if self.chunk_rows < 1:
             raise ConfigError(
                 f"chunk_rows must be >= 1, got {self.chunk_rows}"
@@ -119,34 +73,6 @@ class EngineConfig:
         if self.snapshot_retention < 1:
             raise ConfigError(
                 f"snapshot_retention must be >= 1, got {self.snapshot_retention}"
-            )
-        if self.zone_map_rows < 1:
-            raise ConfigError(
-                f"zone_map_rows must be >= 1, got {self.zone_map_rows}"
-            )
-        if self.auto_index not in ("off", "advise", "auto"):
-            raise ConfigError(
-                "auto_index must be 'off', 'advise' or 'auto', "
-                f"got {self.auto_index!r}"
-            )
-        if self.auto_index_budget < 0:
-            raise ConfigError(
-                f"auto_index_budget must be >= 0, got {self.auto_index_budget}"
-            )
-        if self.auto_index_interval < 1:
-            raise ConfigError(
-                "auto_index_interval must be >= 1, "
-                f"got {self.auto_index_interval}"
-            )
-        if not 0.0 < self.auto_index_threshold <= 1.0:
-            raise ConfigError(
-                "auto_index_threshold must be in (0, 1], "
-                f"got {self.auto_index_threshold}"
-            )
-        if not 0.0 <= self.auto_index_drop_threshold < self.auto_index_threshold:
-            raise ConfigError(
-                "auto_index_drop_threshold must be in [0, auto_index_threshold), "
-                f"got {self.auto_index_drop_threshold}"
             )
 
     @staticmethod

@@ -36,12 +36,6 @@ from ..errors import BindingError, ConfigError, ExecutionError, ReproError
 from ..executor import PlanExecutor, collect_feedback
 from ..executor.expr import eval_expr
 from ..executor.parallel import ParallelScanManager
-from ..executor.reopt import (
-    CheckpointHit,
-    ReoptEvent,
-    ReoptState,
-    ReoptTelemetry,
-)
 from ..executor.vector import Batch, ColumnVector, batch_from_table
 from ..jits import (
     CompilationReport,
@@ -49,7 +43,6 @@ from ..jits import (
     analyze_query,
     table_stats_epoch,
 )
-from ..observe import IndexAdvisor, ObservationPlane
 from ..optimizer import Optimizer, StatsContext
 from ..predicates import group_mask
 from ..rng import make_rng
@@ -83,40 +76,13 @@ class Engine:
         )
         self.catalog = SystemCatalog()
         self.rng = make_rng(self.config.seed)
-        # Self-observing production plane (fingerprints + zone maps +
-        # index advisor). auto_index != "off" implies observation: the
-        # advisor scores fingerprint-derived predicate heat.
-        observe_active = (
-            self.config.observe or self.config.auto_index != "off"
-        )
-        self.observe: Optional[ObservationPlane] = (
-            ObservationPlane(
-                zone_rows=self.config.zone_map_rows,
-                advisor=IndexAdvisor(
-                    mode=self.config.auto_index,
-                    interval=self.config.auto_index_interval,
-                    threshold=self.config.auto_index_threshold,
-                    drop_threshold=self.config.auto_index_drop_threshold,
-                    budget=self.config.auto_index_budget,
-                ),
-            )
-            if observe_active
-            else None
-        )
-        # Process-parallel scan machinery. Also built (poolless) when the
-        # observe plane is on, so zone-map pruning has a ranged dispatch
-        # path to hook into.
+        # Process-parallel scan machinery.
         self.parallel: Optional[ParallelScanManager] = (
             ParallelScanManager(
                 workers=self.config.scan_workers,
                 threshold_rows=self.config.parallel_threshold_rows,
-                zone_maps=(
-                    self.observe.zone_maps
-                    if self.observe is not None
-                    else None
-                ),
             )
-            if self.config.scan_workers > 0 or observe_active
+            if self.config.scan_workers > 0
             else None
         )
         self.jits = JustInTimeStatistics(
@@ -128,10 +94,6 @@ class Engine:
         )
         self.plan_cache: Optional[PlanCache] = (
             PlanCache() if self.config.plan_cache_enabled else None
-        )
-        # Mid-query re-optimization counters (per-engine, thread-safe).
-        self.reopt_telemetry: Optional[ReoptTelemetry] = (
-            ReoptTelemetry() if self.config.reopt != "off" else None
         )
         # Logical statement clock: every statement draws a unique,
         # monotone timestamp; the draw order is the serialization order
@@ -310,8 +272,6 @@ class Engine:
                 self.plan_cache.drop_table(statement.table)
             if self.parallel is not None:
                 self.parallel.release_table(statement.table)
-            if self.observe is not None:
-                self.observe.release_table(statement.table)
             return QueryResult(
                 statement_type="ddl", timings={PHASE_COMPILE: parse_time}
             )
@@ -406,37 +366,7 @@ class Engine:
             }
         if self.parallel is not None:
             snapshot["parallel"] = self.parallel.stats()
-        if self.reopt_telemetry is not None:
-            snapshot["reopt"] = self.reopt_telemetry.snapshot()
-        if self.observe is not None:
-            snapshot["observe"] = self.observe.snapshot()
         return snapshot
-
-    def fingerprint_snapshot(
-        self,
-        limit: int = 20,
-        sort_by: str = "total_ms",
-        offset: int = 0,
-    ) -> Dict[str, object]:
-        """Aggregated per-fingerprint statistics, top-N by one metric.
-
-        Raises ``ValueError`` for an unknown sort key. The server's
-        ``fingerprints`` frame clamps ``limit`` before calling this, so a
-        response can never approach the frame cap.
-        """
-        if self.observe is None:
-            return {
-                "enabled": False,
-                "fingerprints": [],
-                "summary": {},
-            }
-        return {
-            "enabled": True,
-            "fingerprints": self.observe.fingerprint_top(
-                limit=limit, sort_by=sort_by, offset=offset
-            ),
-            "summary": self.observe.fingerprints.summary(),
-        }
 
     def _explain_select(self, statement: ast.SelectStatement, now: int) -> str:
         """EXPLAIN pipeline. Caller holds the read scope."""
@@ -522,7 +452,6 @@ class Engine:
                 template = repr(statement)
                 fingerprint = self._plan_fingerprint(tables)
                 optimized = self.plan_cache.lookup(template, fingerprint)
-        optimizer: Optional[Optimizer] = None
         if optimized is not None:
             # Fast path: the statistics this plan was costed with have not
             # moved, so the QGM/JITS/optimizer pipeline is skipped entirely.
@@ -537,8 +466,7 @@ class Engine:
                 profile, jits_report = None, CompilationReport()
             else:
                 profile, jits_report = self.jits.before_optimize(block, now)
-            optimizer = Optimizer(self._stats_context(profile, now))
-            optimized = optimizer.optimize(block)
+            optimized = Optimizer(self._stats_context(profile, now)).optimize(block)
             if self.plan_cache is not None and template is not None:
                 # Re-fingerprint after compiling: collection may have bumped
                 # the catalog/archive versions, and the plan reflects that.
@@ -554,53 +482,9 @@ class Engine:
         compile_time = parse_time + (time.perf_counter() - compile_started)
 
         execute_started = time.perf_counter()
-        reopt_state: Optional[ReoptState] = (
-            ReoptState(
-                self.config.reopt,
-                self.config.reopt_threshold,
-                self.config.reopt_max_rounds,
-            )
-            if self.config.reopt != "off"
-            else None
-        )
-        base_optimized = optimized  # round-0 plan: owns the scan estimates
-        while True:
-            try:
-                execution = PlanExecutor(
-                    self.database, parallel=self.parallel, reopt=reopt_state
-                ).execute(optimized)
-                break
-            except CheckpointHit as hit:
-                # A pipeline breaker observed a cardinality far from its
-                # estimate. Register the materialized intermediate as an
-                # ephemeral base table with exact statistics and re-enter
-                # the optimizer over the remaining join graph. The whole
-                # exchange happens inside this statement's read-lock
-                # scope, so tables and statistics epochs are stable.
-                switch_started = time.perf_counter()
-                reopt_state.register(hit)
-                if optimizer is None:
-                    # Plan-cache hit: no compilation context exists yet;
-                    # re-entry pins a fresh catalog snapshot (profile-less
-                    # — the JITS pipeline is not re-run mid-query).
-                    optimizer = Optimizer(self._stats_context(None, now))
-                optimized = optimizer.reoptimize(
-                    base_optimized.block, reopt_state.live_intermediates()
-                )
-                reopt_state.record_event(
-                    ReoptEvent(
-                        round=reopt_state.rounds_used,
-                        kind=hit.kind,
-                        operator=hit.node_label,
-                        est_rows=hit.est_rows,
-                        actual_rows=hit.actual_rows,
-                        ratio=reopt_state.error_ratio(
-                            hit.est_rows, hit.actual_rows
-                        ),
-                        switch_seconds=time.perf_counter() - switch_started,
-                        covered_aliases=hit.covered_aliases,
-                    )
-                )
+        execution = PlanExecutor(
+            self.database, parallel=self.parallel
+        ).execute(optimized)
         execute_time = time.perf_counter() - execute_started
 
         fetch_started = time.perf_counter()
@@ -627,22 +511,8 @@ class Engine:
             # historical generation would corrupt StatHistory for the
             # current data.
             feedback = []
-        elif reopt_state is not None:
-            # Feedback always compares the *round-0* estimates against the
-            # union of observations across plan segments — keyed by alias,
-            # so every observed quantifier feeds StatHistory exactly once
-            # even when a plan switch re-executed part of the tree.
-            feedback = collect_feedback(
-                base_optimized,
-                execution,
-                observations=reopt_state.merged_observations(
-                    execution.scan_observations
-                ),
-            )
-            self.reopt_telemetry.record_statement(reopt_state)
         else:
             feedback = collect_feedback(optimized, execution)
-        if not time_travel:
             self.jits.after_execute(feedback, now)
             self.jits.tick(now)
 
@@ -658,7 +528,6 @@ class Engine:
             plan=optimized.root,
             jits_report=jits_report,
             feedback=feedback,
-            reopt_events=list(reopt_state.events) if reopt_state else [],
             vectors=vectors,
             snapshots=(
                 {
@@ -857,11 +726,6 @@ class Engine:
                 name,
                 now=now,
                 parallel=self.parallel,
-                zone_maps=(
-                    self.observe.zone_maps
-                    if self.observe is not None
-                    else None
-                ),
             )
         return time.perf_counter() - started
 

@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..executor.feedback import FeedbackRecord
-from ..executor.reopt import ReoptEvent
 from ..jits import CompilationReport
 from ..optimizer.plans import PlanNode
 from ..types import Value
@@ -28,8 +27,6 @@ class QueryResult:
     plan: Optional[PlanNode] = None
     jits_report: Optional[CompilationReport] = None
     feedback: List[FeedbackRecord] = field(default_factory=list)
-    # Mid-query plan switches (empty unless EngineConfig.reopt fired).
-    reopt_events: List[ReoptEvent] = field(default_factory=list)
     # Columnar output (one ColumnVector per column, aligned with
     # ``columns``), attached for every SELECT. The arrays are private
     # copies snapshotted inside the statement's lock scope, so the v2 wire

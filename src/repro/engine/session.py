@@ -84,57 +84,24 @@ class Session:
         parse_time = time.perf_counter() - started
         now = engine._clock.next()
         engine._statements.next()
-        observe = engine.observe
-        # Lock wait = time from requesting the lock scope to entering it;
-        # recording happens after the scope releases, so the observation
-        # plane never runs under statement locks (parse failures raised
-        # above carry no AST to fingerprint and are not recorded).
-        result = None
-        lock_requested = time.perf_counter()
-        lock_wait = 0.0
-        try:
-            with cancel_scope(cancel):
-                if isinstance(statement, ast.SelectStatement):
-                    tables = engine._statement_tables(statement)
-                    with engine.locks.read_tables(tables):
-                        lock_wait = time.perf_counter() - lock_requested
-                        # Under MVCC the lock scope above is only the
-                        # database intent lock; the statement's actual
-                        # isolation comes from pinning one snapshot
-                        # generation per table here (AS OF pins
-                        # historical ones).
-                        with engine.read_view(
-                            tables, statement.as_of
-                        ) as pinned:
-                            result = engine._execute_select(
-                                statement, parse_time, now, pinned=pinned
-                            )
-                elif isinstance(statement, self._DML_TYPES):
-                    with engine.locks.write_tables((statement.table,)):
-                        lock_wait = time.perf_counter() - lock_requested
-                        result = self._run_write(
-                            engine, statement, parse_time, now
+        with cancel_scope(cancel):
+            if isinstance(statement, ast.SelectStatement):
+                tables = engine._statement_tables(statement)
+                with engine.locks.read_tables(tables):
+                    # Under MVCC the lock scope above is only the database
+                    # intent lock; the statement's actual isolation comes
+                    # from pinning one snapshot generation per table here
+                    # (AS OF pins historical ones).
+                    with engine.read_view(tables, statement.as_of) as pinned:
+                        result = engine._execute_select(
+                            statement, parse_time, now, pinned=pinned
                         )
-                else:
-                    with engine.locks.exclusive():
-                        lock_wait = time.perf_counter() - lock_requested
-                        result = self._run_write(
-                            engine, statement, parse_time, now
-                        )
-        finally:
-            if observe is not None:
-                observe.record_statement(
-                    statement,
-                    result,
-                    latency=time.perf_counter() - started,
-                    lock_wait=lock_wait,
-                    error=result is None,
-                )
-        if observe is not None:
-            # The advisor tick may take the exclusive lock for index DDL;
-            # the LockManager is not reentrant, so it must run after this
-            # statement's scope is fully released.
-            observe.maybe_tick(engine)
+            elif isinstance(statement, self._DML_TYPES):
+                with engine.locks.write_tables((statement.table,)):
+                    result = self._run_write(engine, statement, parse_time, now)
+            else:
+                with engine.locks.exclusive():
+                    result = self._run_write(engine, statement, parse_time, now)
         self.statements_executed += 1
         return result
 

@@ -6,13 +6,6 @@ from .expr import eval_bool, eval_expr
 from .feedback import FeedbackRecord, collect_feedback
 from .joinutil import equi_join_indices
 from .reference import run_reference
-from .reopt import (
-    CheckpointHit,
-    MaterializedIntermediate,
-    ReoptEvent,
-    ReoptState,
-    ReoptTelemetry,
-)
 from .vector import Batch, ColumnVector, batch_from_table, translate_codes
 
 __all__ = [
@@ -31,9 +24,4 @@ __all__ = [
     "FeedbackRecord",
     "collect_feedback",
     "run_reference",
-    "CheckpointHit",
-    "MaterializedIntermediate",
-    "ReoptEvent",
-    "ReoptState",
-    "ReoptTelemetry",
 ]

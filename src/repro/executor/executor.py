@@ -33,7 +33,6 @@ from ..optimizer.plans import (
     IndexNLJoin,
     IndexScan,
     Limit,
-    MaterializedScan,
     NestedLoopJoin,
     PlanNode,
     Project,
@@ -88,15 +87,11 @@ class ExecutionResult:
 class PlanExecutor:
     """Executes one optimized query (including derived-table children)."""
 
-    def __init__(self, database: Database, parallel=None, reopt=None):
+    def __init__(self, database: Database, parallel=None):
         self.database = database
         # Optional ParallelScanManager: when set, predicate SeqScans that
         # clear its row threshold shard across worker processes.
         self.parallel = parallel
-        # Optional ReoptState: when set, pipeline breakers become
-        # checkpoints that may raise CheckpointHit to suspend this plan
-        # and hand the materialized intermediate back to the engine.
-        self.reopt = reopt
         self._observations: Dict[str, ScanObservation] = {}
 
     def execute(self, optimized: OptimizedQuery) -> ExecutionResult:
@@ -130,16 +125,8 @@ class PlanExecutor:
             )
             if batch is not None:
                 node.actual_rows = len(batch)
-                if isinstance(node, HashJoin):
-                    # A fragment root is a pipeline breaker too: the
-                    # merged join output is fully materialized in the
-                    # parent, so a misestimate here can suspend the plan
-                    # and re-dispatch the remainder.
-                    self._checkpoint("join-output", node, batch, block)
                 return batch
-        if isinstance(node, MaterializedScan):
-            batch = self.reopt.intermediates[node.intermediate_id].batch
-        elif isinstance(node, SeqScan):
+        if isinstance(node, SeqScan):
             batch = self._exec_seq_scan(node, block)
         elif isinstance(node, IndexScan):
             batch = self._exec_index_scan(node, block)
@@ -159,9 +146,6 @@ class PlanExecutor:
             batch = child.mask(mask)
         elif isinstance(node, Aggregate):
             child = self._exec(node.child, block)
-            self._checkpoint(
-                "aggregate-input", node.child, child, block, eager_only=True
-            )
             batch = aggregate_batch(
                 child, node.group_keys, node.items, node.output_names, node.having
             )
@@ -186,31 +170,6 @@ class PlanExecutor:
             raise ExecutionError(f"unknown plan node {type(node).__name__}")
         node.actual_rows = len(batch)
         return batch
-
-    # ------------------------------------------------------------------
-    # Re-optimization checkpoints
-    # ------------------------------------------------------------------
-    def _checkpoint(
-        self,
-        kind: str,
-        node: PlanNode,
-        batch: Batch,
-        block: QueryBlock,
-        eager_only: bool = False,
-    ) -> None:
-        """Pipeline-breaker checkpoint; may raise CheckpointHit."""
-        if self.reopt is None:
-            return
-        if eager_only and self.reopt.mode != "eager":
-            return
-        self.reopt.consider(
-            kind,
-            node,
-            batch,
-            covered_aliases(node),
-            len(block.quantifiers),
-            self._observations,
-        )
 
     # ------------------------------------------------------------------
     # Scans
@@ -299,9 +258,6 @@ class PlanExecutor:
 
     def _exec_derived(self, node: DerivedScan, block: QueryBlock) -> Batch:
         child_block: QueryBlock = node.child_block
-        # Derived children never carry reopt state: only the outer block's
-        # join graph is re-planned, and a checkpoint escaping from a
-        # half-built derived table would not splice cleanly.
         child_executor = PlanExecutor(self.database, parallel=self.parallel)
         child_executor._required = _required_columns(child_block)
         child_batch = child_executor._exec(node.child_plan, child_block)
@@ -338,12 +294,7 @@ class PlanExecutor:
         return lv, rv
 
     def _exec_hash_join(self, node: HashJoin, block: QueryBlock) -> Batch:
-        # Build side first: "hash-join build complete" is the classic
-        # pipeline breaker — its exact cardinality is known before a
-        # single probe row is computed, so a misestimated build can
-        # re-plan the whole remaining join graph at zero sunk probe cost.
         build = self._exec(node.build, block)
-        self._checkpoint("hash-build", node.build, build, block)
         probe = self._exec(node.probe, block)
         first, *rest = node.join_predicates
         lv, rv = self._join_key_vectors(first, probe, build)
@@ -354,9 +305,7 @@ class PlanExecutor:
                 plv, prv = self._join_key_vectors(predicate, probe, build)
                 mask &= plv[l_idx] == prv[r_idx]
             l_idx, r_idx = l_idx[mask], r_idx[mask]
-        result = Batch.merge(probe.take(l_idx), build.take(r_idx))
-        self._checkpoint("join-output", node, result, block)
-        return result
+        return Batch.merge(probe.take(l_idx), build.take(r_idx))
 
     def _exec_index_nl_join(self, node: IndexNLJoin, block: QueryBlock) -> Batch:
         outer = self._exec(node.outer, block)
@@ -481,7 +430,6 @@ class PlanExecutor:
 
     def _exec_sort(self, node: Sort, block: QueryBlock) -> Batch:
         child = self._exec(node.child, block)
-        self._checkpoint("sort-input", node.child, child, block, eager_only=True)
         if len(child) <= 1:
             return child
         keys = []
@@ -491,19 +439,6 @@ class PlanExecutor:
             keys.append(-ranks if order.descending else ranks)
         order_idx = np.lexsort(keys)
         return child.take(order_idx)
-
-
-def covered_aliases(node: PlanNode) -> Tuple[str, ...]:
-    """Quantifier aliases a plan subtree's output covers (dedup, in order)."""
-    aliases: List[str] = []
-    for n in node.walk():
-        if isinstance(n, (SeqScan, IndexScan, DerivedScan)):
-            aliases.append(n.alias)
-        elif isinstance(n, IndexNLJoin):
-            aliases.append(n.inner_alias)
-        elif isinstance(n, MaterializedScan):
-            aliases.extend(n.covered_aliases)
-    return tuple(dict.fromkeys(aliases))
 
 
 def _batch_predicate_mask(predicate: LocalPredicate, batch: Batch) -> np.ndarray:

@@ -10,11 +10,11 @@ sensitivity analysis is built on (Section 3.3.1, citing LEO [14]).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from ..optimizer.optimizer import OptimizedQuery
 from ..predicates import PredicateGroup
-from .executor import ExecutionResult, ScanObservation
+from .executor import ExecutionResult
 
 # Actual selectivities are floored so errorfactors stay finite when a
 # predicate matched nothing (LEO does the same with a minimum cardinality).
@@ -47,20 +47,11 @@ class FeedbackRecord:
 
 
 def collect_feedback(
-    optimized: OptimizedQuery,
-    result: ExecutionResult,
-    observations: Optional[Dict[str, ScanObservation]] = None,
+    optimized: OptimizedQuery, result: ExecutionResult
 ) -> List[FeedbackRecord]:
-    """Match scan estimates with scan observations, per quantifier.
-
-    ``observations`` overrides the result's own observation map; the
-    engine passes the union across plan segments after a mid-query plan
-    switch. The map is keyed by alias, so each quantifier contributes
-    exactly one record no matter how many plan segments touched it.
-    """
+    """Match scan estimates with scan observations, per quantifier."""
     records: List[FeedbackRecord] = []
-    if observations is None:
-        observations = result.scan_observations
+    observations = result.scan_observations
     for estimate in optimized.all_scan_estimates():
         if estimate.group is None or estimate.estimate is None:
             continue

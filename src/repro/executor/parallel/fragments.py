@@ -349,7 +349,6 @@ def _aggregate_fragment(
             ranks=rank_arrays or None,
         ),
         "aggregate fragment",
-        preds=scan.preds,
     )
     merged_keys, prims, n_groups, matched = merge_group_partials(
         parts, len(key_columns), prim_specs
@@ -477,7 +476,6 @@ def _join_fragment(
             lookup=hash_key[2],
         ),
         "join fragment",
-        preds=probe.preds,
     )
     build_parts = manager.run_ranged(
         build.table,
@@ -489,7 +487,6 @@ def _join_fragment(
             lookup=None,
         ),
         "join fragment",
-        preds=build.preds,
     )
     probe_matched = int(sum(p[1] for p in probe_parts))
     build_matched = int(sum(p[1] for p in build_parts))
@@ -645,7 +642,6 @@ def _sort_fragment(
         "sort",
         dict(preds=scan.preds, keys=tuple(sort_keys)),
         "sort fragment",
-        preds=scan.preds,
     )
     rows = np.concatenate([run[0] for run in runs])
     matched = int(sum(run[2] for run in runs))
@@ -681,7 +677,6 @@ def _distinct_fragment(
         "distinct",
         dict(preds=scan.preds, columns=kernel_columns),
         "distinct fragment",
-        preds=scan.preds,
     )
     matched = int(sum(run[2] for run in runs))
     rows = np.concatenate([run[0] for run in runs])

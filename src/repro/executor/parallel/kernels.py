@@ -330,25 +330,6 @@ def distinct_shard(
     return idx, tuple(values), matched
 
 
-def zone_stats_shard(
-    arrays: Dict[str, np.ndarray],
-    columns: Tuple[str, ...],
-    start: int,
-    stop: int,
-    zone_rows: int,
-) -> Dict[str, tuple]:
-    """Zone-map synopsis build for one zone-aligned row range: per-zone
-    min/max plus the linear-counting ndv bitmap, per column. ``start``
-    must sit on a zone boundary so the parent can concatenate shard
-    results along the zone axis."""
-    from ...observe.zonemap import build_column_zones
-
-    return {
-        column: build_column_zones(arrays[column][start:stop], zone_rows)
-        for column in columns
-    }
-
-
 def timed_shard(arrays: Dict[str, np.ndarray], kernel: str, kwargs: dict):
     """Wrapper measuring a kernel's worker-side wall-clock.
 
@@ -392,7 +373,6 @@ KERNELS = {
     "sort": sort_shard,
     "distinct": distinct_shard,
     "column_stats": column_stats_shard,
-    "zone_stats": zone_stats_shard,
     "timed": timed_shard,
     "skew": skew_shard,
     "sleep": sleep_shard,

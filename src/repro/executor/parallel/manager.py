@@ -93,16 +93,9 @@ class ParallelScanManager:
         threshold_rows: int = DEFAULT_PARALLEL_THRESHOLD,
         start_method: str = "forkserver",
         task_timeout: float = 120.0,
-        zone_maps=None,
     ):
         self.workers = max(0, workers)
         self.threshold_rows = max(1, threshold_rows)
-        # Optional ZoneMapStore (observe plane): ranged dispatches consult
-        # it to skip row ranges every predicate provably refutes, and its
-        # builds shard across the pool via the zone_stats kernel.
-        self.zone_maps = zone_maps
-        if zone_maps is not None and zone_maps.builder is None:
-            zone_maps.builder = self.build_zone_stats
         self.registry = ShmRegistry()
         self.pool: Optional[WorkerPool] = (
             WorkerPool(self.workers, start_method, task_timeout)
@@ -257,62 +250,18 @@ class ParallelScanManager:
             results.append(fn(arrays, **kw))
         return results
 
-    def _pruned_bounds(
-        self, ranges: List[Tuple[int, int]]
-    ) -> List[Tuple[int, int]]:
-        """Shard the surviving row ranges into roughly ``workers`` chunks
-        (ascending, never spanning a skipped gap)."""
-        total = sum(stop - start for start, stop in ranges)
-        shards = min(max(1, self.workers), max(1, total))
-        chunk = max(1, -(-total // shards))
-        bounds: List[Tuple[int, int]] = []
-        for start, stop in ranges:
-            pos = start
-            while pos < stop:
-                end = min(pos + chunk, stop)
-                bounds.append((pos, end))
-                pos = end
-        return bounds
-
     def run_ranged(
         self,
         table,
         kernel: str,
         common_kwargs: dict,
         label: str,
-        preds=None,
     ) -> List:
         """Shard ``[0, table.row_count)`` (adaptively, when a latency
         profile exists for the table) and run one row-ranged kernel task
-        per shard; per-shard wall-clock feeds the table's profile.
-
-        With ``preds`` (encoded physical predicates) and a zone-map store
-        attached, row ranges every predicate refutes are skipped: every
-        ranged kernel applies ``scan_shard`` semantics over its [start,
-        stop) slice, and refuted zones contribute no matching rows, so
-        the concatenated (ascending) results are byte-identical to the
-        unpruned dispatch. Pruned dispatches bypass the adaptive-profile
-        bookkeeping — their bounds describe a different row universe.
-        """
+        per shard; per-shard wall-clock feeds the table's profile."""
         n = table.row_count
         key = table.name.lower()
-        if preds and self.zone_maps is not None:
-            ranges = self.zone_maps.allowed_ranges(table, preds)
-            if ranges is not None:
-                if not ranges:
-                    # Every zone refuted: one empty task keeps each
-                    # kernel's natural result shape without special
-                    # cases in the merge paths.
-                    bounds = [(0, 0)]
-                else:
-                    bounds = self._pruned_bounds(ranges)
-                kwargs_list = [
-                    dict(common_kwargs, start=start, stop=stop)
-                    for start, stop in bounds
-                ]
-                return self._run(
-                    table, kernel, kwargs_list, label, timing_key=key
-                )
         bounds = self._shard_bounds(n, key)
         kwargs_list = [
             dict(common_kwargs, start=start, stop=stop)
@@ -345,13 +294,7 @@ class ParallelScanManager:
         phys = encode_predicates(table, predicates)
         if phys is None:
             return None
-        parts = self.run_ranged(
-            table,
-            "scan",
-            dict(preds=phys),
-            "scan",
-            preds=phys,
-        )
+        parts = self.run_ranged(table, "scan", dict(preds=phys), "scan")
         return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     # ------------------------------------------------------------------
@@ -454,47 +397,12 @@ class ParallelScanManager:
         return dict(zip(names, out))
 
     # ------------------------------------------------------------------
-    # Zone-map synopsis builds (observe plane)
-    # ------------------------------------------------------------------
-    def build_zone_stats(self, table, columns, zone_rows: int):
-        """Sharded zone-map build over the pool: zone-aligned row ranges,
-        one ``zone_stats`` task per shard, per-column concat in the
-        parent. None declines (small table / no pool) and the store
-        builds in-process."""
-        n = table.row_count
-        if n < self.threshold_rows or self.pool is None or self._disabled:
-            return None
-        columns = [c.lower() for c in columns]
-        n_zones = -(-n // zone_rows)
-        shards = min(max(1, self.workers), n_zones)
-        bounds = []
-        for i in range(shards):
-            z0 = i * n_zones // shards
-            z1 = (i + 1) * n_zones // shards
-            if z1 > z0:
-                bounds.append((z0 * zone_rows, min(z1 * zone_rows, n)))
-        kwargs_list = [
-            dict(columns=columns, start=start, stop=stop, zone_rows=zone_rows)
-            for start, stop in bounds
-        ]
-        parts = self._run(table, "zone_stats", kwargs_list, "zone map build")
-        out = {}
-        for column in columns:
-            out[column] = tuple(
-                np.concatenate([part[column][i] for part in parts])
-                for i in range(3)
-            )
-        return out
-
-    # ------------------------------------------------------------------
     # Lifecycle / introspection
     # ------------------------------------------------------------------
     def release_table(self, table_name: str) -> None:
         """Unlink a dropped table's segments."""
         with self._lock:
             self.registry.release(table_name)
-        if self.zone_maps is not None:
-            self.zone_maps.release(table_name)
 
     def stats(self) -> Dict[str, object]:
         with self._profile_lock:
@@ -511,7 +419,7 @@ class ParallelScanManager:
             }
         else:
             latency = {"samples": 0, "p50_ms": 0.0, "p95_ms": 0.0}
-        out = {
+        return {
             "workers": self.workers,
             "threshold_rows": self.threshold_rows,
             "parallel_calls": self.parallel_calls,
@@ -528,9 +436,6 @@ class ParallelScanManager:
                 else "enabled"
             ),
         }
-        if self.zone_maps is not None:
-            out["zone_maps"] = self.zone_maps.stats()
-        return out
 
     def close(self) -> None:
         """Stop workers and unlink every shared-memory segment."""

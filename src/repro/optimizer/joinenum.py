@@ -34,10 +34,6 @@ class BaseRelation:
     local_predicates: Tuple[LocalPredicate, ...] = ()
     scan_residuals: Tuple[ast.BoolExpr, ...] = ()
     local_selectivity: float = 1.0  # selectivity its local predicates apply
-    # For re-optimization: a materialized intermediate stands in for
-    # several original quantifiers. Join predicates referencing any of
-    # these aliases resolve to this relation's bit in the enumeration.
-    covered_aliases: Tuple[str, ...] = ()
 
 
 def enumerate_joins(
@@ -48,14 +44,8 @@ def enumerate_joins(
     """Return the cheapest plan joining all relations."""
     if not relations:
         raise PlanningError("no relations to join")
-    index_of: Dict[str, int] = {}
-    n_names = 0
-    for i, relation in enumerate(relations):
-        names = {relation.alias, *relation.covered_aliases}
-        n_names += len(names)
-        for name in names:
-            index_of[name] = i
-    if len(index_of) != n_names:
+    index_of = {relation.alias: i for i, relation in enumerate(relations)}
+    if len(index_of) != len(relations):
         raise PlanningError("duplicate aliases in join enumeration")
     n = len(relations)
     full = (1 << n) - 1

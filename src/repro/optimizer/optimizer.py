@@ -25,7 +25,6 @@ from .plans import (
     Filter,
     IndexScan,
     Limit,
-    MaterializedScan,
     PlanNode,
     Project,
     SeqScan,
@@ -155,132 +154,6 @@ class Optimizer:
         root = self._plan_output(block, root)
         result.root = root
         return result
-
-    # ------------------------------------------------------------------
-    # Mid-query re-entry
-    # ------------------------------------------------------------------
-    def reoptimize(self, block: QueryBlock, intermediates) -> OptimizedQuery:
-        """Re-plan ``block`` around materialized reopt intermediates.
-
-        Each intermediate (a :class:`MaterializedIntermediate` from the
-        executor's checkpoint machinery) stands in for the quantifiers it
-        covers as an ephemeral base table with *exact* cardinality and
-        column statistics; the already-paid segment enters the enumeration
-        at zero cost. The remaining quantifiers are planned normally
-        against the same pinned statistics context as the original
-        compilation.
-        """
-        result = OptimizedQuery(root=None, block=block)  # type: ignore[arg-type]
-
-        covered: Dict[str, object] = {}
-        relations: List[BaseRelation] = []
-        for intermediate in intermediates:
-            for alias in intermediate.covered_aliases:
-                covered[alias] = intermediate
-            plan = MaterializedScan(
-                intermediate_id=intermediate.intermediate_id,
-                covered_aliases=intermediate.covered_aliases,
-                rows=intermediate.rows,
-                reopt_round=intermediate.reopt_round,
-                est_rows=float(intermediate.rows),
-                est_cost=0.0,  # sunk: the old plan already paid for it
-            )
-            relations.append(
-                BaseRelation(
-                    alias=f"#mat{intermediate.intermediate_id}",
-                    plan=plan,
-                    filtered_rows=float(intermediate.rows),
-                    table_name=None,
-                    covered_aliases=intermediate.covered_aliases,
-                )
-            )
-
-        for alias, quantifier in block.quantifiers.items():
-            if alias in covered:
-                continue
-            if quantifier.is_base:
-                relation, scan_estimate = self._plan_base_access(block, alias)
-                result.scan_estimates[alias] = scan_estimate
-            else:
-                child = self.optimize(quantifier.child)
-                result.child_queries.append(child)
-                child_rows = max(child.root.est_rows, 1.0)
-                scan = DerivedScan(
-                    alias=alias,
-                    child_plan=child.root,
-                    child_block=quantifier.child,
-                    predicates=tuple(block.local_predicates_for(alias)),
-                    scan_residuals=tuple(block.scan_residuals.get(alias, ())),
-                    est_rows=self._apply_local_estimate(block, alias, child_rows)[0],
-                    est_cost=child.root.est_cost
-                    + cost.materialize_cost(child_rows),
-                )
-                relation = BaseRelation(
-                    alias=alias,
-                    plan=scan,
-                    filtered_rows=scan.est_rows,
-                    table_name=None,
-                )
-            relations.append(relation)
-
-        # Join predicates fully internal to one intermediate were already
-        # applied when that segment executed — re-applying their
-        # selectivity would double-count. Predicates crossing a boundary
-        # (intermediate<->base or intermediate<->intermediate) survive.
-        kept_predicates = []
-        kept_selectivities = []
-        for predicate in block.join_predicates:
-            owners = {covered.get(alias) for alias in predicate.aliases()}
-            if None not in owners and len(owners) == 1:
-                continue
-            kept_predicates.append(predicate)
-            kept_selectivities.append(
-                self._reopt_join_selectivity(block, predicate, covered)
-            )
-
-        if len(relations) == 1:
-            root = relations[0].plan
-        else:
-            root = enumerate_joins(relations, kept_predicates, kept_selectivities)
-
-        if block.residuals:
-            out_rows = root.est_rows * (
-                DEFAULT_RESIDUAL_SELECTIVITY ** len(block.residuals)
-            )
-            root = Filter(
-                child=root,
-                residuals=tuple(block.residuals),
-                est_rows=out_rows,
-                est_cost=root.est_cost
-                + cost.filter_cost(root.est_rows, len(block.residuals)),
-            )
-
-        result.root = self._plan_output(block, root)
-        return result
-
-    def _reopt_join_selectivity(
-        self, block: QueryBlock, predicate, covered: Dict[str, object]
-    ) -> float:
-        """Join selectivity with exact ndv on materialized sides."""
-        from .context import DEFAULT_JOIN_NDV
-        from .selectivity import _join_side_ndv
-
-        ndvs = []
-        for alias in predicate.aliases():
-            column = predicate.column_for(alias)
-            intermediate = covered.get(alias)
-            if intermediate is not None:
-                summary = intermediate.column_summary(alias, column)
-                ndvs.append(
-                    summary.n_distinct
-                    if summary is not None and summary.n_distinct > 0
-                    else DEFAULT_JOIN_NDV
-                )
-            else:
-                ndvs.append(
-                    _join_side_ndv(self.ctx, self._base_table(block, alias), column)
-                )
-        return 1.0 / max(*ndvs, 1.0)
 
     # ------------------------------------------------------------------
     # Base access paths

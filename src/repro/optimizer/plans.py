@@ -114,29 +114,6 @@ class DerivedScan(PlanNode):
 
 
 @dataclass
-class MaterializedScan(PlanNode):
-    """Scan over an intermediate materialized at a reopt checkpoint.
-
-    After a mid-query plan switch, the already-computed segment of the old
-    plan is represented by this node: it reads the checkpoint's batch back
-    out of the re-optimization state (zero cost — the work is sunk) and
-    stands in for every base table the segment covered.
-    """
-
-    intermediate_id: int = 0
-    covered_aliases: Tuple[str, ...] = ()
-    rows: int = 0  # exact cardinality, not an estimate
-    reopt_round: int = 0
-
-    def label(self) -> str:
-        covered = ", ".join(self.covered_aliases)
-        return (
-            f"MaterializedScan #{self.intermediate_id} [reopt round "
-            f"{self.reopt_round}] covering ({covered})"
-        )
-
-
-@dataclass
 class HashJoin(PlanNode):
     probe: Optional[PlanNode] = None  # left / outer
     build: Optional[PlanNode] = None  # right, hashed
@@ -289,8 +266,6 @@ def actual_plan_cost(root: PlanNode) -> float:
         elif isinstance(node, DerivedScan):
             inner = child_rows[0] if child_rows else 0.0
             total += cost.materialize_cost(inner)
-        elif isinstance(node, MaterializedScan):
-            pass  # sunk cost: the intermediate was paid for by the old plan
         elif isinstance(node, HashJoin):
             probe_rows = child_rows[0] if child_rows else 0.0
             build_rows = child_rows[1] if len(child_rows) > 1 else 0.0

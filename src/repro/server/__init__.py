@@ -1,7 +1,6 @@
-"""Network front-end: wire protocol, asyncio server, blocking client,
-binary columnar streaming (v2) and the multi-process acceptor fleet."""
+"""Network front-end: wire protocol, asyncio server, blocking client and
+binary columnar streaming (v2)."""
 
-from .acceptor import AcceptorCoordination, AcceptorGroup
 from .client import Client, RemoteResult, connect
 from .frames import (
     DEFAULT_CHUNK_ROWS,
@@ -31,8 +30,6 @@ from .server import ReproServer
 
 __all__ = [
     "ReproServer",
-    "AcceptorGroup",
-    "AcceptorCoordination",
     "Client",
     "RemoteResult",
     "connect",

@@ -435,38 +435,6 @@ class Client:
         )
         return dict(reply.get("stats", {}))
 
-    def fingerprints(
-        self,
-        limit: int = 20,
-        sort: str = "total_ms",
-        offset: int = 0,
-    ) -> Dict:
-        """Top-N statement fingerprints by a sortable metric (paginated).
-
-        The server clamps ``limit`` (currently to 200 rows per frame);
-        page with ``offset`` for deeper listings.
-        """
-        reply = self._unwrap(
-            self._request(
-                {
-                    "type": "fingerprints",
-                    "id": self.next_id(),
-                    "limit": limit,
-                    "sort": sort,
-                    "offset": offset,
-                }
-            ),
-            "fingerprints_result",
-        )
-        return {
-            "enabled": bool(reply.get("enabled", False)),
-            "fingerprints": list(reply.get("fingerprints", [])),
-            "summary": dict(reply.get("summary", {})),
-            "limit": reply.get("limit", limit),
-            "offset": reply.get("offset", offset),
-            "sort": reply.get("sort", sort),
-        }
-
     def ping(self) -> float:
         """Round-trip a ping; returns the latency in seconds."""
         started = time.perf_counter()

@@ -25,8 +25,6 @@ Requests::
     {"type": "query",   "id": n, "sql": "..."}   any SQL statement
     {"type": "explain", "id": n, "sql": "..."}   plan text, no execution
     {"type": "stats",   "id": n}                 engine counter snapshot
-    {"type": "fingerprints", "id": n,            top-N statement
-     "limit": k, "sort": "...", "offset": j}     fingerprints (paginated)
     {"type": "ping",    "id": n}                 liveness probe
     {"type": "cancel",  "id": n, "target": m}    dequeue or interrupt m
 
@@ -38,8 +36,6 @@ Responses::
     {"type": "result_end", "id": n, "chunks": k}      (v2 streaming)
     {"type": "plan", "id": n, "text": "..."}
     {"type": "stats_result", "id": n, "stats": {...}}
-    {"type": "fingerprints_result", "id": n, "enabled": bool,
-     "fingerprints": [...], "summary": {...}, "limit": k, "offset": j}
     {"type": "pong", "id": n}
     {"type": "cancel_result", "id": n, "target": m, "cancelled": bool}
     {"type": "busy", "id": n, "retryable": true, "inflight": k, "cap": c}

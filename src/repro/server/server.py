@@ -134,8 +134,6 @@ class ReproServer:
         per_client_inflight: int = 4,
         stream_threshold_rows: int = 256,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
-        sock=None,
-        coordination=None,
     ):
         if workers is None:
             workers = max_inflight
@@ -165,12 +163,6 @@ class ReproServer:
         # v2 SELECTs with at least this many rows stream as binary chunks.
         self.stream_threshold_rows = stream_threshold_rows
         self.chunk_rows = chunk_rows
-        # Pre-bound listening socket (SO_REUSEPORT acceptor fleets) — when
-        # set, host/port are taken from the socket instead of bound here.
-        self._sock = sock
-        # Optional AcceptorCoordination shared-memory block: per-fleet
-        # statement counters + drain flag (see repro.server.acceptor).
-        self.coordination = coordination
         self.busy_rejections = 0
         self.statements_served = 0
         self.streamed_results = 0
@@ -194,14 +186,9 @@ class ReproServer:
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="repro-server"
         )
-        if self._sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=self._sock
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port
+        )
         self.port = self._server.sockets[0].getsockname()[1]
 
     async def serve_forever(self) -> None:
@@ -280,9 +267,7 @@ class ReproServer:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        if self._closing or (
-            self.coordination is not None and self.coordination.draining
-        ):
+        if self._closing:
             writer.close()
             return
         try:
@@ -367,8 +352,6 @@ class ReproServer:
             await conn.send(
                 {"type": "stats_result", "id": rid, "stats": stats}
             )
-        elif ftype == "fingerprints":
-            await self._handle_fingerprints(conn, frame)
         elif ftype == "cancel":
             await self._handle_cancel(conn, frame)
         elif ftype in ("query", "explain"):
@@ -504,8 +487,6 @@ class ReproServer:
                 )
             return [encode_frame(_result_frame(rid, result))]
 
-        if self.coordination is not None:
-            self.coordination.statement_started()
         try:
             datas = await loop.run_in_executor(self._pool, work)
             self.statements_served += 1
@@ -516,62 +497,10 @@ class ReproServer:
         finally:
             if token is not None:
                 conn.cancel_tokens.pop(rid, None)
-            if self.coordination is not None:
-                self.coordination.statement_finished()
             conn.running = False
             self._inflight -= 1
             self._schedule_ready()
         await conn.send_encoded_many(datas)
-
-    #: Hard cap on rows per fingerprints frame. Each row is bounded (the
-    #: statement text truncates at 512 chars), so 200 rows stays in the
-    #: hundreds of kilobytes — nowhere near MAX_FRAME_BYTES. Deeper
-    #: listings page through with ``offset``.
-    MAX_FINGERPRINT_LIMIT = 200
-
-    async def _handle_fingerprints(
-        self, conn: _Connection, frame: Dict
-    ) -> None:
-        rid = frame.get("id")
-        limit = frame.get("limit", 20)
-        offset = frame.get("offset", 0)
-        sort_by = frame.get("sort", "total_ms")
-        if (
-            not isinstance(limit, int)
-            or not isinstance(offset, int)
-            or isinstance(limit, bool)
-            or isinstance(offset, bool)
-            or not isinstance(sort_by, str)
-        ):
-            await conn.send(
-                error_frame(
-                    rid,
-                    ProtocolError(
-                        "fingerprints frame needs integer limit/offset "
-                        "and a string sort key"
-                    ),
-                )
-            )
-            return
-        limit = max(1, min(limit, self.MAX_FINGERPRINT_LIMIT))
-        offset = max(0, offset)
-        try:
-            snapshot = self.engine.fingerprint_snapshot(
-                limit=limit, sort_by=sort_by, offset=offset
-            )
-        except ValueError as exc:
-            await conn.send(error_frame(rid, ProtocolError(str(exc))))
-            return
-        await conn.send(
-            {
-                "type": "fingerprints_result",
-                "id": rid,
-                "limit": limit,
-                "offset": offset,
-                "sort": sort_by,
-                **snapshot,
-            }
-        )
 
     def server_stats(self) -> Dict[str, object]:
         return {

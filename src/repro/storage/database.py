@@ -160,7 +160,3 @@ class Database:
 
     def create_sorted_index(self, table: str, column: str):
         return self.indexes(table).create_sorted(column)
-
-    def drop_index(self, table: str, kind: str, column: str) -> bool:
-        """Remove one (kind, column) index; True if it existed."""
-        return self.indexes(table).drop(kind, column)

@@ -182,10 +182,6 @@ class IndexSet:
             self._indexes[key] = SortedIndex(self.table, column)
         return self._indexes[key]  # type: ignore[return-value]
 
-    def drop(self, kind: str, column: str) -> bool:
-        """Remove the (kind, column) index; True if one existed."""
-        return self._indexes.pop((kind, column.lower()), None) is not None
-
     def hash_on(self, column: str) -> Optional[HashIndex]:
         return self._indexes.get(("hash", column.lower()))  # type: ignore[return-value]
 

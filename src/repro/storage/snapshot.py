@@ -16,8 +16,8 @@ epoch with a plain attribute read) to the data columns themselves:
   engine statement-clock ``stamp`` it was published at. It exposes the
   same read surface as a live :class:`~repro.storage.table.Table`
   (``column`` / ``column_data`` / ``fetch_rows`` / ``schema`` / ...), so
-  the executor, optimizer, JITS sampling, predicate kernels, shared-
-  memory exports and zone maps all run against it unchanged.
+  the executor, optimizer, JITS sampling, predicate kernels and shared-
+  memory exports all run against it unchanged.
 * :class:`SnapshotIndexSet` rebuilds declared secondary indexes lazily
   from the snapshot's immutable arrays. Index structures are cached on
   the :class:`ColumnSnapshot` itself, so a column untouched across ten
@@ -262,9 +262,9 @@ class TableSnapshot:
 
     @property
     def storage_identity(self):
-        """The live :class:`Table` this generation belongs to. Caches
-        (zone maps, exports) key on it so a DROP+CREATE under the same
-        name never validates against the old table's synopses."""
+        """The live :class:`Table` this generation belongs to. The shm
+        export cache keys on it so a DROP+CREATE under the same name
+        never validates against the old table's arrays."""
         return self._source
 
     @property

@@ -119,7 +119,7 @@ def test_fastpath_results_match_cache_disabled_engine():
 def test_engine_config_surface_stays_small():
     """The knob diet holds: removed knobs are gone as keywords (not
     silently ignored) and the field count does not creep back up."""
-    assert len(dataclasses.fields(EngineConfig)) <= 19
+    assert len(dataclasses.fields(EngineConfig)) == 9
     for removed in (
         "fetch_overhead",
         "commit_latency",
@@ -129,6 +129,16 @@ def test_engine_config_surface_stays_small():
         "plan_cache_size",
         "plan_staleness",
         "observe_fingerprints",
+        "observe",
+        "zone_map_rows",
+        "auto_index",
+        "auto_index_budget",
+        "auto_index_interval",
+        "auto_index_threshold",
+        "auto_index_drop_threshold",
+        "reopt",
+        "reopt_threshold",
+        "reopt_max_rounds",
     ):
         with pytest.raises(TypeError):
             EngineConfig(**{removed: 1})

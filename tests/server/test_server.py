@@ -106,12 +106,16 @@ def test_error_frames_surface_typed_exceptions(server):
         assert client.execute("SELECT COUNT(*) FROM owner").rows == [(60,)]
 
 
-def test_unknown_frame_type_is_protocol_error(server):
+@pytest.mark.parametrize("frame_type", ["frobnicate", "fingerprints"])
+def test_unknown_frame_type_is_protocol_error(server, frame_type):
     with connect(port=server.port) as client:
-        client.send_raw({"type": "frobnicate", "id": 1})
+        client.send_raw({"type": frame_type, "id": 1})
         reply = client.recv_raw()
         assert reply["type"] == "error"
         assert reply["code"] == "PROTOCOL"
+        assert reply["id"] == 1
+        # The connection stays usable after the rejection.
+        assert client.execute("SELECT COUNT(*) FROM car").row_count == 1
 
 
 def test_handshake_version_mismatch_rejected(server):

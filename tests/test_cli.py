@@ -54,6 +54,22 @@ def test_one_shot_dml_and_error(capsys):
     assert "error:" in out
 
 
+@pytest.mark.parametrize(
+    "flag, message",
+    [
+        ("--snapshot-chunk-rows", "chunk_rows must be >= 1, got 0"),
+        ("--snapshot-retention", "snapshot_retention must be >= 1, got 0"),
+        ("--parallel-threshold", "parallel_threshold_rows must be >= 1, got 0"),
+    ],
+)
+def test_bad_config_value_exits_with_config_error(capsys, flag, message):
+    code = main(["--scale", "0.0004", flag, "0", "-e", "SELECT 1 FROM car"])
+    out = capsys.readouterr().out
+    assert code != 0
+    assert f"error: {message}" in out
+    assert "row(s)" not in out
+
+
 def test_jits_note_printed(capsys):
     code = main(
         [

@@ -24,7 +24,6 @@ def test_examples_directory_complete():
         "olap_workload.py",
         "histogram_feedback.py",
         "sensitivity_tuning.py",
-        "observe_demo.py",
     } <= names
 
 
@@ -52,16 +51,6 @@ def test_olap_workload_runs(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "plan cost" in out
     assert "jits" in out
-
-
-def test_observe_demo_runs(monkeypatch, capsys):
-    monkeypatch.setenv("REPRO_SCALE", "0.001")
-    monkeypatch.setenv("REPRO_STATEMENTS", "24")
-    load_example("observe_demo.py").main()
-    out = capsys.readouterr().out
-    assert "top fingerprints" in out
-    assert "fingerprint(s) tracked" in out
-    assert "index advisor decisions" in out
 
 
 def test_sensitivity_tuning_runs(monkeypatch, capsys):
