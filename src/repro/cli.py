@@ -75,25 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="minimum scanned row count before scans go parallel "
         "(default 32768)",
     )
-    _add_mvcc_arguments(parser)
     return parser
-
-
-def _add_mvcc_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--no-mvcc", action="store_true",
-        help="disable MVCC snapshot reads (SELECTs take blocking per-table "
-        "read locks and AS OF time travel is unavailable)",
-    )
-    parser.add_argument(
-        "--snapshot-chunk-rows", type=int, default=None, metavar="ROWS",
-        help="copy-on-write snapshot chunk size in rows (default 65536)",
-    )
-    parser.add_argument(
-        "--snapshot-retention", type=int, default=None, metavar="N",
-        help="snapshot generations retained per table for AS OF "
-        "time travel (default 8)",
-    )
 
 
 def make_engine(args: argparse.Namespace) -> Engine:
@@ -105,18 +87,10 @@ def make_engine(args: argparse.Namespace) -> Engine:
 def make_config(args: argparse.Namespace) -> EngineConfig:
     """One EngineConfig construction from the parsed flags, so every value
     passes ``EngineConfig.__post_init__`` (bad ones raise ConfigError)."""
-    knobs = dict(
-        scan_workers=max(0, getattr(args, "scan_workers", 0) or 0),
-        mvcc=not getattr(args, "no_mvcc", False),
-    )
-    for field, flag in (
-        ("parallel_threshold_rows", "parallel_threshold"),
-        ("chunk_rows", "snapshot_chunk_rows"),
-        ("snapshot_retention", "snapshot_retention"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            knobs[field] = value
+    knobs = dict(scan_workers=max(0, getattr(args, "scan_workers", 0) or 0))
+    threshold = getattr(args, "parallel_threshold", None)
+    if threshold is not None:
+        knobs["parallel_threshold_rows"] = threshold
     if args.no_jits:
         jits = JITSConfig(enabled=False)
     else:
@@ -411,7 +385,7 @@ def repl(engine: Engine, stdin, out) -> None:
 
 def network_repl(client, stdin, out, busy_retries: int = 0) -> None:
     """The same shell, statements shipped to a remote server; results
-    render incrementally as v2 chunks arrive and Ctrl-C cancels the
+    render incrementally as chunks arrive and Ctrl-C cancels the
     running statement instead of exiting."""
 
     def stats() -> None:
@@ -465,14 +439,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--stream-threshold", type=int, default=256, metavar="ROWS",
-        help="v2 connections stream SELECTs with at least this many rows "
-        "as binary chunks (default 256)",
+        help="SELECT results with at least this many rows stream as "
+        "binary chunks (default 256)",
     )
     parser.add_argument(
         "--chunk-rows", type=int, default=None, metavar="ROWS",
         help="rows per binary chunk frame (default 65536)",
     )
-    _add_mvcc_arguments(parser)
     return parser
 
 
@@ -555,7 +528,7 @@ def connect_main(argv: Optional[List[str]] = None) -> int:
     with client:
         out.write(f"connected to {args.host}:{port} "
                   f"({client.server_info.get('server', '?')}, "
-                  f"protocol v{client.protocol_version})\n")
+                  f"protocol v{client.server_info.get('version', '?')})\n")
         if args.execute:
             for sql in args.execute:
                 run_network_statement(

@@ -39,18 +39,10 @@ class EngineConfig:
     # Any pool/shm failure falls back in-process with a warning.
     scan_workers: int = 0
     parallel_threshold_rows: int = 32768
-    # MVCC snapshot reads (default on). Every mutating statement publishes
-    # an immutable epoch-stamped TableSnapshot (copy-on-write chunks of
-    # chunk_rows rows; only touched chunks are copied). With mvcc=True
-    # SELECT/EXPLAIN/RUNSTATS pin a snapshot at statement start instead of
-    # taking per-table read locks, so readers never block on (or block) a
-    # writer, and ``SELECT ... AS OF <clock>`` serves any generation still
-    # inside the snapshot_retention window. With mvcc=False reads take the
-    # blocking per-table lock path; snapshots are still published (version
-    # keying for shm exports relies on them) but never pinned by readers.
-    mvcc: bool = True
-    chunk_rows: int = 65536
-    snapshot_retention: int = 8
+    # Not knobs: every read runs on pinned MVCC snapshot generations, and
+    # the copy-on-write chunk size and retention window are the storage
+    # layer's constants (storage/snapshot.py DEFAULT_CHUNK_ROWS /
+    # DEFAULT_SNAPSHOT_RETENTION).
 
     def __post_init__(self) -> None:
         if self.default_workers < 1:
@@ -65,14 +57,6 @@ class EngineConfig:
             raise ConfigError(
                 "parallel_threshold_rows must be >= 1, "
                 f"got {self.parallel_threshold_rows}"
-            )
-        if self.chunk_rows < 1:
-            raise ConfigError(
-                f"chunk_rows must be >= 1, got {self.chunk_rows}"
-            )
-        if self.snapshot_retention < 1:
-            raise ConfigError(
-                f"snapshot_retention must be >= 1, got {self.snapshot_retention}"
             )
 
     @staticmethod

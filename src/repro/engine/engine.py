@@ -9,12 +9,12 @@ does (compilation / execution / fetch).
 The engine is thread-safe and serves many clients at once. Each client
 holds a :class:`~repro.engine.session.Session` (``engine.session()``);
 ``engine.execute(sql)`` runs on a built-in default session for
-single-client use. Concurrency control is a two-level lock hierarchy
-(:class:`~repro.engine.locks.LockManager`: database intent lock +
-per-table reader–writer locks, database-exclusive only for DDL and
-whole-database statistics passes) plus RCU-published statistics stores,
-so the optimizer's statistics reads are lock-free — see the README's
-concurrency-model section.
+single-client use. Readers (SELECT, EXPLAIN, RUNSTATS) pin one immutable
+snapshot generation per table and take only the database intent lock;
+writers serialize per table (:class:`~repro.engine.locks.LockManager`),
+DDL and whole-database statistics set-up run database-exclusive, and the
+statistics stores are RCU-published, so the optimizer's statistics reads
+are lock-free — see the README's concurrency-model section.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ..errors import BindingError, ConfigError, ExecutionError, ReproError
 from ..executor import PlanExecutor, collect_feedback
 from ..executor.expr import eval_expr
 from ..executor.parallel import ParallelScanManager
-from ..executor.vector import Batch, ColumnVector, batch_from_table
+from ..executor.vector import batch_from_table
 from ..jits import (
     CompilationReport,
     JustInTimeStatistics,
@@ -68,12 +68,6 @@ class Engine:
     ):
         self.database = database if database is not None else Database()
         self.config = config or EngineConfig.traditional()
-        # MVCC snapshot knobs: chunk size applies to tables created from
-        # here on; the retention window retunes existing tables too.
-        self.database.configure_snapshots(
-            chunk_rows=self.config.chunk_rows,
-            snapshot_retention=self.config.snapshot_retention,
-        )
         self.catalog = SystemCatalog()
         self.rng = make_rng(self.config.seed)
         # Process-parallel scan machinery.
@@ -102,9 +96,10 @@ class Engine:
         self._statements = AtomicCounter()
         self._session_ids = AtomicCounter()
         # Two-level lock hierarchy: database intent lock + per-table
-        # locks. SELECT/EXPLAIN read-lock their tables, DML write-locks
-        # its target, DDL/RUNSTATS take the database exclusively.
-        self.locks = LockManager(snapshot_reads=self.config.mvcc)
+        # write locks. Readers take the intent lock only, DML write-locks
+        # its target, DDL and statistics set-up take the database
+        # exclusively.
+        self.locks = LockManager()
         self._default_session = Session(self, session_id=0)
 
     @property
@@ -127,10 +122,10 @@ class Engine:
     ):
         """Pin one snapshot generation per table for a reader statement.
 
-        Yields ``{name: TableSnapshot}`` (or ``None`` when MVCC is off or
-        the table set is unknown — the caller then runs on live tables
-        under whatever locks it holds). While the scope is active the
-        current thread's ``database.table()`` lookups resolve to the
+        Yields ``{name: TableSnapshot}`` (or ``None`` when the table set
+        is unknown — the statement is about to fail binding, under the
+        exclusive lock ``read_tables(None)`` took). While the scope is
+        active the current thread's ``database.table()`` lookups resolve to the
         pinned generations, so the whole read pipeline — binder, JITS
         sampling, optimizer, executor, parallel scans — observes one
         immutable statement-consistent state. ``as_of`` pins, per table,
@@ -138,12 +133,9 @@ class Engine:
         statement clock (time travel); pinned generations are refcounted
         and released on exit.
         """
-        if tables is None or not self.config.mvcc:
+        if tables is None:
             if as_of is not None:
-                raise ExecutionError(
-                    "AS OF requires MVCC snapshots (EngineConfig.mvcc=True) "
-                    "and a resolvable table set"
-                )
+                raise ExecutionError("AS OF requires a resolvable table set")
             yield None
             return
         pinned: Dict[str, TableSnapshot] = {}
@@ -436,8 +428,8 @@ class Engine:
         now: int,
         pinned: Optional[Dict[str, TableSnapshot]] = None,
     ) -> QueryResult:
-        """SELECT pipeline. Caller holds the read scope (and, under MVCC,
-        has installed the pinned read view this thread resolves through)."""
+        """SELECT pipeline. Caller holds the read scope and has installed
+        the pinned read view this thread resolves through."""
         time_travel = statement.as_of is not None
         compile_started = time.perf_counter()
         optimized = None
@@ -487,25 +479,6 @@ class Engine:
         ).execute(optimized)
         execute_time = time.perf_counter() - execute_started
 
-        fetch_started = time.perf_counter()
-        rows = execution.rows()
-        # Snapshot the output columns while this statement still holds its
-        # read scope: result batches may alias live table arrays
-        # (batch_from_table with rows=None), and the v2 wire protocol
-        # serializes these buffers after the locks release. String
-        # dictionaries are append-only, so sharing the reference is safe.
-        vectors: List[ColumnVector] = []
-        for name in execution.output_names:
-            vec = execution.batch.column("", name)
-            vectors.append(
-                ColumnVector(
-                    np.array(vec.values, copy=True),
-                    vec.dtype,
-                    vec.dictionary,
-                )
-            )
-        fetch_time = time.perf_counter() - fetch_started
-
         if time_travel:
             # No feedback from the past: cardinalities observed against a
             # historical generation would corrupt StatHistory for the
@@ -519,16 +492,17 @@ class Engine:
         return QueryResult(
             statement_type="select",
             columns=execution.output_names,
-            rows=rows,
             timings={
                 PHASE_COMPILE: compile_time,
                 PHASE_EXECUTE: execute_time,
-                PHASE_FETCH: fetch_time,
+                # Grows when ``rows`` is first read; a streamed result
+                # never decodes tuples on the server at all.
+                PHASE_FETCH: 0.0,
             },
             plan=optimized.root,
             jits_report=jits_report,
             feedback=feedback,
-            vectors=vectors,
+            execution=execution,
             snapshots=(
                 {
                     name: (snap.version, snap.stamp)
@@ -698,20 +672,17 @@ class Engine:
     ) -> float:
         """RUNSTATS on all (or the given) tables; returns elapsed seconds.
 
-        Under MVCC this is a *reader*: it pins one snapshot generation per
-        table and scans that, so statistics collection no longer excludes
-        (or waits for) concurrent DML — the catalog it publishes describes
-        the pinned generation, which staleness tracking already handles.
+        This is a *reader*: it pins one snapshot generation per table and
+        scans that, so statistics collection neither excludes nor waits
+        for concurrent DML — the catalog it publishes describes the
+        pinned generation, which staleness tracking already handles.
         """
-        if self.config.mvcc:
-            names = tuple(
-                tables if tables is not None else self.database.table_names()
-            )
-            with self.locks.read_tables(names):
-                with self.read_view(names):
-                    return self._collect_general_statistics_locked(names)
-        with self.locks.exclusive():
-            return self._collect_general_statistics_locked(tables)
+        names = tuple(
+            tables if tables is not None else self.database.table_names()
+        )
+        with self.locks.read_tables(names):
+            with self.read_view(names):
+                return self._collect_general_statistics_locked(names)
 
     def _collect_general_statistics_locked(
         self, tables: Optional[Sequence[str]] = None

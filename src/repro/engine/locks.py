@@ -10,18 +10,19 @@ Three building blocks back the session layer:
   the database *structure* lock and as each table's data lock.
 * :class:`LockManager` — the two-level hierarchy the engine actually
   acquires through. Every statement first takes the database lock in a
-  shared ("intent") mode, then the per-table locks it needs in sorted
-  name order; database-exclusive mode (DDL, RUNSTATS, statistics setup)
+  shared ("intent") mode; DML then write-locks its target tables in
+  sorted name order, while readers stop there (they run on pinned
+  immutable snapshots). Database-exclusive mode (DDL, statistics setup)
   takes only the database lock in write mode and therefore excludes
   every other statement.
 
 Deadlock freedom: the database lock is always acquired before any table
 lock, table locks are always acquired in sorted name order, and no code
 path acquires a second batch of locks while holding a first — so the
-wait-for graph cannot contain a cycle. Writer preference at both levels
-means neither a waiting exclusive operation nor a waiting table writer
-can be starved by a stream of readers. Nothing here is reentrant — the
-engine acquires exactly one lock scope per statement.
+wait-for graph cannot contain a cycle. Writer preference on the database
+lock means a waiting exclusive operation cannot be starved by a stream
+of per-table statements. Nothing here is reentrant — the engine acquires
+exactly one lock scope per statement.
 """
 
 from __future__ import annotations
@@ -129,27 +130,23 @@ class LockManager:
 
     Scopes, from weakest to strongest:
 
-    * :meth:`read_tables` — SELECT/EXPLAIN: database shared + read locks
-      on every referenced table. Concurrent with everything except
-      writers on the same tables and exclusive operations.
+    * :meth:`read_tables` — SELECT/EXPLAIN/RUNSTATS: database shared
+      only. Readers operate on a pinned immutable
+      :class:`~repro.storage.snapshot.TableSnapshot`, so they never block
+      on, nor block, a writer; DDL still excludes them (the table *dict*
+      is not versioned, only table contents are).
     * :meth:`write_tables` — DML: database shared + write locks on the
       target tables (sorted order). DML on *disjoint* tables runs
       concurrently; DML on the same table serializes.
-    * :meth:`exclusive` — DDL, RUNSTATS and statistics setup: the
-      database lock in write mode. Excludes every other statement, so
-      cross-table invariants (the table dict itself, whole-database
-      statistics passes) never see partial state.
+    * :meth:`exclusive` — DDL and statistics setup: the database lock in
+      write mode. Excludes every other statement, so cross-table
+      invariants (the table dict itself, whole-database statistics
+      passes) never see partial state.
 
-    With ``snapshot_reads=True`` (MVCC mode) the read scope stops taking
-    per-table locks entirely: readers operate on a pinned immutable
-    :class:`~repro.storage.snapshot.TableSnapshot`, so only the database
-    intent lock is needed (DDL still excludes readers — the table *dict*
-    is not versioned, only table contents are). SELECTs then never block
-    on, nor block, a concurrent writer's per-table exclusive lock.
+    Table locks are only ever taken in write mode.
     """
 
-    def __init__(self, snapshot_reads: bool = False):
-        self.snapshot_reads = snapshot_reads
+    def __init__(self) -> None:
         # Database lock: shared ("intent") mode for per-table statements,
         # write mode for exclusive operations.
         self.database = RWLock()
@@ -182,27 +179,12 @@ class LockManager:
         they are about to raise a binding error anyway, and exclusive
         mode is always safe.
         """
-        if names is None:
-            with self.database.write_locked():
-                yield
-            return
-        if self.snapshot_reads:
-            # MVCC read path: the caller pins table snapshots, so no data
-            # lock is needed — just exclude structural (DDL) changes.
-            with self.database.read_locked():
-                yield
-            return
-        self.database.acquire_read()
-        held: List[RWLock] = []
-        try:
-            for lock in self._sorted_locks(names):
-                lock.acquire_read()
-                held.append(lock)
+        # The caller pins table snapshots, so no data lock is needed —
+        # just exclude structural (DDL) changes.
+        database = self.database
+        scope = database.write_locked if names is None else database.read_locked
+        with scope():
             yield
-        finally:
-            for lock in reversed(held):
-                lock.release_read()
-            self.database.release_read()
 
     @contextmanager
     def write_tables(self, names: Iterable[str]):

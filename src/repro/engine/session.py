@@ -6,10 +6,11 @@ they share is thread-safe. Each statement a session executes:
 
 1. draws a unique logical timestamp from the engine's atomic clock,
 2. takes its lock scope from the engine's
-   :class:`~repro.engine.locks.LockManager` — SELECT and EXPLAIN
-   read-lock the tables they reference, DML write-locks its target
-   table (so writes to *disjoint* tables run concurrently), and DDL
-   takes the database exclusively,
+   :class:`~repro.engine.locks.LockManager` — SELECT and EXPLAIN take
+   the database intent lock and pin one snapshot generation per table
+   they reference, DML write-locks its target table (so writes to
+   *disjoint* tables run concurrently), and DDL takes the database
+   exclusively,
 3. (writers) routes UDI activity through the session's private
    :class:`~repro.storage.table.UDIShard` and flushes it at the
    statement boundary while still holding the table write lock, so
@@ -88,10 +89,10 @@ class Session:
             if isinstance(statement, ast.SelectStatement):
                 tables = engine._statement_tables(statement)
                 with engine.locks.read_tables(tables):
-                    # Under MVCC the lock scope above is only the database
-                    # intent lock; the statement's actual isolation comes
-                    # from pinning one snapshot generation per table here
-                    # (AS OF pins historical ones).
+                    # The lock scope above is only the database intent
+                    # lock; the statement's isolation comes from pinning
+                    # one snapshot generation per table here (AS OF pins
+                    # historical ones).
                     with engine.read_view(tables, statement.as_of) as pinned:
                         result = engine._execute_select(
                             statement, parse_time, now, pinned=pinned

@@ -1,5 +1,5 @@
 """Network front-end: wire protocol, asyncio server, blocking client and
-binary columnar streaming (v2)."""
+binary columnar streaming."""
 
 from .client import Client, RemoteResult, connect
 from .frames import (
@@ -12,10 +12,7 @@ from .protocol import (
     DEFAULT_PORT,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_2,
-    SUPPORTED_VERSIONS,
     CancelledStatementError,
-    FrameTooLargeError,
     ProtocolError,
     ServerBusyError,
     encode_binary_frame,
@@ -23,7 +20,6 @@ from .protocol import (
     error_frame,
     exception_from_frame,
     read_frame,
-    read_frame_blocking,
     read_wire_frame_blocking,
 )
 from .server import ReproServer
@@ -34,13 +30,10 @@ __all__ = [
     "RemoteResult",
     "connect",
     "PROTOCOL_VERSION",
-    "PROTOCOL_VERSION_2",
-    "SUPPORTED_VERSIONS",
     "DEFAULT_PORT",
     "MAX_FRAME_BYTES",
     "DEFAULT_CHUNK_ROWS",
     "ProtocolError",
-    "FrameTooLargeError",
     "ServerBusyError",
     "CancelledStatementError",
     "StreamDecoder",
@@ -51,6 +44,5 @@ __all__ = [
     "error_frame",
     "exception_from_frame",
     "read_frame",
-    "read_frame_blocking",
     "read_wire_frame_blocking",
 ]

@@ -2,14 +2,13 @@
 
 :class:`Client` mirrors the engine's session surface (``execute`` /
 ``explain``), so the CLI shell, tests and benchmarks drive a remote
-server exactly the way they drive an in-process engine. The client
-speaks protocol version 2 by default — large SELECT results arrive as
-binary columnar chunks and reassemble into the same row tuples the v1
-JSON protocol delivers; pass ``protocol_version=1`` to force the legacy
-JSON wire. ``iterate()`` exposes the stream incrementally, yielding row
-batches as chunks arrive. Backpressure is first-class: a ``busy`` frame
-raises :class:`ServerBusyError` unless the caller opted into bounded
-retries with jittered exponential backoff.
+server exactly the way they drive an in-process engine. Large SELECT
+results arrive as binary columnar chunks and reassemble into the same
+row tuples a small JSON ``result`` frame delivers. ``iterate()`` exposes
+the stream incrementally, yielding row batches as chunks arrive.
+Backpressure is first-class: a ``busy`` frame raises
+:class:`ServerBusyError` unless the caller opted into bounded retries
+with jittered exponential backoff.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from ..types import Value
 from .frames import StreamDecoder, peek_request_id
 from .protocol import (
     DEFAULT_PORT,
-    PROTOCOL_VERSION_2,
+    PROTOCOL_VERSION,
     ProtocolError,
     ServerBusyError,
     encode_frame,
@@ -63,7 +62,7 @@ class RemoteResult:
     rows: List[Tuple[Value, ...]] = field(default_factory=list)
     affected_rows: int = 0
     timings: Dict[str, float] = field(default_factory=dict)
-    streamed: bool = False  # arrived as v2 binary chunks, not JSON rows
+    streamed: bool = False  # arrived as binary chunks, not JSON rows
     # MVCC provenance relayed by the server: {table: (epoch, stamp)} of
     # the snapshot generations this statement observed or published.
     snapshots: Optional[Dict[str, Tuple[int, int]]] = None
@@ -99,7 +98,6 @@ class Client:
         timeout: float = 30.0,
         connect_retries: int = 20,
         retry_delay: float = 0.1,
-        protocol_version: int = PROTOCOL_VERSION_2,
         max_retries: int = 0,
         busy_backoff: float = 0.05,
     ):
@@ -122,7 +120,7 @@ class Client:
         self._file = self._sock.makefile("rb")
         self._next_id = 0
         self._out_of_order: Dict[object, Dict] = {}
-        # request id -> StreamDecoder of a v2 result mid-stream.
+        # request id -> StreamDecoder of a result mid-stream.
         self._streams: Dict[object, StreamDecoder] = {}
         # id of the most recent query/iterate request (Ctrl-C cancel hook).
         self.last_request_id = 0
@@ -132,7 +130,7 @@ class Client:
         self.send_raw(
             {
                 "type": "hello",
-                "version": protocol_version,
+                "version": PROTOCOL_VERSION,
                 "client": "repro-client",
             }
         )
@@ -144,9 +142,6 @@ class Client:
                 f"unexpected handshake reply {greeting.get('type')!r}"
             )
         self.server_info = greeting
-        self.protocol_version = int(
-            greeting.get("version", protocol_version)
-        )
 
     # ------------------------------------------------------------------
     # Raw frame plumbing (also used by tests to pipeline/flood)
@@ -354,11 +349,10 @@ class Client:
     ) -> Iterator[List[Tuple[Value, ...]]]:
         """Execute one statement, yielding row batches as they arrive.
 
-        On a v2 connection each streamed chunk becomes one batch the
-        moment it is decoded — the first batch is available before the
-        server finishes sending the result. Small (unstreamed) results
-        and v1 connections yield a single batch. Raises exactly like
-        :meth:`execute` on errors.
+        Each streamed chunk becomes one batch the moment it is decoded
+        — the first batch is available before the server finishes
+        sending the result. Small (unstreamed) results yield a single
+        batch. Raises exactly like :meth:`execute` on errors.
         """
         busy_retries, busy_backoff = self._resolve_retry(
             busy_retries, busy_backoff
@@ -477,7 +471,6 @@ def connect(
     timeout: float = 30.0,
     connect_retries: int = 20,
     retry_delay: float = 0.1,
-    protocol_version: int = PROTOCOL_VERSION_2,
     max_retries: int = 0,
     busy_backoff: float = 0.05,
 ) -> Client:
@@ -488,7 +481,6 @@ def connect(
         timeout=timeout,
         connect_retries=connect_retries,
         retry_delay=retry_delay,
-        protocol_version=protocol_version,
         max_retries=max_retries,
         busy_backoff=busy_backoff,
     )

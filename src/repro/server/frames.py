@@ -1,6 +1,6 @@
-"""Binary columnar result frames (wire protocol version 2).
+"""Binary columnar result frames.
 
-A v2 SELECT whose row count clears the server's streaming threshold is
+A SELECT whose row count clears the server's streaming threshold is
 shipped as::
 
     JSON    {"type": "result_header", "id": n, "columns": [...],
@@ -34,8 +34,8 @@ String columns are dictionary-encoded with a *result-local* dictionary:
 the table's (append-only, unbounded) dictionary codes are compacted with
 ``np.unique(..., return_inverse=True)`` so the wire carries only the
 distinct strings that actually appear in the result, once, plus int32
-codes per row. The compaction also snapshots the codes, so chunk buffers
-never alias live table arrays.
+codes per row. Numeric columns are sliced straight out of the result's
+vectors, which are immutable snapshot arrays or private gathers.
 """
 
 from __future__ import annotations
@@ -110,11 +110,11 @@ def encode_chunk_frame(
 # ----------------------------------------------------------------------
 # Server side: QueryResult -> frames
 # ----------------------------------------------------------------------
-def _wire_columns(result) -> Tuple[List[Tuple[int, np.ndarray]], Dict[int, List[str]]]:
+def _wire_columns(vectors) -> Tuple[List[Tuple[int, np.ndarray]], Dict[int, List[str]]]:
     """Per-column wire arrays plus result-local string dictionaries."""
     arrays: List[Tuple[int, np.ndarray]] = []
     dictionaries: Dict[int, List[str]] = {}
-    for index, vector in enumerate(result.vectors):
+    for index, vector in enumerate(vectors):
         if vector.dictionary is not None:
             codes = np.asarray(vector.values, dtype=np.int64)
             if len(codes):
@@ -142,7 +142,8 @@ def build_stream_frames(
     wraps the binary payloads with
     :func:`repro.server.protocol.encode_binary_frame`.
     """
-    arrays, dictionaries = _wire_columns(result)
+    vectors = result.vectors
+    arrays, dictionaries = _wire_columns(vectors)
     n_rows = len(arrays[0][1]) if arrays else 0
     n_chunks = (n_rows + chunk_rows - 1) // chunk_rows if n_rows else 0
     header = {
@@ -150,7 +151,7 @@ def build_stream_frames(
         "id": request_id,
         "statement_type": result.statement_type,
         "columns": list(result.columns),
-        "dtypes": [v.dtype.name.lower() for v in result.vectors],
+        "dtypes": [v.dtype.name.lower() for v in vectors],
         "row_count": n_rows,
         "affected_rows": result.affected_rows,
         "chunk_rows": chunk_rows,

@@ -2,8 +2,8 @@
 
 Frames are length-prefixed: a 4-byte big-endian length word followed by
 the payload. With the high bit of the length word clear the payload is a
-UTF-8 JSON object; with it set (:data:`BINARY_FLAG`, protocol version 2
-only, server -> client only) the payload is a binary columnar frame (see
+UTF-8 JSON object; with it set (:data:`BINARY_FLAG`, server -> client
+only) the payload is a binary columnar frame (see
 :mod:`repro.server.frames`). Every JSON frame carries a ``type``; every
 request carries a client-chosen ``id`` that the matching response echoes,
 so clients may pipeline requests and match replies out of order.
@@ -13,12 +13,11 @@ Handshake (first frame in each direction)::
     C -> S   {"type": "hello", "version": 2, "client": "..."}
     S -> C   {"type": "hello_ok", "version": 2, "server": "repro/x.y"}
 
-The server accepts version 1 or 2 and echoes the negotiated version. A
-version-1 connection speaks pure length-prefixed JSON, byte-compatible
-with pre-v2 servers and clients. On a version-2 connection large SELECT
-results stream as a JSON ``result_header``, binary dictionary/chunk
-frames, then a JSON ``result_end``; ``cancel`` additionally interrupts
-*running* statements at morsel/checkpoint boundaries.
+Version 2 is the only version; any other ``hello`` is refused with a
+``PROTOCOL`` error and the connection closed. Large SELECT results
+stream as a JSON ``result_header``, binary dictionary/chunk frames, then
+a JSON ``result_end``; small ones are one JSON ``result``. ``cancel``
+interrupts *running* statements at morsel/checkpoint boundaries.
 
 Requests::
 
@@ -33,7 +32,7 @@ Responses::
     {"type": "result", "id": n, "statement_type": ..., "columns": [...],
      "rows": [[...]], "affected_rows": k, "timings": {...}}
     {"type": "result_header", "id": n, ...}  then binary frames, then
-    {"type": "result_end", "id": n, "chunks": k}      (v2 streaming)
+    {"type": "result_end", "id": n, "chunks": k}      (streaming)
     {"type": "plan", "id": n, "text": "..."}
     {"type": "stats_result", "id": n, "stats": {...}}
     {"type": "pong", "id": n}
@@ -72,11 +71,7 @@ from ..errors import (
     StorageError,
 )
 
-PROTOCOL_VERSION = 1
-PROTOCOL_VERSION_2 = 2
-#: Versions a v2 server accepts in ``hello`` (negotiated downgrade: a v1
-#: client keeps the pure-JSON protocol, byte-for-byte).
-SUPPORTED_VERSIONS = (PROTOCOL_VERSION, PROTOCOL_VERSION_2)
+PROTOCOL_VERSION = 2
 DEFAULT_PORT = 7433
 MAX_FRAME_BYTES = 32 * 1024 * 1024
 
@@ -94,20 +89,10 @@ CODE_RUNTIME = "RUNTIME"
 CODE_PROTOCOL = "PROTOCOL"
 CODE_CANCELLED = "CANCELLED"
 CODE_INTERNAL = "INTERNAL"
-CODE_FRAME_TOO_LARGE = "FRAME_TOO_LARGE"
 
 
 class ProtocolError(ReproError):
     """Malformed frame, broken framing, or a handshake violation."""
-
-
-class FrameTooLargeError(ProtocolError):
-    """A single frame would exceed :data:`MAX_FRAME_BYTES`.
-
-    Raised server-side when a JSON result does not fit in one frame; the
-    error frame names the cap and points at the v2 streaming protocol,
-    which ships results as bounded-size binary chunks instead.
-    """
 
 
 class ServerBusyError(ReproError):
@@ -148,7 +133,6 @@ _ERROR_CLASSES: Dict[str, Type[ReproError]] = {
         ExecutionError,
         StatisticsError,
         ProtocolError,
-        FrameTooLargeError,
         CancelledStatementError,
         StatementCancelledError,
     )
@@ -170,11 +154,9 @@ def encode_frame(frame: Dict) -> bytes:
         frame, separators=(",", ":"), default=_json_default
     ).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
-        raise FrameTooLargeError(
+        raise ProtocolError(
             f"frame of {len(payload)} bytes exceeds the "
-            f"{MAX_FRAME_BYTES}-byte ({MAX_FRAME_BYTES // (1024 * 1024)} MiB) "
-            "frame cap; fetch large results over protocol version 2, which "
-            "streams them as bounded-size binary chunks"
+            f"{MAX_FRAME_BYTES}-byte limit"
         )
     return _HEADER.pack(len(payload)) + payload
 
@@ -182,7 +164,7 @@ def encode_frame(frame: Dict) -> bytes:
 def encode_binary_frame(payload: bytes) -> bytes:
     """Wrap a binary (columnar) payload: length word with the high bit set."""
     if len(payload) > MAX_FRAME_BYTES:
-        raise FrameTooLargeError(
+        raise ProtocolError(
             f"binary frame of {len(payload)} bytes exceeds the "
             f"{MAX_FRAME_BYTES}-byte limit"
         )
@@ -220,7 +202,7 @@ async def read_frame(reader: asyncio.StreamReader) -> Optional[Dict]:
     (word,) = _HEADER.unpack(header)
     if word & BINARY_FLAG:
         # Clients never send binary frames; the server-bound direction of
-        # the wire is pure JSON in both protocol versions.
+        # the wire is pure JSON.
         raise ProtocolError("unexpected binary frame from client")
     _check_length(word)
     try:
@@ -235,8 +217,7 @@ def read_wire_frame_blocking(stream: BinaryIO):
 
     Returns ``("json", dict)`` for JSON frames and ``("binary", bytes)``
     for binary columnar payloads (length word with :data:`BINARY_FLAG`
-    set). This is the v2 client's read primitive;
-    :func:`read_frame_blocking` keeps the v1 JSON-only contract.
+    set).
     """
     header = stream.read(_HEADER.size)
     if not header:
@@ -255,14 +236,6 @@ def read_wire_frame_blocking(stream: BinaryIO):
     return "json", decode_payload(payload)
 
 
-def read_frame_blocking(stream: BinaryIO) -> Dict:
-    """Read one JSON frame from a blocking binary stream (v1 client side)."""
-    kind, frame = read_wire_frame_blocking(stream)
-    if kind != "json":
-        raise ProtocolError("unexpected binary frame on a v1 connection")
-    return frame
-
-
 # ----------------------------------------------------------------------
 # Error frames
 # ----------------------------------------------------------------------
@@ -272,8 +245,6 @@ def error_code_for(exc: BaseException) -> str:
         return CODE_SYNTAX
     if isinstance(exc, ConfigError):
         return CODE_CONFIG
-    if isinstance(exc, FrameTooLargeError):
-        return CODE_FRAME_TOO_LARGE
     if isinstance(exc, ProtocolError):
         return CODE_PROTOCOL
     if isinstance(exc, (CancelledStatementError, StatementCancelledError)):
@@ -308,8 +279,4 @@ def exception_from_frame(frame: Dict) -> ReproError:
         cls, (CancelledStatementError, StatementCancelledError)
     ):
         return CancelledStatementError(message)
-    if frame.get("code") == CODE_FRAME_TOO_LARGE and not issubclass(
-        cls, FrameTooLargeError
-    ):
-        return FrameTooLargeError(message)
     return cls(message)

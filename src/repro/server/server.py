@@ -22,18 +22,16 @@ Admission control and fairness:
   occupy executor threads at once — the "admission semaphore", enforced
   on the event-loop thread where all scheduler state lives.
 
-Protocol versions: the server negotiates version 1 (pure JSON frames,
-byte-compatible with pre-v2 clients) or version 2 per connection in the
-``hello`` exchange. On version-2 connections SELECT results at or above
-``stream_threshold_rows`` rows stream as binary columnar frames (see
-:mod:`repro.server.frames`) instead of one monolithic JSON ``result``.
+Results: SELECT results at or above ``stream_threshold_rows`` rows
+stream as binary columnar frames encoded straight from the result's
+column vectors (see :mod:`repro.server.frames`); smaller ones, which is
+where tuple decoding is cheap, go out as one JSON ``result`` frame.
 
 Cancellation: a ``cancel`` frame dequeues the target request if it has
-not started executing, and — any protocol version — interrupts a
-*running* statement by setting its :class:`~repro.cancel.CancelToken`;
-the engine observes the token at morsel/checkpoint boundaries and the
-statement's reply becomes a ``CANCELLED`` error frame, with the session
-left reusable.
+not started executing, and otherwise interrupts a *running* statement by
+setting its :class:`~repro.cancel.CancelToken`; the engine observes the
+token at morsel/checkpoint boundaries and the statement's reply becomes
+a ``CANCELLED`` error frame, with the session left reusable.
 """
 
 from __future__ import annotations
@@ -50,8 +48,6 @@ from ..errors import ConfigError, ReproError
 from .frames import DEFAULT_CHUNK_ROWS, build_stream_frames
 from .protocol import (
     PROTOCOL_VERSION,
-    PROTOCOL_VERSION_2,
-    SUPPORTED_VERSIONS,
     CancelledStatementError,
     ProtocolError,
     encode_binary_frame,
@@ -76,7 +72,6 @@ class _Connection:
         "closed",
         "write_lock",
         "busy_rejections",
-        "protocol_version",
         "cancel_tokens",
     )
 
@@ -89,7 +84,6 @@ class _Connection:
         self.closed = False
         self.write_lock = asyncio.Lock()
         self.busy_rejections = 0
-        self.protocol_version = PROTOCOL_VERSION
         # request id -> CancelToken of the statement currently executing
         # (registered on the event-loop thread before dispatch, removed in
         # the request's finally, so `cancel` can interrupt it mid-flight).
@@ -160,7 +154,7 @@ class ReproServer:
         self.workers = workers
         self.max_inflight = max_inflight
         self.per_client_inflight = per_client_inflight
-        # v2 SELECTs with at least this many rows stream as binary chunks.
+        # SELECTs with at least this many rows stream as binary chunks.
         self.stream_threshold_rows = stream_threshold_rows
         self.chunk_rows = chunk_rows
         self.busy_rejections = 0
@@ -282,15 +276,14 @@ class ReproServer:
         if (
             hello is None
             or hello.get("type") != "hello"
-            or hello.get("version") not in SUPPORTED_VERSIONS
+            or hello.get("version") != PROTOCOL_VERSION
         ):
             got = None if hello is None else hello.get("version")
-            supported = "/".join(str(v) for v in SUPPORTED_VERSIONS)
             await conn.send(
                 error_frame(
                     None if hello is None else hello.get("id"),
                     ProtocolError(
-                        f"handshake must be a version-{supported} "
+                        f"handshake must be a version-{PROTOCOL_VERSION} "
                         f"hello frame (got {got!r})"
                     ),
                 )
@@ -299,7 +292,6 @@ class ReproServer:
             conn.session.close()
             writer.close()
             return
-        conn.protocol_version = hello["version"]
         from .. import __version__
 
         self._conns.add(conn)
@@ -307,7 +299,7 @@ class ReproServer:
         await conn.send(
             {
                 "type": "hello_ok",
-                "version": conn.protocol_version,
+                "version": PROTOCOL_VERSION,
                 "server": f"repro/{__version__}",
                 "per_client_inflight": self.per_client_inflight,
             }
@@ -458,8 +450,8 @@ class ReproServer:
             conn.cancel_tokens[rid] = token
 
         def work() -> List[bytes]:
-            # Execute AND serialize on the worker thread: result rows can
-            # be large, and encoding them on the event loop would stall
+            # Execute AND serialize on the worker thread: results can be
+            # large, and encoding them on the event loop would stall
             # every other connection's framing.
             if frame["type"] == "explain":
                 return [
@@ -473,10 +465,11 @@ class ReproServer:
                 ]
             result = conn.session.execute(sql, cancel=token)
             if (
-                conn.protocol_version >= PROTOCOL_VERSION_2
-                and result.statement_type == "select"
-                and len(result.rows) >= self.stream_threshold_rows
+                result.statement_type == "select"
+                and result.row_count >= self.stream_threshold_rows
             ):
+                # Encoded from the column vectors; ``result.rows`` is
+                # never built for a streamed result.
                 header, payloads, end = build_stream_frames(
                     rid, result, self.chunk_rows
                 )

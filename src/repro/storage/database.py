@@ -49,21 +49,6 @@ class Database:
         # pipeline without threading snapshots through every call.
         self._view = threading.local()
 
-    def configure_snapshots(
-        self,
-        chunk_rows: Optional[int] = None,
-        snapshot_retention: Optional[int] = None,
-    ) -> None:
-        """Engine-config wiring. ``chunk_rows`` applies to tables created
-        from now on (a live column's COW bookkeeping is keyed to its
-        chunking); ``snapshot_retention`` also retunes existing tables."""
-        if chunk_rows is not None:
-            self.chunk_rows = chunk_rows
-        if snapshot_retention is not None:
-            self.snapshot_retention = snapshot_retention
-            for table in self._tables.values():
-                table.snapshot_retention = max(1, snapshot_retention)
-
     @contextmanager
     def read_view(self, snapshots: Mapping[str, TableSnapshot]):
         """Resolve this thread's lookups of the given tables to the given

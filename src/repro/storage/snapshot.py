@@ -34,6 +34,7 @@ keep their arrays alive for exactly as long as they need them.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -72,6 +73,7 @@ class ColumnSnapshot:
         "_data",
         "_hash_index",
         "_sorted_index",
+        "__weakref__",
     )
 
     def __init__(
@@ -149,19 +151,35 @@ class _ColumnTableAdapter:
     """Minimal table-like shim so the lazy index classes can build over a
     single frozen :class:`ColumnSnapshot` without referencing any table
     generation (which would chain generations alive through the index
-    cache)."""
+    cache).
+
+    The column is held weakly: it owns the index that owns this adapter,
+    and a strong back-reference would be a cycle that keeps a trimmed
+    generation's arrays alive until a gen-2 collection. Whoever can reach
+    the index got it through the column (the pinned read view), so the
+    referent is alive whenever the index is used.
+    """
 
     __slots__ = ("name", "_column")
 
     def __init__(self, table_name: str, column: ColumnSnapshot):
         self.name = table_name
-        self._column = column
+        self._column = weakref.ref(column)
 
     def column(self, _name: str) -> ColumnSnapshot:
-        return self._column
+        column = self._column()
+        if column is None:
+            raise StorageError(
+                f"snapshot of {self.name!r} was released before its index"
+            )
+        return column
 
-    def column_data(self, _name: str) -> np.ndarray:
-        return self._column.data
+    def column_data(self, name: str) -> np.ndarray:
+        return self.column(name).data
+
+    def __reduce__(self):
+        # Weak references do not pickle; rebuild one on load.
+        return (_ColumnTableAdapter, (self.name, self.column("")))
 
 
 class SnapshotIndexSet:
@@ -175,8 +193,16 @@ class SnapshotIndexSet:
     generation whose column is byte-identical (same object).
     """
 
-    def __init__(self, snapshot: "TableSnapshot", declared: Iterable[Tuple[str, str]]):
-        self._snapshot = snapshot
+    def __init__(
+        self,
+        table_name: str,
+        columns: Dict[str, ColumnSnapshot],
+        declared: Iterable[Tuple[str, str]],
+    ):
+        # The columns, not the TableSnapshot that caches this set: a
+        # back-reference would be a cycle (see _ColumnTableAdapter).
+        self._table_name = table_name
+        self._columns = columns
         self._declared = frozenset(
             (kind, column.lower()) for kind, column in declared
         )
@@ -201,14 +227,14 @@ class SnapshotIndexSet:
     def _get(self, kind: str, column: str):
         if (kind, column) not in self._declared:
             return None
-        col = self._snapshot.column(column)
+        col = self._columns[column]
         slot = "_hash_index" if kind == "hash" else "_sorted_index"
         index = getattr(col, slot)
         if index is None:
             # Imported here: index.py imports table.py imports this module.
             from .index import HashIndex, SortedIndex
 
-            adapter = _ColumnTableAdapter(self._snapshot.name, col)
+            adapter = _ColumnTableAdapter(self._table_name, col)
             cls = HashIndex if kind == "hash" else SortedIndex
             index = cls(adapter, column)
             # Benign race: two readers may build twice; last store wins
@@ -300,7 +326,9 @@ class TableSnapshot:
             with self._index_lock:
                 indexes = self._indexes
                 if indexes is None:
-                    indexes = SnapshotIndexSet(self, declared)
+                    indexes = SnapshotIndexSet(
+                        self.name, self.columns, declared
+                    )
                     self._indexes = indexes
         return indexes
 

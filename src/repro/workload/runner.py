@@ -138,6 +138,9 @@ def run_workload(
     report = WorkloadRunReport(setting=setting_name)
 
     def record(index: int, kind: str, result) -> None:
+        # The paper's client fetches every row (Table 3's fetch column):
+        # decode them so fetch_time below is that cost, not zero.
+        result.rows
         report.records.append(
             QueryRecord(
                 index=index,

@@ -119,7 +119,7 @@ def test_fastpath_results_match_cache_disabled_engine():
 def test_engine_config_surface_stays_small():
     """The knob diet holds: removed knobs are gone as keywords (not
     silently ignored) and the field count does not creep back up."""
-    assert len(dataclasses.fields(EngineConfig)) == 9
+    assert len(dataclasses.fields(EngineConfig)) == 6
     for removed in (
         "fetch_overhead",
         "commit_latency",
@@ -139,6 +139,9 @@ def test_engine_config_surface_stays_small():
         "reopt",
         "reopt_threshold",
         "reopt_max_rounds",
+        "mvcc",
+        "chunk_rows",
+        "snapshot_retention",
     ):
         with pytest.raises(TypeError):
             EngineConfig(**{removed: 1})

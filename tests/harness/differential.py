@@ -246,7 +246,7 @@ def run_torture_schedule(
     Writers (one thread per stream) execute single-table DML through
     their own sessions while ``n_readers`` reader threads execute SELECTs
     drawn (seeded) from ``reader_pool`` — plus, optionally, whole-engine
-    RUNSTATS passes. The engine must be configured with ``mvcc=True``.
+    RUNSTATS passes.
 
     Validation replays every DML statement **sequentially** on a fresh
     identical database in publish-stamp order (per-table stamp order is
@@ -261,7 +261,6 @@ def run_torture_schedule(
     from repro.sql import build_query_graph, parse_select
 
     engine = Engine(build_db(), base_config())
-    assert engine.config.mvcc, "torture schedules require mvcc=True"
     writes: List[List[Tuple[str, int, Dict[str, Tuple[int, int]]]]] = [
         [] for _ in writer_streams
     ]

@@ -22,13 +22,15 @@ from repro.server.protocol import (
     error_code_for,
     error_frame,
     exception_from_frame,
-    read_frame_blocking,
+    read_wire_frame_blocking,
 )
 
 
 def roundtrip(frame):
     wire = encode_frame(frame)
-    return read_frame_blocking(io.BytesIO(wire))
+    kind, decoded = read_wire_frame_blocking(io.BytesIO(wire))
+    assert kind == "json"
+    return decoded
 
 
 def test_frame_roundtrip():
@@ -55,20 +57,20 @@ def test_numpy_scalars_serialize():
     assert frame["rows"] == [[3, 1.5]]
 
 
-def test_read_frame_blocking_eof_and_truncation():
+def test_blocking_read_eof_and_truncation():
     with pytest.raises(ProtocolError, match="closed by server"):
-        read_frame_blocking(io.BytesIO(b""))
+        read_wire_frame_blocking(io.BytesIO(b""))
     with pytest.raises(ProtocolError, match="mid-header"):
-        read_frame_blocking(io.BytesIO(b"\x00\x00"))
+        read_wire_frame_blocking(io.BytesIO(b"\x00\x00"))
     wire = encode_frame({"type": "ping", "id": 1})
     with pytest.raises(ProtocolError, match="mid-frame"):
-        read_frame_blocking(io.BytesIO(wire[:-2]))
+        read_wire_frame_blocking(io.BytesIO(wire[:-2]))
 
 
 def test_oversized_frames_rejected_both_ways():
     huge = struct.pack(">I", MAX_FRAME_BYTES + 1)
     with pytest.raises(ProtocolError, match="exceeds"):
-        read_frame_blocking(io.BytesIO(huge))
+        read_wire_frame_blocking(io.BytesIO(huge))
     with pytest.raises(ProtocolError, match="exceeds"):
         encode_frame({"type": "x", "blob": "a" * (MAX_FRAME_BYTES + 1)})
 

@@ -22,7 +22,7 @@ from repro.server import (
     ServerBusyError,
     connect,
     encode_frame,
-    read_frame_blocking,
+    read_wire_frame_blocking,
 )
 from tests.conftest import build_mini_db
 
@@ -122,7 +122,7 @@ def test_handshake_version_mismatch_rejected(server):
     with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
         sock.sendall(encode_frame({"type": "hello", "version": 999}))
         stream = sock.makefile("rb")
-        reply = read_frame_blocking(stream)
+        _kind, reply = read_wire_frame_blocking(stream)
         assert reply["type"] == "error"
         assert reply["code"] == "PROTOCOL"
         assert "version" in reply["message"]

@@ -1,11 +1,11 @@
-"""Protocol v2: binary columnar frames, negotiation, streaming clients.
+"""Binary columnar frames, the handshake, streaming clients.
 
 Covers the frame codec in isolation (round-trips, every truncation and
-corruption path), the server's streaming decision, v1/v2 result identity
-over a live socket, incremental delivery, the 32 MiB JSON frame cap, and
+corruption path), the server's streaming decision, streamed/JSON result
+identity over a live socket, incremental delivery, the frame cap, and
 the edge cases a wire protocol lives or dies by: torn frames, binary
-frames in the wrong direction, mid-stream disconnects, oversized
-results on the legacy path.
+frames in the wrong direction, mid-stream disconnects, a refused
+version-1 hello.
 """
 
 import socket
@@ -17,7 +17,6 @@ import pytest
 
 from repro import Engine, EngineConfig
 from repro.server import (
-    FrameTooLargeError,
     ProtocolError,
     ReproServer,
     StreamDecoder,
@@ -26,7 +25,7 @@ from repro.server import (
     encode_binary_frame,
     encode_frame,
     parse_binary_frame,
-    read_frame_blocking,
+    read_wire_frame_blocking,
 )
 from repro.server.frames import (
     DTYPE_DICT32,
@@ -38,10 +37,15 @@ from repro.server.frames import (
     encode_dict_frame,
     peek_request_id,
 )
-from repro.server.protocol import PROTOCOL_VERSION_2
 from tests.conftest import build_mini_db
 
 SQL = "SELECT id, name, salary, city FROM owner ORDER BY id"
+
+
+def read_json(stream) -> dict:
+    kind, frame = read_wire_frame_blocking(stream)
+    assert kind == "json"
+    return frame
 
 
 def make_engine() -> Engine:
@@ -201,24 +205,15 @@ def test_decoder_rejects_truncated_stream():
 # ----------------------------------------------------------------------
 # End-to-end over a socket
 # ----------------------------------------------------------------------
-def test_v2_and_v1_fetch_identical_rows(server):
-    with connect(port=server.port, protocol_version=2) as v2:
-        streamed = v2.execute(SQL)
-    with connect(port=server.port, protocol_version=1) as v1:
-        legacy = v1.execute(SQL)
-    assert streamed.streamed is True
-    assert legacy.streamed is False
-    assert streamed.columns == legacy.columns
-    assert streamed.rows == legacy.rows
-    assert streamed.row_count == legacy.row_count == 300
-    assert server.streamed_results >= 1
-
-
-def test_version_negotiation_recorded(server):
-    with connect(port=server.port, protocol_version=1) as v1:
-        assert v1.protocol_version == 1
-    with connect(port=server.port) as v2:
-        assert v2.protocol_version == PROTOCOL_VERSION_2
+def test_version_1_hello_is_refused(server):
+    with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+        stream = sock.makefile("rb")
+        sock.sendall(encode_frame({"type": "hello", "version": 1}))
+        reply = read_json(stream)
+        assert reply["type"] == "error"
+        assert reply["code"] == "PROTOCOL"
+        assert "version-2" in reply["message"]
+        assert stream.read(1) == b""  # the server closed the socket
 
 
 def test_small_results_stay_json_on_v2(server):
@@ -234,8 +229,8 @@ def test_iterate_yields_incremental_batches(server):
     assert len(batches) == 3  # 300 rows / 100-row chunks
     assert [len(b) for b in batches] == [100, 100, 100]
     rows = [row for batch in batches for row in batch]
-    with connect(port=server.port, protocol_version=1) as v1:
-        assert rows == v1.execute(SQL).rows
+    with connect(port=server.port) as client:
+        assert rows == client.execute(SQL).rows
 
 
 def test_execute_streaming_callback_sees_every_chunk(server):
@@ -272,30 +267,13 @@ def test_dml_and_errors_unaffected_by_v2(server):
 
 
 # ----------------------------------------------------------------------
-# The 32 MiB cap on the legacy JSON path
+# The frame cap
 # ----------------------------------------------------------------------
-def test_v1_oversized_result_reports_frame_too_large(server, monkeypatch):
-    import repro.server.protocol as protocol
-
-    # Shrink the cap instead of building a >32 MiB result: encode_frame
-    # reads the module global at call time, and the error frame itself
-    # stays tiny.
-    monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
-    with connect(port=server.port, protocol_version=1) as client:
-        with pytest.raises(FrameTooLargeError) as excinfo:
-            client.execute(SQL)
-        message = str(excinfo.value)
-        assert "4096" in message
-        assert "protocol version 2" in message
-        # The connection survives the refusal.
-        assert client.execute("SELECT COUNT(*) FROM owner").rows == [(300,)]
-
-
 def test_v2_streams_past_the_json_cap(server, monkeypatch):
     import repro.server.protocol as protocol
 
-    # The same result that breaks v1 under a 4 KiB cap streams fine on
-    # v2: each binary chunk is far below the cap.
+    # A result far over a 4 KiB cap as one JSON frame streams fine:
+    # each binary chunk is below the cap.
     monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", 4096)
     with connect(port=server.port) as client:
         result = client.execute(SQL)
@@ -310,9 +288,9 @@ def test_client_sent_binary_frame_rejected(server):
     with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
         stream = sock.makefile("rb")
         sock.sendall(encode_frame({"type": "hello", "version": 2}))
-        assert read_frame_blocking(stream)["type"] == "hello_ok"
+        assert read_json(stream)["type"] == "hello_ok"
         sock.sendall(encode_binary_frame(b"\x02" + b"\x00" * 20))
-        reply = read_frame_blocking(stream)
+        reply = read_json(stream)
         assert reply["type"] == "error"
         assert reply["code"] == "PROTOCOL"
     # The server keeps serving.
@@ -324,11 +302,11 @@ def test_mid_stream_disconnect_releases_the_session(server):
     sock = socket.create_connection(("127.0.0.1", server.port), 5)
     stream = sock.makefile("rb")
     sock.sendall(encode_frame({"type": "hello", "version": 2}))
-    assert read_frame_blocking(stream)["type"] == "hello_ok"
+    assert read_json(stream)["type"] == "hello_ok"
     sock.sendall(encode_frame({"type": "query", "id": 1, "sql": SQL}))
     # Read just the header, then vanish mid-stream. (Close the makefile
     # wrapper too — it holds its own reference to the fd.)
-    assert read_frame_blocking(stream)["type"] == "result_header"
+    assert read_json(stream)["type"] == "result_header"
     stream.close()
     sock.close()
     # The session (and any locks it held) must be released: a write

@@ -226,6 +226,45 @@ def test_unpinned_generation_is_actually_freed():
     assert ref() is None, "unpinned out-of-window generation leaked"
 
 
+def test_trimmed_generations_die_without_the_cyclic_gc():
+    """Retention is bounded by reference counting alone: a generation
+    that was read through its (lazy) indexes and then trimmed is freed at
+    once, not whenever a gen-2 collection breaks an index back-reference
+    cycle — until then its concat and index arrays would stay resident."""
+    declared = [("hash", "id"), ("sorted", "pay"), ("hash", "name")]
+    t = make_table(chunk_rows=4, snapshot_retention=3)
+    fill(t, 16)
+    tables, columns = [], []
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(10):
+            # "id" is never written: its ColumnSnapshot (and the index
+            # built on it) is shared by every generation.
+            t.update_rows(np.arange(16), {"pay": float(i), "name": f"r{i}"})
+            snap = t.pin_current()
+            indexes = snap.index_view(declared)
+            assert list(indexes.hash_on("id").lookup(3)) == [3]
+            assert len(indexes.sorted_on("pay").range_lookup(i, i)) == 16
+            # The optimizer's existence check: asked for, never built.
+            assert indexes.hash_on("name") is not None
+            tables.append(weakref.ref(snap))
+            columns.extend(weakref.ref(c) for c in snap.columns.values())
+            snap.release()
+            del snap, indexes
+        retained = t.snapshots()
+        assert len(retained) == t.snapshot_retention
+        reachable = {id(c) for s in retained for c in s.columns.values()}
+        assert [r() is not None for r in tables] == [False] * 7 + [True] * 3
+        leaked = [
+            c for c in (r() for r in columns)
+            if c is not None and id(c) not in reachable
+        ]
+        assert leaked == [], f"{len(leaked)} trimmed ColumnSnapshots alive"
+    finally:
+        gc.enable()
+
+
 def test_double_pin_needs_double_release():
     t = make_table(snapshot_retention=1)
     fill(t, 4)

@@ -54,20 +54,25 @@ def test_one_shot_dml_and_error(capsys):
     assert "error:" in out
 
 
-@pytest.mark.parametrize(
-    "flag, message",
-    [
-        ("--snapshot-chunk-rows", "chunk_rows must be >= 1, got 0"),
-        ("--snapshot-retention", "snapshot_retention must be >= 1, got 0"),
-        ("--parallel-threshold", "parallel_threshold_rows must be >= 1, got 0"),
-    ],
-)
-def test_bad_config_value_exits_with_config_error(capsys, flag, message):
-    code = main(["--scale", "0.0004", flag, "0", "-e", "SELECT 1 FROM car"])
+def test_bad_config_value_exits_with_config_error(capsys):
+    code = main(
+        ["--scale", "0.0004", "--parallel-threshold", "0",
+         "-e", "SELECT 1 FROM car"]
+    )
     out = capsys.readouterr().out
     assert code != 0
-    assert f"error: {message}" in out
+    assert "error: parallel_threshold_rows must be >= 1, got 0" in out
     assert "row(s)" not in out
+
+
+@pytest.mark.parametrize(
+    "flag", ["--no-mvcc", "--snapshot-chunk-rows=4", "--snapshot-retention=2"]
+)
+def test_removed_snapshot_flags_are_argparse_errors(capsys, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--scale", "0.0004", flag, "-e", "SELECT 1 FROM car"])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_jits_note_printed(capsys):

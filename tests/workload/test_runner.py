@@ -49,6 +49,9 @@ def test_run_workload_records_everything(tiny_workload):
     selects = report.select_records()
     assert len(selects) == len(tiny_workload.selects())
     assert all(r.total_time > 0 for r in selects)
+    # Rows decode lazily; the runner fetches them like the paper's client.
+    assert all(r.fetch_time > 0 for r in selects if r.rows)
+    assert any(r.rows for r in selects)
     assert all(r.modeled_cost > 0 for r in selects)
     assert report.elapsed > 0
     assert report.avg_total >= report.avg_compile
