@@ -47,7 +47,7 @@ TEMPLATES = [
 
 def build_engine(scale: float, seed: int) -> Engine:
     db, _ = build_car_database(scale=scale, seed=seed)
-    return Engine(db, EngineConfig.fastpath(migration_interval=20))
+    return Engine(db, EngineConfig.with_jits(migration_interval=20, plan_cache_enabled=True))
 
 
 def statement_stream(n_statements: int) -> List[str]:

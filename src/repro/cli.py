@@ -220,14 +220,7 @@ def print_stats(engine: Engine, out) -> None:
         fragments = ", ".join(
             f"{kind}={count}" for kind, count in par["fragments"].items()
         )
-        latency = par["shard_latency"]
-        out.write(
-            f"plan fragments: {fragments or 'none'}; "
-            f"shard latency p50/p95 "
-            f"{latency['p50_ms']}/{latency['p95_ms']} ms "
-            f"over {latency['samples']} shard(s), "
-            f"{par['rebalances']} rebalance(s)\n"
-        )
+        out.write(f"plan fragments: {fragments or 'none'}\n")
 
 def print_tables(engine: Engine, out) -> None:
     for table in engine.database.tables():

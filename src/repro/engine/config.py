@@ -33,8 +33,8 @@ class EngineConfig:
     default_workers: int = 4
     # Process-parallel scans (default off). With scan_workers > 0 the
     # engine keeps a forkserver worker pool attached to shared-memory
-    # column exports; predicate scans, DML WHERE targeting, JITS sample
-    # selectivity evaluation and RUNSTATS column passes shard across the
+    # column exports; predicate scans, DML WHERE targeting, fused
+    # aggregates, DISTINCT and RUNSTATS column passes shard across the
     # workers once the scanned row count reaches parallel_threshold_rows.
     # Any pool/shm failure falls back in-process with a warning.
     scan_workers: int = 0
@@ -83,18 +83,4 @@ class EngineConfig:
                 migration_interval=migration_interval,
             ),
             plan_cache_enabled=plan_cache_enabled,
-        )
-
-    @staticmethod
-    def fastpath(
-        s_max: float = 0.5,
-        sample_size: int = 2000,
-        migration_interval: int = 50,
-    ) -> "EngineConfig":
-        """JITS with every compilation cache turned on, plan cache included."""
-        return EngineConfig.with_jits(
-            s_max=s_max,
-            sample_size=sample_size,
-            migration_interval=migration_interval,
-            plan_cache_enabled=True,
         )

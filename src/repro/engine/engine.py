@@ -80,11 +80,7 @@ class Engine:
             else None
         )
         self.jits = JustInTimeStatistics(
-            self.database,
-            self.catalog,
-            self.config.jits,
-            self.rng,
-            parallel=self.parallel,
+            self.database, self.catalog, self.config.jits, self.rng
         )
         self.plan_cache: Optional[PlanCache] = (
             PlanCache() if self.config.plan_cache_enabled else None

@@ -11,6 +11,7 @@ from ..sql import ast
 from ..types import DataType
 from .expr import eval_bool, eval_expr
 from .floatsum import exact_group_sums
+from .joinutil import factorize
 from .vector import Batch, ColumnVector
 
 
@@ -57,16 +58,8 @@ def group_ids(batch: Batch, keys: Tuple[ast.ColumnRef, ...]):
     n = len(batch)
     if not keys:
         return np.zeros(n, dtype=np.int64), 1, np.zeros(1, dtype=np.int64)
-    code_columns = []
-    for key in keys:
-        vector = eval_expr(key, batch)
-        _, inverse = np.unique(vector.values, return_inverse=True)
-        code_columns.append(inverse.astype(np.int64))
-    stacked = np.stack(code_columns, axis=1)
-    _, first_idx, inverse = np.unique(
-        stacked, axis=0, return_index=True, return_inverse=True
-    )
-    return inverse.astype(np.int64), len(first_idx), first_idx.astype(np.int64)
+    gids, first_idx = factorize([eval_expr(key, batch).values for key in keys])
+    return gids, len(first_idx), first_idx
 
 
 def _min_max_by_group(
@@ -94,18 +87,8 @@ def compute_aggregate(
     argument = eval_expr(agg.argument, batch)
     if agg.func is ast.AggFunc.COUNT:
         if agg.distinct:
-            if len(batch) == 0:
-                return ColumnVector(
-                    np.zeros(n_groups, dtype=np.int64), DataType.INT
-                )
-            pairs = np.stack([gids, argument.values.astype(np.int64)], axis=1) \
-                if argument.dtype is not DataType.FLOAT else None
-            if pairs is None:
-                # Float distinct: factorize values first.
-                _, codes = np.unique(argument.values, return_inverse=True)
-                pairs = np.stack([gids, codes.astype(np.int64)], axis=1)
-            unique_pairs = np.unique(pairs, axis=0)
-            counts = np.bincount(unique_pairs[:, 0], minlength=n_groups)
+            _, first = factorize([gids, argument.values])
+            counts = np.bincount(gids[first], minlength=n_groups)
             return ColumnVector(counts.astype(np.int64), DataType.INT)
         counts = np.bincount(gids, minlength=n_groups)
         return ColumnVector(counts.astype(np.int64), DataType.INT)
@@ -115,11 +98,13 @@ def compute_aggregate(
             raise ExecutionError(f"{agg.func.value.upper()} over string values")
         values = argument.values.astype(np.float64)
         if agg.distinct:
-            pairs = np.unique(np.stack([gids.astype(np.float64), values], axis=1), axis=0)
+            # One row per distinct (group, value) pair, in that ascending
+            # order: each group adds its distinct values smallest first.
+            _, first = factorize([gids, values])
             sums = np.bincount(
-                pairs[:, 0].astype(np.int64), weights=pairs[:, 1], minlength=n_groups
+                gids[first], weights=values[first], minlength=n_groups
             )
-            counts = np.bincount(pairs[:, 0].astype(np.int64), minlength=n_groups)
+            counts = np.bincount(gids[first], minlength=n_groups)
         else:
             if argument.dtype is DataType.FLOAT and np.isfinite(values).all():
                 # Exactly-rounded, order-independent float sums: the same
@@ -136,7 +121,7 @@ def compute_aggregate(
                 )
             return ColumnVector(sums, DataType.FLOAT)
         averages = np.divide(
-            sums, counts, out=np.zeros_like(sums), where=counts > 0
+            sums, counts, out=np.zeros(len(sums)), where=counts > 0
         )
         return ColumnVector(averages, DataType.FLOAT)
 

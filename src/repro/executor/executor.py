@@ -47,7 +47,7 @@ from ..storage import Database
 from ..types import DataType, Value
 from .aggregate import aggregate_batch
 from .expr import eval_bool, eval_expr
-from .joinutil import equi_join_indices
+from .joinutil import equi_join_indices, factorize
 from .vector import Batch, ColumnVector, batch_from_table, translate_codes
 
 _NLJ_CHUNK_CELLS = 1 << 22  # bound cross-product memory, not time
@@ -114,14 +114,12 @@ class PlanExecutor:
         # Operator boundaries are the executor's checkpoints: a cancelled
         # statement stops before the next operator (or fragment) starts.
         check_cancelled()
-        if self.parallel is not None and isinstance(
-            node, (Aggregate, HashJoin, Sort, Distinct)
-        ):
-            # Whole-fragment offload: fused aggregate / partitioned join /
-            # shard-sorted output over the worker pool. None means the
-            # fragment planner declined; fall through to the operators.
+        if self.parallel is not None and isinstance(node, (Aggregate, Distinct)):
+            # Whole-fragment offload: fused aggregate / shard-local
+            # distinct over the worker pool. None means the fragment
+            # planner declined; fall through to the operators.
             batch = self.parallel.fragment_batch(
-                node, block, self.database, self._required, self._observations
+                node, self.database, self._observations
             )
             if batch is not None:
                 node.actual_rows = len(batch)
@@ -420,12 +418,7 @@ class PlanExecutor:
         child = self._exec(node.child, block)
         if len(child) == 0 or not child.columns:
             return child
-        codes = []
-        for vector in child.columns.values():
-            _, inverse = np.unique(vector.values, return_inverse=True)
-            codes.append(inverse.astype(np.int64))
-        stacked = np.stack(codes, axis=1)
-        _, first_idx = np.unique(stacked, axis=0, return_index=True)
+        _, first_idx = factorize([v.values for v in child.columns.values()])
         return child.take(np.sort(first_idx))
 
     def _exec_sort(self, node: Sort, block: QueryBlock) -> Batch:

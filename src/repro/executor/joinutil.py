@@ -1,4 +1,4 @@
-"""Vectorized equi-join index matching.
+"""Vectorized equi-join index matching and multi-column group ids.
 
 Integer keys (row ids, dictionary codes — every join key in this engine)
 with a compact value range take a dense O(n) counting path; anything else
@@ -7,7 +7,7 @@ falls back to sort + binary search.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -36,6 +36,33 @@ def equi_join_indices(
         if span <= max(_DENSE_SPAN_FACTOR * len(right), _DENSE_SPAN_MIN):
             return _dense_join(left, right, rmin, span)
     return _sorted_join(left, right)
+
+
+def factorize(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+    """``(gids, first_idx)`` for the rows keyed by one or more columns.
+
+    The result equals the row sort it replaces — per-column
+    ``np.unique`` codes stacked into an ``(n, k)`` array, deduplicated
+    along axis 0 with ``return_index`` and ``return_inverse``: groups in
+    lexicographic key order, each group's first occurrence as its
+    representative. Each column is folded into the running group id as
+    ``gids * card + codes`` and re-compressed at once with a 1-D
+    ``np.unique``, so the combined code stays below n² and cannot
+    overflow.
+    """
+    first, *rest = columns
+    _, first_idx, gids = np.unique(
+        first, return_index=True, return_inverse=True
+    )
+    for column in rest:
+        values, codes = np.unique(column, return_inverse=True)
+        _, first_idx, gids = np.unique(
+            gids * len(values) + codes, return_index=True, return_inverse=True
+        )
+    return (
+        gids.astype(np.int64, copy=False),
+        first_idx.astype(np.int64, copy=False),
+    )
 
 
 def _dense_join(

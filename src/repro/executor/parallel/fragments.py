@@ -2,12 +2,13 @@
 
 A *fragment* is a maximal plan subtree the manager can run as sharded
 kernels over /dev/shm column exports instead of the sequential operator
-path: fused scan→filter→partial-aggregate, partitioned hash join,
-shard-local sort and shard-local distinct. The planner here decides
-eligibility (fragment boundaries) from the manager's row threshold and
-what the kernels can express; anything it declines falls through to
-``PlanExecutor``'s sequential operators, so fragments are purely an
-execution strategy.
+path: fused scan→filter→partial-aggregate and shard-local distinct.
+Joins and sorts are not fragments; their scans shard through
+``scan_rows`` and the in-process operators do the rest. The planner
+here decides eligibility (fragment boundaries) from the manager's row
+threshold and what the kernels can express; anything it declines falls
+through to ``PlanExecutor``'s sequential operators, so fragments are
+purely an execution strategy.
 
 Byte-identity contract (checked by ``tests/harness/differential.py``):
 
@@ -20,13 +21,10 @@ Byte-identity contract (checked by ``tests/harness/differential.py``):
   fixed shard order (``executor.floatsum`` — exactly rounded, hence
   order-independent). DISTINCT aggregates stay sequential, as do float
   columns containing non-finite values.
-* **Joins** re-order the concatenated partition outputs by global
-  (probe_row, build_row) — exactly the sequential
-  ``equi_join_indices`` pair order, because scan batches are row-ordered
-  and the sequential join emits probe-ascending, build-ascending pairs.
-* **Sort/Distinct** rely on stable merges: shard order preserves global
-  row order, so ties and first-occurrences land exactly where the
-  sequential ``np.lexsort`` / ``np.unique`` paths put them.
+* **Aggregate and distinct groups** come from the same ``factorize``
+  the sequential operators call, so merged groups are in key order and
+  a distinct row's representative is its global first occurrence (shard
+  order preserves row order).
 
 Fragments dispatch even with ``workers == 0`` (single inline shard):
 identical kernels and results, no overlap.
@@ -39,23 +37,15 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ...errors import ReproError
-from ...optimizer.plans import (
-    Aggregate,
-    Distinct,
-    HashJoin,
-    PlanNode,
-    Project,
-    SeqScan,
-    Sort,
-)
+from ...optimizer.plans import Aggregate, Distinct, PlanNode, Project, SeqScan
 from ...predicates.physical import PhysPredicate, encode_predicates
 from ...sql import ast
 from ...types import DataType
 from ..aggregate import collect_aggregates, finalize_aggregate
 from ..executor import ScanObservation
 from ..floatsum import ZERO_PAIR, add_pairs, merge_pair_arrays, pairs_to_floats
-from ..vector import Batch, ColumnVector, batch_from_table, code_lookup
+from ..joinutil import factorize
+from ..vector import Batch, ColumnVector
 
 #: Largest |value| * row_count for which float64 partial sums are exact
 #: integers regardless of addition order (the int SUM/AVG fusion gate).
@@ -120,19 +110,11 @@ def _column_of(expr, alias: str, columns: set) -> Optional[str]:
 # Entry point
 # ----------------------------------------------------------------------
 def execute_fragment(
-    manager, node: PlanNode, block, database, required, observations
+    manager, node: PlanNode, database, observations
 ) -> Optional[Batch]:
     """Run ``node`` as a pool fragment, or None to decline."""
     if isinstance(node, Aggregate):
-        return _aggregate_fragment(
-            manager, node, database, observations
-        )
-    if isinstance(node, HashJoin):
-        return _join_fragment(
-            manager, node, database, required, observations
-        )
-    if isinstance(node, Sort):
-        return _sort_fragment(manager, node, database, observations)
+        return _aggregate_fragment(manager, node, database, observations)
     if isinstance(node, Distinct):
         return _distinct_fragment(manager, node, database, observations)
     return None
@@ -244,8 +226,8 @@ def merge_group_partials(
 
     Returns ``(key_arrays, partial_arrays, n_groups, matched_rows)``.
     Merged group order is ascending by key values — the same order
-    ``aggregate.group_ids`` produces over the whole batch, since
-    np.unique codes are value-ascending in both places.
+    ``aggregate.group_ids`` produces over the whole batch, since both
+    call ``factorize``.
     """
     matched = int(sum(p[2] for p in parts))
 
@@ -286,15 +268,7 @@ def merge_group_partials(
     cat_prims = [
         np.concatenate([p[1][i] for p in parts]) for i in range(len(specs))
     ]
-    code_columns = [
-        np.unique(k, return_inverse=True)[1].astype(np.int64)
-        for k in cat_keys
-    ]
-    stacked = np.stack(code_columns, axis=1)
-    _, first_idx, gids = np.unique(
-        stacked, axis=0, return_index=True, return_inverse=True
-    )
-    gids = gids.astype(np.int64)
+    gids, first_idx = factorize(cat_keys)
     n_groups = len(first_idx)
     merged_keys = tuple(k[first_idx] for k in cat_keys)
     merged_prims = []
@@ -312,6 +286,14 @@ def merge_group_partials(
             reducer = np.minimum if func.startswith("min") else np.maximum
             merged_prims.append(reducer.reduceat(data[order], starts))
     return merged_keys, tuple(merged_prims), n_groups, matched
+
+
+def _rank_array(dictionary) -> np.ndarray:
+    """Lexicographic rank per code (``ColumnVector.sort_ranks`` shape)."""
+    perm = dictionary.sort_permutation()
+    ranks = np.empty(len(perm), dtype=np.int64)
+    ranks[perm] = np.arange(len(perm))
+    return ranks
 
 
 def _aggregate_fragment(
@@ -386,7 +368,7 @@ def _aggregate_fragment(
             elif kind == "avg_int":
                 sums, counts = prims[ref[0]], prims[ref[1]]
                 averages = np.divide(
-                    sums, counts, out=np.zeros_like(sums), where=counts > 0
+                    sums, counts, out=np.zeros(len(sums)), where=counts > 0
                 )
                 computed[agg] = ColumnVector(averages, DataType.FLOAT)
             elif kind == "sum_float":
@@ -397,7 +379,7 @@ def _aggregate_fragment(
                 sums = pairs_to_floats(prims[ref[0]])
                 counts = prims[ref[1]]
                 averages = np.divide(
-                    sums, counts, out=np.zeros_like(sums), where=counts > 0
+                    sums, counts, out=np.zeros(len(sums)), where=counts > 0
                 )
                 computed[agg] = ColumnVector(averages, DataType.FLOAT)
             elif kind in ("min_str", "max_str"):
@@ -434,119 +416,7 @@ def _aggregate_fragment(
 
 
 # ----------------------------------------------------------------------
-# Partitioned hash join
-# ----------------------------------------------------------------------
-def _join_fragment(
-    manager, node: HashJoin, database, required, observations
-) -> Optional[Batch]:
-    probe = _lower_scan(node.probe, database)
-    build = _lower_scan(node.build, database)
-    if probe is None or build is None or not node.join_predicates:
-        return None
-    if (
-        max(probe.table.row_count, build.table.row_count)
-        < manager.threshold_rows
-    ):
-        return None
-    keys: List[Tuple[str, str, Optional[np.ndarray]]] = []
-    for predicate in node.join_predicates:
-        try:
-            probe_column = predicate.column_for(probe.alias)
-            build_column = predicate.column_for(build.alias)
-        except ReproError:
-            return None
-        probe_dict = probe.table.column(probe_column).dictionary
-        build_dict = build.table.column(build_column).dictionary
-        if (probe_dict is None) != (build_dict is None):
-            return None  # sequential path owns the type error
-        lookup = None
-        if probe_dict is not None and probe_dict is not build_dict:
-            lookup = code_lookup(probe_dict, build_dict)
-        keys.append((probe_column, build_column, lookup))
-
-    n_parts = max(1, manager.workers)
-    hash_key = keys[0]
-    probe_parts = manager.run_ranged(
-        probe.table,
-        "join_partition",
-        dict(
-            preds=probe.preds,
-            key_column=hash_key[0],
-            n_parts=n_parts,
-            lookup=hash_key[2],
-        ),
-        "join fragment",
-    )
-    build_parts = manager.run_ranged(
-        build.table,
-        "join_partition",
-        dict(
-            preds=build.preds,
-            key_column=hash_key[1],
-            n_parts=n_parts,
-            lookup=None,
-        ),
-        "join fragment",
-    )
-    probe_matched = int(sum(p[1] for p in probe_parts))
-    build_matched = int(sum(p[1] for p in build_parts))
-    # Shards come back in row order, so per-partition concatenation keeps
-    # each partition's rows globally ascending.
-    probe_by_part = [
-        np.concatenate([shard[0][p] for shard in probe_parts])
-        for p in range(n_parts)
-    ]
-    build_by_part = [
-        np.concatenate([shard[0][p] for shard in build_parts])
-        for p in range(n_parts)
-    ]
-    kwargs_list = [
-        dict(
-            probe_table=probe.table.name.lower(),
-            build_table=build.table.name.lower(),
-            probe_rows=probe_by_part[p],
-            build_rows=build_by_part[p],
-            keys=tuple(keys),
-        )
-        for p in range(n_parts)
-        if len(probe_by_part[p]) and len(build_by_part[p])
-    ]
-    if kwargs_list:
-        pairs = manager.run_partitioned(
-            [probe.table, build.table],
-            "join_probe",
-            kwargs_list,
-            "join fragment",
-        )
-        l_rows = np.concatenate([pair[0] for pair in pairs])
-        r_rows = np.concatenate([pair[1] for pair in pairs])
-        # Restore the sequential pair order: ascending (probe, build).
-        order = np.lexsort((r_rows, l_rows))
-        l_rows, r_rows = l_rows[order], r_rows[order]
-    else:
-        l_rows = np.empty(0, dtype=np.int64)
-        r_rows = np.empty(0, dtype=np.int64)
-
-    probe_batch = batch_from_table(
-        probe.table,
-        probe.alias,
-        l_rows,
-        sorted(required.get(probe.alias, set())),
-    )
-    build_batch = batch_from_table(
-        build.table,
-        build.alias,
-        r_rows,
-        sorted(required.get(build.alias, set())),
-    )
-    _observe(probe, probe_matched, observations)
-    _observe(build, build_matched, observations)
-    manager.note_fragment("join")
-    return Batch.merge(probe_batch, build_batch)
-
-
-# ----------------------------------------------------------------------
-# Shard-local sort / distinct with parent merge
+# Shard-local distinct with parent merge
 # ----------------------------------------------------------------------
 def _project_columns(project: Project, scan: _Scan) -> Optional[Dict[str, str]]:
     """Output-name → table-column map when every item is a plain column.
@@ -571,91 +441,6 @@ def _project_batch(table, out_columns: Dict[str, str], rows) -> Batch:
             column.data[rows], column.dtype, column.dictionary
         )
     return Batch(out, len(rows))
-
-
-def _rank_array(dictionary) -> np.ndarray:
-    """Lexicographic rank per code (``ColumnVector.sort_ranks`` shape)."""
-    perm = dictionary.sort_permutation()
-    ranks = np.empty(len(perm), dtype=np.int64)
-    ranks[perm] = np.arange(len(perm))
-    return ranks
-
-
-def merge_sorted_runs(key_arrays: List[np.ndarray]) -> np.ndarray:
-    """Merge permutation over concatenated shard-sorted runs.
-
-    Factorizes each key column and stable-argsorts one composite code —
-    timsort's run detection makes this a k-way merge over the presorted
-    runs. Falls back to a full lexsort when the composite would overflow
-    int64. Either way ties keep appearance order, which (runs being in
-    shard order) is exactly the sequential sort's tie order.
-    """
-    codes: List[np.ndarray] = []
-    span = 1
-    for key in key_arrays:
-        inverse = np.unique(key, return_inverse=True)[1].astype(np.int64)
-        reach = int(inverse.max()) + 1 if len(inverse) else 1
-        if span > (1 << 62) // max(reach, 1):
-            return np.lexsort(tuple(reversed(key_arrays)))
-        span *= reach
-        codes.append(inverse)
-    composite = codes[0]
-    for inverse in codes[1:]:
-        reach = int(inverse.max()) + 1 if len(inverse) else 1
-        composite = composite * reach + inverse
-    return np.argsort(composite, kind="stable")
-
-
-def _sort_fragment(
-    manager, node: Sort, database, observations
-) -> Optional[Batch]:
-    project = node.child
-    if not isinstance(project, Project):
-        return None
-    scan = _lower_scan(project.child, database)
-    if scan is None or scan.table.row_count < manager.threshold_rows:
-        return None
-    out_columns = _project_columns(project, scan)
-    if out_columns is None:
-        return None
-    sort_keys: List[Tuple[str, bool, Optional[np.ndarray]]] = []
-    for order in node.order_by:
-        # Order keys were rewritten to unqualified output references.
-        if not isinstance(order.expr, ast.ColumnRef) or order.expr.qualifier:
-            return None
-        name = order.expr.name.lower()
-        if name not in out_columns:
-            return None
-        column_name = out_columns[name]
-        column = scan.table.column(column_name)
-        ranks = (
-            _rank_array(column.dictionary)
-            if column.dictionary is not None
-            else None
-        )
-        sort_keys.append((column_name, bool(order.descending), ranks))
-    if not sort_keys:
-        return None
-
-    runs = manager.run_ranged(
-        scan.table,
-        "sort",
-        dict(preds=scan.preds, keys=tuple(sort_keys)),
-        "sort fragment",
-    )
-    rows = np.concatenate([run[0] for run in runs])
-    matched = int(sum(run[2] for run in runs))
-    if len(runs) > 1 and len(rows) > 1:
-        key_arrays = [
-            np.concatenate([run[1][j] for run in runs])
-            for j in range(len(sort_keys))
-        ]
-        rows = rows[merge_sorted_runs(key_arrays)]
-    batch = _project_batch(scan.table, out_columns, rows)
-    project.actual_rows = matched
-    _observe(scan, matched, observations)
-    manager.note_fragment("sort")
-    return batch
 
 
 def _distinct_fragment(
@@ -685,12 +470,7 @@ def _distinct_fragment(
             np.concatenate([run[1][j] for run in runs])
             for j in range(len(kernel_columns))
         ]
-        code_columns = [
-            np.unique(v, return_inverse=True)[1].astype(np.int64)
-            for v in values
-        ]
-        stacked = np.stack(code_columns, axis=1)
-        _, first_idx = np.unique(stacked, axis=0, return_index=True)
+        _, first_idx = factorize(values)
         # Shard-local firsts are globally ordered, so the earliest
         # surviving position is the true global first occurrence.
         rows = rows[np.sort(first_idx)]

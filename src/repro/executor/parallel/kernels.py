@@ -1,4 +1,4 @@
-"""Sharded scan / aggregate / sample-selectivity kernels.
+"""Sharded scan / aggregate / distinct / RUNSTATS kernels.
 
 A kernel is a module-level function taking ``(arrays, **kwargs)`` where
 ``arrays`` maps lower-case column names to physical numpy arrays — either
@@ -24,8 +24,7 @@ import numpy as np
 
 from ...predicates.physical import PhysPredicate, physical_mask
 from ..floatsum import sum_pairs_shard
-from ..joinutil import equi_join_indices
-from ..vector import apply_code_lookup
+from ..joinutil import factorize
 
 
 def scan_shard(
@@ -46,20 +45,6 @@ def scan_shard(
     if mask is None:
         return np.arange(start, stop, dtype=np.int64)
     return (np.flatnonzero(mask) + start).astype(np.int64)
-
-
-def masks_shard(
-    arrays: Dict[str, np.ndarray],
-    preds: Tuple[PhysPredicate, ...],
-    rows: np.ndarray,
-) -> List[np.ndarray]:
-    """One boolean mask per predicate over the given row positions (the
-    QSS sample-selectivity kernel; shards split the sample rows)."""
-    rows = np.asarray(rows, dtype=np.int64)
-    out = []
-    for pred in preds:
-        out.append(physical_mask(arrays[pred.column][rows], pred))
-    return out
 
 
 def column_stats_shard(
@@ -120,22 +105,9 @@ def group_aggregate_shard(
     n = len(idx)
     if keys:
         key_data = [arrays[k][idx] for k in keys]
-        if n:
-            code_columns = [
-                np.unique(kd, return_inverse=True)[1].astype(np.int64)
-                for kd in key_data
-            ]
-            stacked = np.stack(code_columns, axis=1)
-            _, first_idx, gids = np.unique(
-                stacked, axis=0, return_index=True, return_inverse=True
-            )
-            gids = gids.astype(np.int64)
-            n_groups = len(first_idx)
-            group_keys = tuple(kd[first_idx] for kd in key_data)
-        else:
-            gids = np.zeros(0, dtype=np.int64)
-            n_groups = 0
-            group_keys = tuple(key_data)
+        gids, first_idx = factorize(key_data)
+        n_groups = len(first_idx)
+        group_keys = tuple(kd[first_idx] for kd in key_data)
     else:
         gids = np.zeros(n, dtype=np.int64)
         n_groups = 1 if n else 0
@@ -180,127 +152,6 @@ def group_aggregate_shard(
     return group_keys, tuple(partials), int(n)
 
 
-def partition_codes(values: np.ndarray, n_parts: int) -> np.ndarray:
-    """Deterministic partition id per key value.
-
-    Keys are canonicalized to their float64 bit pattern (+0.0 normalizes
-    the signed zero), so equal keys — including an int64 5 meeting a
-    float64 5.0 across differently-typed join columns — always land in
-    the same partition. The bits then go through a splitmix-style mixer:
-    integral keys leave the low mantissa bits all zero, and without
-    mixing ``% n_parts`` would dump every such key into partition 0,
-    serializing the probe stage. Collisions only affect balance, never
-    correctness: the probe stage re-checks equality on original values.
-    """
-    if n_parts <= 1:
-        return np.zeros(len(values), dtype=np.int64)
-    as_float = np.asarray(values).astype(np.float64) + 0.0
-    bits = as_float.view(np.uint64).copy()
-    bits ^= bits >> np.uint64(33)
-    bits *= np.uint64(0xFF51AFD7ED558CCD)  # wraps mod 2**64 by design
-    bits ^= bits >> np.uint64(33)
-    return (bits % np.uint64(n_parts)).astype(np.int64)
-
-
-def join_partition_shard(
-    arrays: Dict[str, np.ndarray],
-    preds: Tuple[PhysPredicate, ...],
-    start: int,
-    stop: int,
-    key_column: str,
-    n_parts: int,
-    lookup: Optional[np.ndarray] = None,
-) -> Tuple[List[np.ndarray], int]:
-    """Stage A of the partitioned hash join: scan one shard of one input
-    and split its matching global row ids by join-key partition.
-
-    ``lookup`` translates dictionary codes into the other side's code
-    space (see ``vector.code_lookup``) so both inputs partition over the
-    same value domain.
-    """
-    idx = scan_shard(arrays, preds, start, stop)
-    keys = arrays[key_column][idx]
-    if lookup is not None:
-        keys = apply_code_lookup(lookup, keys)
-    parts = partition_codes(keys, n_parts)
-    return [idx[parts == p] for p in range(n_parts)], int(len(idx))
-
-
-def join_probe_partition(
-    tables: Dict[str, Dict[str, np.ndarray]],
-    probe_table: str,
-    build_table: str,
-    probe_rows: np.ndarray,
-    build_rows: np.ndarray,
-    keys: Tuple[Tuple[str, str, Optional[np.ndarray]], ...],
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Stage B: build + probe one partition, both inputs attached.
-
-    ``keys`` is ``((probe_column, build_column, lookup|None), ...)`` with
-    the first entry as the hash key and the rest re-checked as masks —
-    exactly ``PlanExecutor._exec_hash_join``'s shape. Returns matching
-    (probe, build) global row-id pairs; pair order within a partition is
-    (probe_row, build_row)-ascending because the inputs are row-ordered
-    and ``equi_join_indices`` is stable.
-    """
-    probe_rows = np.asarray(probe_rows, dtype=np.int64)
-    build_rows = np.asarray(build_rows, dtype=np.int64)
-    probe_arrays = tables[probe_table]
-    build_arrays = tables[build_table]
-    probe_col, build_col, lookup = keys[0]
-    lv = probe_arrays[probe_col][probe_rows]
-    if lookup is not None:
-        lv = apply_code_lookup(lookup, lv)
-    rv = build_arrays[build_col][build_rows]
-    l_idx, r_idx = equi_join_indices(lv, rv)
-    if len(keys) > 1:
-        mask = np.ones(len(l_idx), dtype=bool)
-        for probe_col, build_col, lookup in keys[1:]:
-            plv = probe_arrays[probe_col][probe_rows]
-            if lookup is not None:
-                plv = apply_code_lookup(lookup, plv)
-            prv = build_arrays[build_col][build_rows]
-            mask &= plv[l_idx] == prv[r_idx]
-        l_idx, r_idx = l_idx[mask], r_idx[mask]
-    return probe_rows[l_idx], build_rows[r_idx]
-
-
-def sort_shard(
-    arrays: Dict[str, np.ndarray],
-    preds: Tuple[PhysPredicate, ...],
-    start: int,
-    stop: int,
-    keys: Tuple[Tuple[str, bool, Optional[np.ndarray]], ...],
-) -> Tuple[np.ndarray, Tuple[np.ndarray, ...], int]:
-    """Shard-local sort: scan, then order the shard's matching rows.
-
-    ``keys`` is ``((column, descending, ranks|None), ...)`` in ORDER BY
-    order; ``ranks`` carries lexicographic ranks for string columns
-    (``ColumnVector.sort_ranks`` precomputed parent-side). Returns the
-    shard's sorted global row ids plus the sort-key arrays in sorted
-    order — the parent's stable run-merge consumes both. Ties keep
-    original row order (np.lexsort is stable), matching the sequential
-    sort exactly.
-    """
-    idx = scan_shard(arrays, preds, start, stop)
-    key_arrays = []
-    for column, descending, ranks in keys:
-        values = arrays[column][idx]
-        if ranks is not None:
-            values = (
-                ranks[values.astype(np.int64)]
-                if len(values)
-                else values.astype(np.int64)
-            )
-        key_arrays.append(-values if descending else values)
-    order = np.lexsort(tuple(reversed(key_arrays)))  # first key is primary
-    return (
-        idx[order],
-        tuple(k[order] for k in key_arrays),
-        int(len(idx)),
-    )
-
-
 def distinct_shard(
     arrays: Dict[str, np.ndarray],
     preds: Tuple[PhysPredicate, ...],
@@ -317,45 +168,8 @@ def distinct_shard(
     idx = scan_shard(arrays, preds, start, stop)
     matched = int(len(idx))
     values = [arrays[c][idx] for c in columns]
-    if len(idx):
-        code_columns = [
-            np.unique(v, return_inverse=True)[1].astype(np.int64)
-            for v in values
-        ]
-        stacked = np.stack(code_columns, axis=1)
-        _, first_idx = np.unique(stacked, axis=0, return_index=True)
-        keep = np.sort(first_idx)
-        idx = idx[keep]
-        values = [v[keep] for v in values]
-    return idx, tuple(values), matched
-
-
-def timed_shard(arrays: Dict[str, np.ndarray], kernel: str, kwargs: dict):
-    """Wrapper measuring a kernel's worker-side wall-clock.
-
-    The manager wraps row-ranged shard tasks in this to feed adaptive
-    shard sizing; ``(elapsed_seconds, result)`` comes back per shard.
-    """
-    t0 = time.perf_counter()
-    result = KERNELS[kernel](arrays, **kwargs)
-    return time.perf_counter() - t0, result
-
-
-def skew_shard(
-    arrays: Dict[str, np.ndarray],
-    column: str,
-    start: int,
-    stop: int,
-    unit: float,
-) -> int:
-    """Test-support kernel with data-dependent cost: sleeps ``unit``
-    seconds per unit of column mass in the shard, so skewed data makes
-    genuinely skewed shard latencies (drives the rebalancing tests)."""
-    data = arrays[column][start:stop]
-    mass = float(data.sum()) if len(data) else 0.0
-    if unit > 0.0 and mass > 0.0:
-        time.sleep(unit * mass)
-    return stop - start
+    keep = np.sort(factorize(values)[1])
+    return idx[keep], tuple(v[keep] for v in values), matched
 
 
 def sleep_shard(arrays: Dict[str, np.ndarray], duration: float) -> float:
@@ -366,14 +180,8 @@ def sleep_shard(arrays: Dict[str, np.ndarray], duration: float) -> float:
 
 KERNELS = {
     "scan": scan_shard,
-    "masks": masks_shard,
     "group_aggregate": group_aggregate_shard,
-    "join_partition": join_partition_shard,
-    "join_probe": join_probe_partition,
-    "sort": sort_shard,
     "distinct": distinct_shard,
     "column_stats": column_stats_shard,
-    "timed": timed_shard,
-    "skew": skew_shard,
     "sleep": sleep_shard,
 }

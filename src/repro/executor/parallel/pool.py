@@ -28,7 +28,7 @@ import multiprocessing as mp
 import queue as queue_mod
 import sys
 import time
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ...errors import ExecutionError
 from ...storage.shm import TablePayload, WorkerAttachments
@@ -44,10 +44,9 @@ class PoolUnavailable(ExecutionError):
 
 
 #: (task_id, kernel_name, payload, kwargs) on the task queue; payload is
-#: one TablePayload, a tuple of them (multi-table kernels receive a
-#: per-table arrays dict) or None; (task_id, ok, result | error_text)
-#: comes back on the result queue.
-Task = Tuple[str, Union[TablePayload, Tuple[TablePayload, ...], None], dict]
+#: one TablePayload or None; (task_id, ok, result | error_text) comes
+#: back on the result queue.
+Task = Tuple[str, Optional[TablePayload], dict]
 
 
 def _worker_main(task_q, result_q) -> None:
@@ -58,15 +57,7 @@ def _worker_main(task_q, result_q) -> None:
             return
         task_id, kernel, payload, kwargs = item
         try:
-            if payload is None:
-                arrays = {}
-            elif isinstance(payload, tuple):
-                # Multi-table task (join probe): kernels see one arrays
-                # dict per table, keyed by table name — a self-join's
-                # two identical payloads collapse to one entry.
-                arrays = {p.table: attachments.arrays(p) for p in payload}
-            else:
-                arrays = attachments.arrays(payload)
+            arrays = {} if payload is None else attachments.arrays(payload)
             result = KERNELS[kernel](arrays, **kwargs)
             result_q.put((task_id, True, result))
         except BaseException as exc:  # report, keep serving

@@ -220,7 +220,9 @@ def _agg_value(agg: ast.Aggregate, members: List[Env]) -> Value:
         return len(members)
     values = [_eval(agg.argument, env) for env in members]
     if agg.distinct:
-        values = list(dict.fromkeys(values))
+        # Smallest first: the addition order of the engine's
+        # SUM/AVG(DISTINCT), so float results compare bit for bit.
+        values = sorted(dict.fromkeys(values))
     if agg.func is ast.AggFunc.COUNT:
         return len(values)
     if not values:

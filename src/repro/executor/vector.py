@@ -129,29 +129,6 @@ def batch_from_table(
     return Batch(out, length)
 
 
-def code_lookup(
-    source: StringDictionary, target: StringDictionary
-) -> np.ndarray:
-    """Translation array mapping source codes to target codes (-1 missing).
-
-    The array form is what crosses process boundaries: worker kernels
-    apply it with :func:`apply_code_lookup` without ever touching the
-    dictionaries themselves.
-    """
-    lookup = np.full(max(len(source), 1), -1, dtype=np.int64)
-    for code, value in enumerate(source.values()):
-        mapped = target.find_code(value)
-        if mapped is not None:
-            lookup[code] = mapped
-    return lookup
-
-
-def apply_code_lookup(lookup: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    if len(codes) == 0:
-        return codes.astype(np.int64)
-    return lookup[codes.astype(np.int64)]
-
-
 def translate_codes(
     source: StringDictionary, target: StringDictionary, codes: np.ndarray
 ) -> np.ndarray:
@@ -162,4 +139,11 @@ def translate_codes(
     """
     if source is target:
         return codes
-    return apply_code_lookup(code_lookup(source, target), codes)
+    if len(codes) == 0:
+        return codes.astype(np.int64)
+    lookup = np.full(max(len(source), 1), -1, dtype=np.int64)
+    for code, value in enumerate(source.values()):
+        mapped = target.find_code(value)
+        if mapped is not None:
+            lookup[code] = mapped
+    return lookup[codes.astype(np.int64)]

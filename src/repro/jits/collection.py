@@ -55,15 +55,11 @@ class StatisticsCollector:
         sample_cache: Optional[SampleCache] = None,
         mask_cache: Optional[MaskCache] = None,
         rng_lock: Optional[threading.Lock] = None,
-        parallel=None,
     ):
         self.database = database
         self.archive = archive
         self.sample_size = sample_size
         self.rng = rng
-        # Optional ParallelScanManager: shards the sample-selectivity
-        # masks across the worker pool when the sample is large enough.
-        self.parallel = parallel
         # numpy Generators are not thread-safe; when the sample cache is
         # off, concurrent compilations draw directly from the shared rng
         # and must serialize around it (the cache path draws under the
@@ -155,24 +151,13 @@ class StatisticsCollector:
             cache_put = lambda p, m: self.mask_cache.store(
                 table_name, p, sample_epoch, m
             )
-        evaluated = None
-        if self.parallel is not None:
-            evaluated = self.parallel.masks_for_predicates(
-                table,
-                [p for group in groups for p in group.predicates],
-                rows,
-                cache_get=cache_get,
-                cache_put=cache_put,
-            )
-        if evaluated is None:
-            evaluated = masks_for_predicates(
-                table,
-                (p for group in groups for p in group.predicates),
-                rows,
-                cache_get=cache_get,
-                cache_put=cache_put,
-            )
-        predicate_masks, hits, misses = evaluated
+        predicate_masks, hits, misses = masks_for_predicates(
+            table,
+            (p for group in groups for p in group.predicates),
+            rows,
+            cache_get=cache_get,
+            cache_put=cache_put,
+        )
         report.mask_cache_hits += hits
         report.mask_cache_misses += misses
 

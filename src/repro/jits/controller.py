@@ -114,15 +114,11 @@ class JustInTimeStatistics:
         catalog: SystemCatalog,
         config: Optional[JITSConfig] = None,
         rng: Optional[np.random.Generator] = None,
-        parallel=None,
     ):
         self.database = database
         self.catalog = catalog
         self.config = config or JITSConfig()
         self.rng = rng if rng is not None else np.random.default_rng(0)
-        # Optional ParallelScanManager handed down by the engine; used by
-        # the collector's sample-selectivity evaluation.
-        self.parallel = parallel
         self.history = StatHistory()
         self.archive = QSSArchive(
             database,
@@ -220,7 +216,6 @@ class JustInTimeStatistics:
             sample_cache=self.sample_cache,
             mask_cache=self.mask_cache,
             rng_lock=self._rng_lock,
-            parallel=self.parallel,
         )
         profile, report.collection = collector.collect(
             report.decisions,

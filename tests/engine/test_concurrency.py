@@ -49,8 +49,9 @@ SELECTS = [
 
 def fastpath_engine(seed: int = 13) -> Engine:
     db = build_mini_db(n_owners=80, n_cars=240, seed=seed)
-    config = EngineConfig.fastpath(
-        s_max=0.3, sample_size=120, migration_interval=5
+    config = EngineConfig.with_jits(
+        s_max=0.3, sample_size=120, migration_interval=5,
+        plan_cache_enabled=True,
     )
     return Engine(db, config)
 
@@ -271,8 +272,9 @@ def test_multi_table_dml_with_migration_stress():
 
     def build() -> Engine:
         db = build_mini_db(n_owners=80, n_cars=240, seed=31)
-        config = EngineConfig.fastpath(
-            s_max=0.3, sample_size=120, migration_interval=2
+        config = EngineConfig.with_jits(
+            s_max=0.3, sample_size=120, migration_interval=2,
+            plan_cache_enabled=True,
         )
         return Engine(db, config)
 

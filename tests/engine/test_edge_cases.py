@@ -24,6 +24,15 @@ def test_aggregate_empty_table(empty_engine):
     assert result.rows == [(0, 0)]
 
 
+def test_int_average_over_no_rows(empty_engine):
+    """AVG over an INT column with nothing to average is 0.0 (and an
+    empty group set), not a numpy casting error."""
+    assert empty_engine.execute("SELECT AVG(id) FROM t").rows == [(0.0,)]
+    assert empty_engine.execute(
+        "SELECT name, AVG(id), AVG(DISTINCT id) FROM t GROUP BY name"
+    ).rows == []
+
+
 def test_group_by_empty_table(empty_engine):
     result = empty_engine.execute(
         "SELECT name, COUNT(*) FROM t GROUP BY name"

@@ -13,7 +13,7 @@ SQL = "SELECT COUNT(*) FROM car WHERE price < 20000 AND year > 1999"
 
 
 def fastpath_engine(**kwargs):
-    return Engine(build_mini_db(), EngineConfig.fastpath(**kwargs))
+    return Engine(build_mini_db(), EngineConfig.with_jits(plan_cache_enabled=True, **kwargs))
 
 
 def test_repeat_template_hits_plan_cache():

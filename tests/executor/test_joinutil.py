@@ -1,11 +1,12 @@
-"""Equi-join matching: dense and sorted paths vs brute force."""
+"""Equi-join matching (dense and sorted paths vs brute force) and
+multi-column group factorization."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.executor import equi_join_indices
-from repro.executor.joinutil import _dense_join, _sorted_join
+from repro.executor.joinutil import _dense_join, _sorted_join, factorize
 
 
 def brute(left, right):
@@ -98,3 +99,82 @@ def test_float_matches_brute_force(left_list, right_list):
     right = np.asarray(right_list)
     li, ri = equi_join_indices(left, right)
     assert as_pairs(li, ri) == brute(left_list, right_list)
+
+
+# ----------------------------------------------------------------------
+# factorize: multi-column group ids
+# ----------------------------------------------------------------------
+def factorize_reference(columns):
+    """The row-sort formulation ``factorize`` replaces."""
+    codes = [np.unique(c, return_inverse=True)[1].reshape(-1) for c in columns]
+    _, first_idx, gids = np.unique(
+        np.stack(codes, axis=1), axis=0, return_index=True, return_inverse=True
+    )
+    return gids.reshape(-1), first_idx
+
+
+def assert_factorize_matches(columns):
+    gids, first_idx = factorize(columns)
+    want_gids, want_first = factorize_reference(columns)
+    assert gids.dtype == np.int64 and first_idx.dtype == np.int64
+    np.testing.assert_array_equal(gids, want_gids)
+    np.testing.assert_array_equal(first_idx, want_first)
+
+
+FLOAT_POOL = [-0.0, 0.0, 1.5, -2.25, np.inf, -np.inf, 1e300, -1e-300]
+
+
+@st.composite
+def key_columns(draw):
+    n = draw(st.integers(min_value=0, max_value=40))
+    kinds = draw(
+        st.lists(st.sampled_from(["int", "float", "codes"]), min_size=1, max_size=4)
+    )
+    columns = []
+    for kind in kinds:
+        if kind == "int":
+            values = st.integers(min_value=-(2**62), max_value=2**62)
+            small = st.integers(min_value=-3, max_value=3)
+            data = draw(st.lists(st.one_of(small, values), min_size=n, max_size=n))
+            columns.append(np.asarray(data, dtype=np.int64))
+        elif kind == "float":
+            data = draw(st.lists(st.sampled_from(FLOAT_POOL), min_size=n, max_size=n))
+            columns.append(np.asarray(data, dtype=np.float64))
+        else:  # dictionary codes of a string column
+            data = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+            columns.append(np.asarray(data, dtype=np.int32))
+    return columns
+
+
+@settings(max_examples=200, deadline=None)
+@given(key_columns())
+def test_factorize_matches_row_unique(columns):
+    assert_factorize_matches(columns)
+
+
+def test_factorize_single_row_and_empty():
+    assert_factorize_matches([np.array([7], dtype=np.int64), np.array([-0.0])])
+    assert_factorize_matches([np.empty(0, dtype=np.int64), np.empty(0)])
+    gids, first_idx = factorize([np.empty(0, dtype=np.int64)])
+    assert gids.shape == (0,) and first_idx.shape == (0,)
+
+
+@settings(max_examples=6, deadline=None)
+@given(
+    st.integers(min_value=4, max_value=8),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_factorize_never_overflows(n_columns, seed):
+    """Every column all-distinct, so the product of the cardinalities
+    exceeds 2**63: a single mixed-radix code would overflow int64."""
+    n = int(np.ceil(2 ** (63 / n_columns))) + 1
+    rng = np.random.default_rng(seed)
+    columns = [
+        rng.permutation(n).astype(np.float64 if i % 2 else np.int64) * 3 - n
+        for i in range(n_columns)
+    ]
+    product = 1
+    for column in columns:
+        product *= len(np.unique(column))
+    assert product > 2**63
+    assert_factorize_matches(columns)

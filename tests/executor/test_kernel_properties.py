@@ -11,22 +11,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.executor.parallel.fragments import (
-    merge_group_partials,
-    merge_sorted_runs,
-)
+from repro.executor.joinutil import factorize
+from repro.executor.parallel.fragments import merge_group_partials
 from repro.executor.parallel.kernels import (
     column_stats_shard,
     distinct_shard,
     group_aggregate_shard,
-    join_partition_shard,
-    join_probe_partition,
-    masks_shard,
-    partition_codes,
     scan_shard,
-    sort_shard,
 )
-from repro.executor.joinutil import equi_join_indices
 from repro.catalog.runstats import column_stats_raw
 from repro.predicates import LocalPredicate, PredOp, group_mask
 from repro.predicates.physical import PhysPredicate, encode_predicates
@@ -100,30 +92,10 @@ def test_sharded_scan_equals_single_shard(trial):
     np.testing.assert_array_equal(sharded, single)
 
 
-@pytest.mark.parametrize("trial", range(N_TRIALS))
-def test_sharded_masks_equal_single_shard(trial):
-    rng = make_rng(2000 + trial)
-    n = int(rng.integers(1, 400))
-    arrays = random_arrays(rng, n)
-    preds = random_predicates(rng, arrays)
-    if not preds:
-        preds = (PhysPredicate("i", "GE", (0.0,)),)
-    rows = np.sort(
-        rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
-    ).astype(np.int64)
-    bounds = random_bounds(rng, len(rows))
-    single = masks_shard(arrays, preds, rows)
-    parts = [masks_shard(arrays, preds, rows[s:t]) for s, t in bounds]
-    for i in range(len(preds)):
-        merged = np.concatenate([part[i] for part in parts])
-        np.testing.assert_array_equal(merged, single[i])
-
-
 def test_empty_table_scan():
     arrays = {"i": np.empty(0, dtype=np.int64)}
     preds = (PhysPredicate("i", "GT", (0.0,)),)
     assert len(scan_shard(arrays, preds, 0, 0)) == 0
-    assert len(masks_shard(arrays, preds, np.empty(0, dtype=np.int64))[0]) == 0
 
 
 def test_all_constant_column_statistics_match():
@@ -199,7 +171,7 @@ def test_encoded_table_scan_matches_group_mask(trial):
 
 
 # ----------------------------------------------------------------------
-# Fragment kernels: grouped partials, join partitioning, sort/distinct
+# Fragment kernels: grouped partials and distinct
 # ----------------------------------------------------------------------
 GROUP_SPECS = (("count", ""), ("sum", "i"), ("min", "i"), ("max", "f"))
 
@@ -264,126 +236,6 @@ def test_group_partials_merge_is_associative(trial):
     _assert_group_results_equal(nested, flat)
 
 
-def test_partition_codes_canonicalize_across_dtypes():
-    """Equal key values co-partition regardless of physical dtype (an
-    int64 join column meeting a float64 one) and of zero sign; codes
-    stay in range and integral keys spread across partitions."""
-    ints = np.arange(-500, 500, dtype=np.int64)
-    floats = ints.astype(np.float64)
-    for n_parts in (1, 2, 4, 7):
-        ci = partition_codes(ints, n_parts)
-        cf = partition_codes(floats, n_parts)
-        np.testing.assert_array_equal(ci, cf)
-        assert ci.min() >= 0 and ci.max() < n_parts
-    np.testing.assert_array_equal(
-        partition_codes(np.array([-0.0]), 4),
-        partition_codes(np.array([0.0]), 4),
-    )
-    counts = np.bincount(partition_codes(np.arange(10000), 4), minlength=4)
-    assert counts.min() > 0 and counts.max() < 2 * counts.mean()
-
-
-@pytest.mark.parametrize("trial", range(N_TRIALS))
-def test_partitioned_join_invariant_under_layout(trial):
-    """Partition + per-partition probe, under any shard layout and any
-    partition count, reproduces the direct equi-join over the filtered
-    inputs in sequential (probe_row, build_row) pair order."""
-    rng = make_rng(8000 + trial)
-    n_probe = int(rng.integers(1, 300))
-    n_build = int(rng.integers(1, 120))
-    domain = int(rng.integers(1, 40))
-    probe_arrays = {
-        "k": rng.integers(0, domain, size=n_probe).astype(np.float64),
-        "i": rng.integers(-50, 50, size=n_probe).astype(np.int64),
-    }
-    build_arrays = {
-        "k": rng.integers(0, domain, size=n_build).astype(np.float64),
-        "j": rng.integers(-50, 50, size=n_build).astype(np.int64),
-    }
-    probe_preds = (PhysPredicate("i", "GE", (float(rng.integers(-50, 20)),)),)
-    build_preds = (PhysPredicate("j", "LE", (float(rng.integers(-20, 50)),)),)
-    n_parts = int(rng.integers(1, 6))
-
-    probe_parts = [
-        join_partition_shard(probe_arrays, probe_preds, s, t, "k", n_parts)
-        for s, t in random_bounds(rng, n_probe)
-    ]
-    build_parts = [
-        join_partition_shard(build_arrays, build_preds, s, t, "k", n_parts)
-        for s, t in random_bounds(rng, n_build)
-    ]
-    tables = {"p": probe_arrays, "b": build_arrays}
-    pairs = []
-    for p in range(n_parts):
-        probe_rows = np.concatenate([shard[0][p] for shard in probe_parts])
-        build_rows = np.concatenate([shard[0][p] for shard in build_parts])
-        if len(probe_rows) and len(build_rows):
-            pairs.append(
-                join_probe_partition(
-                    tables, "p", "b", probe_rows, build_rows,
-                    (("k", "k", None),),
-                )
-            )
-    if pairs:
-        l_rows = np.concatenate([pair[0] for pair in pairs])
-        r_rows = np.concatenate([pair[1] for pair in pairs])
-        order = np.lexsort((r_rows, l_rows))
-        l_rows, r_rows = l_rows[order], r_rows[order]
-    else:
-        l_rows = r_rows = np.empty(0, dtype=np.int64)
-
-    probe_idx = scan_shard(probe_arrays, probe_preds, 0, n_probe)
-    build_idx = scan_shard(build_arrays, build_preds, 0, n_build)
-    l_ref, r_ref = equi_join_indices(
-        probe_arrays["k"][probe_idx], build_arrays["k"][build_idx]
-    )
-    np.testing.assert_array_equal(l_rows, probe_idx[l_ref])
-    np.testing.assert_array_equal(r_rows, build_idx[r_ref])
-
-
-@pytest.mark.parametrize("trial", range(N_TRIALS))
-def test_sorted_runs_merge_invariant_under_layout(trial):
-    """Shard-local sorts merged by merge_sorted_runs equal the
-    single-shard sort, descending keys and string ranks included."""
-    rng = make_rng(9000 + trial)
-    n = int(rng.integers(1, 400))
-    arrays = random_arrays(rng, n)
-    preds = random_predicates(rng, arrays)
-    ranks = np.argsort(rng.permutation(16)).astype(np.int64)
-    all_keys = [
-        ("i", bool(rng.integers(0, 2)), None),
-        ("f", bool(rng.integers(0, 2)), None),
-        ("s", bool(rng.integers(0, 2)), ranks),
-    ]
-    keys = tuple(all_keys[: int(rng.integers(1, 4))])
-    single_rows, _, single_matched = sort_shard(arrays, preds, 0, n, keys)
-    runs = [
-        sort_shard(arrays, preds, s, t, keys)
-        for s, t in random_bounds(rng, n)
-    ]
-    rows = np.concatenate([run[0] for run in runs])
-    if len(rows) > 1:
-        key_arrays = [
-            np.concatenate([run[1][j] for run in runs])
-            for j in range(len(keys))
-        ]
-        rows = rows[merge_sorted_runs(key_arrays)]
-    assert sum(run[2] for run in runs) == single_matched
-    np.testing.assert_array_equal(rows, single_rows)
-
-
-def test_merge_sorted_runs_overflow_falls_back_to_lexsort():
-    """Enough high-cardinality keys overflow the composite code; the
-    merge must detect that and still order correctly."""
-    rng = make_rng(424242)
-    key_arrays = [
-        rng.integers(0, 256, size=500).astype(np.int64) for _ in range(9)
-    ]
-    got = merge_sorted_runs(key_arrays)
-    want = np.lexsort(tuple(reversed(key_arrays)))
-    np.testing.assert_array_equal(got, want)
-
-
 @pytest.mark.parametrize("trial", range(N_TRIALS))
 def test_distinct_shards_merge_invariant_under_layout(trial):
     """Shard-local dedup + parent first-occurrence merge equals the
@@ -406,12 +258,6 @@ def test_distinct_shards_merge_invariant_under_layout(trial):
             np.concatenate([run[1][j] for run in runs])
             for j in range(len(columns))
         ]
-        code_columns = [
-            np.unique(v, return_inverse=True)[1].astype(np.int64)
-            for v in values
-        ]
-        stacked = np.stack(code_columns, axis=1)
-        _, first_idx = np.unique(stacked, axis=0, return_index=True)
-        rows = rows[np.sort(first_idx)]
+        rows = rows[np.sort(factorize(values)[1])]
     assert sum(run[2] for run in runs) == single_matched
     np.testing.assert_array_equal(rows, single_rows)

@@ -1,11 +1,12 @@
-"""Morsel-driven plan fragments: differential, fallback and adaptive tests.
+"""Morsel-driven plan fragments: differential and fallback tests.
 
 The invariant throughout: pushing whole plan fragments (fused
-aggregates, partitioned hash joins, shard-local sort/distinct) onto the
-worker pool is purely an execution strategy — results, statistics
-feedback and final state are byte-identical to the sequential operators,
-and any pool failure degrades to in-process execution, never to a wrong
-answer.
+aggregates, shard-local distinct) onto the worker pool is purely an
+execution strategy — results, statistics feedback and final state are
+byte-identical to the sequential operators, and any pool failure
+degrades to in-process execution, never to a wrong answer. Joins and
+sorts are not fragments; the workload keeps them so their sharded
+scans face the same checks.
 """
 
 from __future__ import annotations
@@ -16,16 +17,15 @@ import pytest
 
 from repro.engine import Engine, EngineConfig
 from repro.executor import run_reference
-from repro.executor.parallel.manager import ParallelScanManager
 from repro.server import ReproServer, connect
 from repro.sql import build_query_graph, parse_select
 from tests.conftest import build_mini_db
 from tests.harness.differential import run_differential
 
-# Fragment-heavy workload: every statement's root is an eligible
-# Aggregate / HashJoin / Sort / Distinct over plain SeqScan leaves.
+# Fragment-heavy workload: plain SeqScan leaves under Aggregate /
+# Distinct roots, plus joins and sorts over sharded scans.
 FRAGMENT_WORKLOAD = [
-    # Partitioned hash joins
+    # Hash joins over sharded scans
     "SELECT o.name, c.model FROM car c, owner o "
     "WHERE c.ownerid = o.id AND c.year >= 2000",
     "SELECT o.city, c.make FROM car c, owner o "
@@ -40,7 +40,7 @@ FRAGMENT_WORKLOAD = [
     "SELECT make, SUM(price), AVG(price) FROM car GROUP BY make",
     "SELECT city, MIN(name), MAX(name), SUM(salary) FROM owner GROUP BY city",
     "SELECT SUM(salary), AVG(salary), MIN(city), MAX(city) FROM owner",
-    # Shard-local sorts (numeric DESC and dictionary-ranked strings)
+    # Sorts over sharded scans (numeric DESC and dictionary strings)
     "SELECT year, price FROM car WHERE make = 'Toyota' ORDER BY year DESC",
     "SELECT model FROM car WHERE year >= 1998 ORDER BY model",
     # Shard-local distinct
@@ -48,7 +48,7 @@ FRAGMENT_WORKLOAD = [
     "SELECT DISTINCT city FROM owner WHERE salary >= 3000",
 ]
 
-FRAGMENT_KINDS = ("aggregate", "join", "sort", "distinct")
+FRAGMENT_KINDS = ("aggregate", "distinct")
 
 
 def _build_db():
@@ -155,42 +155,9 @@ def test_fragment_pool_failure_falls_back_in_process(engine_factory):
         assert par["fragments"][kind] > before[kind], kind
 
 
-def test_adaptive_rebalance_moves_shard_bounds():
-    """Skewed per-row cost: after one timed dispatch the next dispatch's
-    shard bounds deviate from the uniform split toward equal latency."""
-    db = build_mini_db(n_owners=50, n_cars=600, seed=7)
-    table = db.table("car")
-    manager = ParallelScanManager(workers=2, threshold_rows=1)
-    manager._disabled = True  # inline execution still feeds the profile
-    try:
-        n = table.row_count
-        uniform = manager._shard_bounds(n)
-        assert manager._shard_bounds(n, "car") == uniform  # no profile yet
-
-        # id mass grows toward the tail, so the skew kernel makes the
-        # second uniform shard slower than the first.
-        manager.run_ranged(
-            table, "skew", dict(column="id", unit=2e-7), "skew test"
-        )
-        rebalanced = manager._shard_bounds(n, "car")
-        assert rebalanced != uniform
-        assert rebalanced[0] == (0, rebalanced[0][1])
-        assert rebalanced[-1][1] == n
-        assert manager.stats()["rebalances"] >= 1
-
-        # Later dispatches actually run over the rebalanced bounds.
-        out = manager.run_ranged(
-            table, "skew", dict(column="id", unit=0.0), "skew test"
-        )
-        assert sum(out) == n and len(out) == 2
-        assert manager.rebalances >= 2
-    finally:
-        manager.close()
-
-
 def test_fragment_stats_surface_through_server_wire():
-    """Per-shard latency, rebalance and fragment counters ride the
-    server's stats frame (the ``engine.stats_snapshot()`` passthrough)."""
+    """Pool and fragment counters ride the server's stats frame (the
+    ``engine.stats_snapshot()`` passthrough)."""
     db = build_mini_db(n_owners=200, n_cars=600, seed=7)
     config = _base_config()
     config.scan_workers = 2
@@ -203,11 +170,9 @@ def test_fragment_stats_surface_through_server_wire():
                 client.execute(sql)
             stats = client.stats()
         par = stats["parallel"]
-        assert par["fragments"].get("join")
         assert par["fragments"].get("aggregate")
-        assert par["shard_latency"]["samples"] > 0
-        assert par["shard_latency"]["p95_ms"] >= par["shard_latency"]["p50_ms"]
-        assert "rebalances" in par
+        assert par["parallel_calls"] > 0
+        assert par["fallbacks"] == 0
     finally:
         srv.stop_from_thread()
         engine.shutdown()

@@ -195,8 +195,9 @@ def test_engine_runstats_entry_point_uses_pool(engine_factory):
 
 
 def test_jits_collection_stats_identical(engine_factory):
-    """JITS sample-selectivity evaluation through the pool produces the
-    same archive/history contents as the in-process path."""
+    """Fragment and scan feedback from the pool leaves JITS state
+    (archive, history, residual store) identical to the sequential
+    engine's."""
     par = _parallel_engine(engine_factory)
     seq = engine_factory(_build_db(), _base_config())
     for sql in [s for s in MIXED_WORKLOAD if s.startswith("SELECT")] * 2:
