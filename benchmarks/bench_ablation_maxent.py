@@ -50,6 +50,9 @@ def run_variant(calibrate: bool, db):
         columns, region = group_region(table, group)
         count = count_matches(table, group.predicates)
         archive.observe(table.name, columns, region, count, total, now=now)
+        # One calibration per fact, so the naive variant applies each
+        # newest fact in turn rather than only the last of a batch.
+        archive.recalibrate_dirty()
     # Evaluate on held-out regions (values between observed boundaries).
     errors = []
     for severity in (2, 3, 4):

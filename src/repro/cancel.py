@@ -47,11 +47,6 @@ class CancelToken:
             raise StatementCancelledError("statement cancelled")
 
 
-def current_token() -> Optional[CancelToken]:
-    """The token covering the current thread's statement, if any."""
-    return getattr(_current, "token", None)
-
-
 @contextlib.contextmanager
 def cancel_scope(token: Optional[CancelToken]) -> Iterator[None]:
     """Install ``token`` as the current thread's statement token."""

@@ -46,11 +46,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--fastpath", action="store_true",
-        help="enable the full compilation fast path (adds the plan cache)",
-    )
-    parser.add_argument(
-        "--no-caches", action="store_true",
-        help="disable the sample/mask caches and deferred calibration",
+        help="enable the plan cache (repeated statements skip compilation)",
     )
     parser.add_argument(
         "-e", "--execute", metavar="SQL", action="append",
@@ -94,14 +90,7 @@ def make_config(args: argparse.Namespace) -> EngineConfig:
     if args.no_jits:
         jits = JITSConfig(enabled=False)
     else:
-        caches = not getattr(args, "no_caches", False)
-        jits = JITSConfig(
-            enabled=True,
-            s_max=args.smax,
-            sample_cache_enabled=caches,
-            mask_cache_enabled=caches,
-            deferred_calibration=caches,
-        )
+        jits = JITSConfig(enabled=True, s_max=args.smax)
         knobs["plan_cache_enabled"] = getattr(args, "fastpath", False)
     return EngineConfig(jits=jits, **knobs)
 
@@ -187,19 +176,12 @@ def print_stats(engine: Engine, out) -> None:
         f"residual stats={len(jits.residual_store)}\n"
         f"migrations={jits.total_migrations}\n"
     )
-    if jits.sample_cache is not None:
-        sc = jits.sample_cache
-        out.write(
-            f"sample cache: {sc.hits} hit(s), {sc.misses} miss(es), "
-            f"{sc.invalidations} invalidation(s)\n"
-        )
-    if jits.mask_cache is not None:
-        mc = jits.mask_cache
-        out.write(
-            f"mask cache: {mc.hits} hit(s), {mc.misses} miss(es), "
-            f"{len(mc)} entry(ies)\n"
-        )
+    sc, mc = jits.sample_cache, jits.mask_cache
     out.write(
+        f"sample cache: {sc.hits} hit(s), {sc.misses} miss(es), "
+        f"{sc.invalidations} invalidation(s)\n"
+        f"mask cache: {mc.hits} hit(s), {mc.misses} miss(es), "
+        f"{len(mc)} entry(ies)\n"
         f"deferred recalibrations={jits.archive.deferred_recalibrations}\n"
     )
     if engine.plan_cache is not None:
@@ -417,7 +399,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument("--no-jits", action="store_true")
     parser.add_argument("--smax", type=float, default=0.5)
     parser.add_argument("--fastpath", action="store_true")
-    parser.add_argument("--no-caches", action="store_true")
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="executor thread-pool width (default: --max-inflight)",

@@ -329,21 +329,17 @@ class Engine:
                 "migrations": jits.total_migrations,
                 "deferred_recalibrations": jits.archive.deferred_recalibrations,
             },
+            "sample_cache": {
+                "hits": jits.sample_cache.hits,
+                "misses": jits.sample_cache.misses,
+                "invalidations": jits.sample_cache.invalidations,
+            },
+            "mask_cache": {
+                "hits": jits.mask_cache.hits,
+                "misses": jits.mask_cache.misses,
+                "entries": len(jits.mask_cache),
+            },
         }
-        if jits.sample_cache is not None:
-            cache = jits.sample_cache
-            snapshot["sample_cache"] = {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "invalidations": cache.invalidations,
-            }
-        if jits.mask_cache is not None:
-            cache = jits.mask_cache
-            snapshot["mask_cache"] = {
-                "hits": cache.hits,
-                "misses": cache.misses,
-                "entries": len(cache),
-            }
         if self.plan_cache is not None:
             cache = self.plan_cache
             snapshot["plan_cache"] = {

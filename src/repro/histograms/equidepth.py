@@ -8,7 +8,7 @@ an error source (Section 2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -146,10 +146,3 @@ class EquiDepthHistogram:
         return EquiDepthHistogram(
             boundaries=self.boundaries.copy(), counts=self.counts * factor
         )
-
-
-def merge_boundaries(histograms: Sequence[EquiDepthHistogram]) -> np.ndarray:
-    """Union of all boundary points across histograms (sorted, unique)."""
-    if not histograms:
-        return np.empty(0, dtype=np.float64)
-    return np.unique(np.concatenate([h.boundaries for h in histograms]))

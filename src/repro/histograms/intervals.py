@@ -54,9 +54,6 @@ class Interval:
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.low, other.low), min(self.high, other.high))
 
-    def overlaps(self, other: "Interval") -> bool:
-        return not self.intersect(other).is_empty
-
     def clip(self, low: float, high: float) -> "Interval":
         return Interval(max(self.low, low), min(self.high, high))
 

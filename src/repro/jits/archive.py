@@ -85,16 +85,11 @@ class QSSArchive:
         cell_budget: int = DEFAULT_CELL_BUDGET,
         max_boundaries_per_dim: int = 24,
         calibrate: bool = True,
-        deferred_calibration: bool = False,
     ):
         self.database = database
         self.cell_budget = cell_budget
         self.max_boundaries_per_dim = max_boundaries_per_dim
         self.calibrate = calibrate  # ablation: max-entropy IPF on/off
-        # Fast path: observe() only records constraints and marks the
-        # histogram dirty; the IPF pass runs batched at tick()/migration
-        # boundaries (or lazily on the first lookup of a dirty histogram).
-        self.deferred_calibration = deferred_calibration
         # Master (writer-side) entries; mutated only under the lock.
         self._entries: Dict[Tuple[str, ColumnGroup], ArchiveEntry] = {}
         self._dirty: set = set()
@@ -215,9 +210,12 @@ class QSSArchive:
         """Fold an observed (region, count) fact into the archive.
 
         Creates the histogram on first touch (domain from current column
-        min/max), then applies the max-entropy update. Regions must use the
-        canonical (sorted) column order. Returns the live master histogram;
-        readers get the frozen copy published by the same call.
+        min/max), then records the fact as a constraint and marks the
+        histogram dirty: the max-entropy pass runs batched in
+        :meth:`recalibrate_dirty` (at ``tick`` and before migration) or
+        lazily on the first :meth:`lookup`. Regions must use the canonical
+        (sorted) column order. Returns the live master histogram; readers
+        get the frozen copy published by the same call.
         """
         key = self._key(table, columns)
         with self._lock:
@@ -231,14 +229,9 @@ class QSSArchive:
                 )
                 self._entries[key] = entry
             entry.histogram.observe(
-                region,
-                count,
-                total=total,
-                now=now,
-                calibrate_now=not self.deferred_calibration,
+                region, count, total=total, now=now, calibrate_now=False
             )
-            if self.deferred_calibration:
-                self._dirty.add(key)
+            self._dirty.add(key)
             self._version += 1
             self._changed.add(key)
             self._enforce_budget(protect=key)
@@ -287,6 +280,15 @@ class QSSArchive:
         return sum(e.histogram.n_cells for e in self._entries.values())
 
     def _enforce_budget(self, protect: Tuple[str, ColumnGroup]) -> None:
+        if self._master_cells() <= self.cell_budget:
+            return
+        # Victims are picked by uniformity, so calibrate first: a dirty
+        # histogram still holds the uniform split of its new boundaries.
+        for key in self._dirty - {protect}:
+            if self._entries[key].histogram.recalibrate():
+                self.deferred_recalibrations += 1
+                self._changed.add(key)
+        self._dirty &= {protect}
         while self._master_cells() > self.cell_budget and len(self._entries) > 1:
             victim = self._pick_victim(protect)
             if victim is None:

@@ -1,9 +1,11 @@
 """Statistics collection: sampling marked tables, computing QSS.
 
-Once the sensitivity analysis marks a table, JITS draws one fixed-size
-sample and evaluates *every* candidate predicate group on it ("once a table
-is sampled, it is relatively cheap to collect the selectivities of all
-predicate groups that belong to this table", Section 3.3). The exact
+Once the sensitivity analysis marks a table, JITS takes the table's
+fixed-size sample from the :class:`SampleCache` (redrawn only once UDI
+activity makes it stale) and evaluates *every* candidate predicate group
+on it ("once a table is sampled, it is relatively cheap to collect the
+selectivities of all predicate groups that belong to this table",
+Section 3.3), reusing cached predicate masks for the same sample. The exact
 selectivities go into the per-query :class:`QSSProfile`; groups marked for
 materialization are folded into the archive, together with their marginal
 sub-group counts taken from the same sample (the Figure 2 update).
@@ -11,20 +13,12 @@ sub-group counts taken from the same sample (the Figure 2 update).
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from ..optimizer.context import QSSProfile
-from ..predicates import (
-    LocalPredicate,
-    PredicateGroup,
-    group_region,
-    masks_for_predicates,
-)
-from ..storage import Database, fixed_size_sample
+from ..predicates import PredicateGroup, group_region, masks_for_predicates
+from ..storage import Database
 from .archive import QSSArchive
 from .samplecache import MaskCache, SampleCache
 from .sensitivity import TableDecision
@@ -50,26 +44,13 @@ class StatisticsCollector:
         self,
         database: Database,
         archive: QSSArchive,
-        sample_size: int,
-        rng: np.random.Generator,
-        sample_cache: Optional[SampleCache] = None,
-        mask_cache: Optional[MaskCache] = None,
-        rng_lock: Optional[threading.Lock] = None,
+        sample_cache: SampleCache,
+        mask_cache: MaskCache,
     ):
         self.database = database
         self.archive = archive
-        self.sample_size = sample_size
-        self.rng = rng
-        # numpy Generators are not thread-safe; when the sample cache is
-        # off, concurrent compilations draw directly from the shared rng
-        # and must serialize around it (the cache path draws under the
-        # cache's own lock).
-        self.rng_lock = rng_lock
         self.sample_cache = sample_cache
-        # Mask reuse is only sound against a stable (cached) sample: the
-        # epoch in the fingerprint identifies the exact rows a mask is
-        # aligned with.
-        self.mask_cache = mask_cache if sample_cache is not None else None
+        self.mask_cache = mask_cache
 
     def collect(
         self,
@@ -123,19 +104,11 @@ class StatisticsCollector:
         table = self.database.table(table_name)
         cardinality = table.row_count
         profile.table_cardinalities[table_name.lower()] = float(cardinality)
-        if self.sample_cache is not None:
-            rows, sample_epoch, cache_hit = self.sample_cache.get(table_name)
-            if cache_hit:
-                report.sample_cache_hits += 1
-            else:
-                report.sample_cache_misses += 1
+        rows, sample_epoch, cache_hit = self.sample_cache.get(table_name)
+        if cache_hit:
+            report.sample_cache_hits += 1
         else:
-            if self.rng_lock is not None:
-                with self.rng_lock:
-                    rows = fixed_size_sample(table, self.sample_size, self.rng)
-            else:
-                rows = fixed_size_sample(table, self.sample_size, self.rng)
-            sample_epoch = -1
+            report.sample_cache_misses += 1
         sample_size = len(rows)
         report.tables_sampled.append(table_name.lower())
         report.sample_rows += sample_size
@@ -143,20 +116,16 @@ class StatisticsCollector:
         # One mask per distinct predicate; groups AND them together. The
         # mask cache keys on the sample epoch so a reused mask is always
         # aligned with the exact rows of the current sample.
-        cache_get = cache_put = None
-        if self.mask_cache is not None:
-            cache_get = lambda p: self.mask_cache.lookup(
-                table_name, p, sample_epoch
-            )
-            cache_put = lambda p, m: self.mask_cache.store(
-                table_name, p, sample_epoch, m
-            )
         predicate_masks, hits, misses = masks_for_predicates(
             table,
             (p for group in groups for p in group.predicates),
             rows,
-            cache_get=cache_get,
-            cache_put=cache_put,
+            cache_get=lambda p: self.mask_cache.lookup(
+                table_name, p, sample_epoch
+            ),
+            cache_put=lambda p, m: self.mask_cache.store(
+                table_name, p, sample_epoch, m
+            ),
         )
         report.mask_cache_hits += hits
         report.mask_cache_misses += misses

@@ -21,24 +21,19 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..catalog import SystemCatalog
-from ..errors import ReproError
+from ..errors import ConfigError
 from ..executor.feedback import FeedbackRecord
 from ..optimizer.context import QSSProfile
 from ..sql.qgm import QueryBlock
 from ..storage import DEFAULT_SAMPLE_SIZE, Database
 from .analysis import TableCandidates, analyze_query, merge_by_table
-from .archive import DEFAULT_CELL_BUDGET, QSSArchive
+from .archive import QSSArchive
 from .collection import CollectionReport, StatisticsCollector
 from .history import StatHistory
 from .migration import migrate_archive_to_catalog
 from .residuals import ResidualStatisticsStore
-from .samplecache import (
-    DEFAULT_MASK_CACHE_SIZE,
-    DEFAULT_SAMPLE_STALENESS,
-    MaskCache,
-    SampleCache,
-)
-from .sensitivity import SensitivityAnalyzer, TableDecision, table_stats_epoch
+from .samplecache import MaskCache, SampleCache
+from .sensitivity import SensitivityAnalyzer, TableDecision
 
 
 @dataclass
@@ -49,43 +44,21 @@ class JITSConfig:
     s_max: float = 0.5  # sensitivity threshold (paper Section 4.3)
     sample_size: int = DEFAULT_SAMPLE_SIZE
     always_collect: bool = False  # bypass sensitivity analysis (Table 3 mode)
-    cell_budget: int = DEFAULT_CELL_BUDGET
     migration_interval: int = 50  # statements between migrations; 0 = never
-    feedback_enabled: bool = True
     materialize_enabled: bool = True  # ablation knob: archive on/off
     use_history_score: bool = True  # ablation knob: s1 term on/off
-    maxent_calibration: bool = True  # ablation knob: IPF vs naive updates
-    # Compilation fast path. All three default on; turning them off
-    # recovers exact per-query sampling and per-observe calibration.
-    sample_cache_enabled: bool = True
-    sample_staleness: float = DEFAULT_SAMPLE_STALENESS  # UDI fraction
-    mask_cache_enabled: bool = True
-    mask_cache_size: int = DEFAULT_MASK_CACHE_SIZE
-    deferred_calibration: bool = True
 
     def __post_init__(self) -> None:
         if self.sample_size <= 0:
-            raise ReproError(
+            raise ConfigError(
                 f"jits sample_size must be positive, got {self.sample_size}"
             )
-        if self.cell_budget <= 0:
-            raise ReproError(
-                f"jits cell_budget must be positive, got {self.cell_budget}"
-            )
         if not 0.0 <= self.s_max <= 1.0:
-            raise ReproError(f"s_max must be in [0, 1], got {self.s_max}")
+            raise ConfigError(f"s_max must be in [0, 1], got {self.s_max}")
         if self.migration_interval < 0:
-            raise ReproError(
+            raise ConfigError(
                 "migration_interval must be >= 0 (0 disables migration), "
                 f"got {self.migration_interval}"
-            )
-        if self.sample_staleness <= 0.0:
-            raise ReproError(
-                f"sample_staleness must be positive, got {self.sample_staleness}"
-            )
-        if self.mask_cache_size <= 0:
-            raise ReproError(
-                f"mask_cache_size must be positive, got {self.mask_cache_size}"
             )
 
 
@@ -118,30 +91,16 @@ class JustInTimeStatistics:
         self.database = database
         self.catalog = catalog
         self.config = config or JITSConfig()
-        self.rng = rng if rng is not None else np.random.default_rng(0)
         self.history = StatHistory()
-        self.archive = QSSArchive(
-            database,
-            cell_budget=self.config.cell_budget,
-            calibrate=self.config.maxent_calibration,
-            deferred_calibration=self.config.deferred_calibration,
-        )
+        self.archive = QSSArchive(database)
         self.residual_store = ResidualStatisticsStore()
-        self.sample_cache: Optional[SampleCache] = (
-            SampleCache(
-                database,
-                self.config.sample_size,
-                self.rng,
-                staleness=self.config.sample_staleness,
-            )
-            if self.config.enabled and self.config.sample_cache_enabled
-            else None
+        # Both caches are empty until JITS first collects.
+        self.sample_cache = SampleCache(
+            database,
+            self.config.sample_size,
+            rng if rng is not None else np.random.default_rng(0),
         )
-        self.mask_cache: Optional[MaskCache] = (
-            MaskCache(self.config.mask_cache_size)
-            if self.config.mask_cache_enabled and self.sample_cache is not None
-            else None
-        )
+        self.mask_cache = MaskCache()
         self.last_collection_udi: Dict[str, int] = {}
         self._last_migration = 0
         self.total_collections = 0
@@ -150,9 +109,6 @@ class JustInTimeStatistics:
         # statements ticking across the interval boundary must not both
         # run the migration pass.
         self._lock = threading.Lock()
-        # Serializes direct draws from the shared numpy Generator when
-        # the sample cache is disabled (see StatisticsCollector).
-        self._rng_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Compile-time hook
@@ -209,13 +165,7 @@ class JustInTimeStatistics:
                     (candidate.alias, expr) for expr in candidate.residuals
                 )
         collector = StatisticsCollector(
-            self.database,
-            self.archive,
-            self.config.sample_size,
-            self.rng,
-            sample_cache=self.sample_cache,
-            mask_cache=self.mask_cache,
-            rng_lock=self._rng_lock,
+            self.database, self.archive, self.sample_cache, self.mask_cache
         )
         profile, report.collection = collector.collect(
             report.decisions,
@@ -265,7 +215,7 @@ class JustInTimeStatistics:
     # Run-time hooks
     # ------------------------------------------------------------------
     def after_execute(self, records: List[FeedbackRecord], now: int) -> None:
-        if not self.config.enabled or not self.config.feedback_enabled:
+        if not self.config.enabled:
             return
         for record in records:
             self.history.record(
@@ -303,32 +253,12 @@ class JustInTimeStatistics:
         return migrated
 
     # ------------------------------------------------------------------
-    # Epochs and DDL
+    # DDL
     # ------------------------------------------------------------------
-    def stats_epoch(self, table_name: str) -> Tuple[int, int]:
-        """``(udi epoch, sample epoch)`` for one table.
-
-        The pair changes exactly when statistics produced for the table
-        may differ from a previous compilation's: either enough data
-        activity accumulated (UDI crossed a staleness step) or the fast
-        path redrew the table's sample.
-        """
-        table = self.database.table(table_name)
-        step = int(self.config.sample_staleness * max(table.row_count, 1))
-        udi_epoch = table_stats_epoch(table, step)
-        sample_epoch = (
-            self.sample_cache.epoch(table_name)
-            if self.sample_cache is not None
-            else -1
-        )
-        return udi_epoch, sample_epoch
-
     def drop_table(self, table_name: str) -> None:
         """Forget every statistic derived from a dropped table."""
         self.archive.drop_table(table_name)
         self.residual_store.drop_table(table_name)
-        if self.sample_cache is not None:
-            self.sample_cache.drop_table(table_name)
-        if self.mask_cache is not None:
-            self.mask_cache.drop_table(table_name)
+        self.sample_cache.drop_table(table_name)
+        self.mask_cache.drop_table(table_name)
         self.last_collection_udi.pop(table_name.lower(), None)

@@ -1,12 +1,12 @@
-"""Cross-query sample and predicate-mask reuse (the compilation fast path).
+"""Cross-query sample and predicate-mask reuse.
 
 The paper's premise is that JIT collection is "relatively cheap" per
 compilation (Section 3.3) — but a fresh ``fixed_size_sample`` plus a full
-set of predicate-mask evaluations on every query still dominates compile
+set of predicate-mask evaluations on every query would dominate compile
 time under heavy repeated-template traffic. Sampling-based re-optimization
 systems make per-query statistics affordable by *reusing* samples across
-optimizations; this module does the same, keyed by the UDI counters the
-sensitivity analysis already maintains:
+optimizations; JITS collects only through this module, keyed by the UDI
+counters the sensitivity analysis already maintains:
 
 * :class:`SampleCache` keeps one fixed-size sample per table and reuses it
   until the table's UDI activity since the draw crosses a staleness
@@ -17,8 +17,8 @@ sensitivity analysis already maintains:
   skip :func:`~repro.predicates.predicate_mask` entirely while the sample
   they were evaluated on is still live.
 
-Both caches are pure accelerators: disabling them recovers exact
-per-query sampling (see ``JITSConfig``).
+A sample drawn here is the same ``fixed_size_sample`` a per-query draw
+would take; reuse only changes *when* a table is redrawn.
 """
 
 from __future__ import annotations
@@ -115,19 +115,11 @@ class SampleCache:
         """Current sample epoch for a table; -1 before the first draw."""
         return self._epochs.get(table_name.lower(), -1)
 
-    def invalidate(self, table_name: str) -> None:
-        with self._lock:
-            self._samples.pop(table_name.lower(), None)
-
     def drop_table(self, table_name: str) -> None:
         with self._lock:
             name = table_name.lower()
             self._samples.pop(name, None)
             self._epochs.pop(name, None)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._samples.clear()
 
 
 MaskKey = Tuple[str, LocalPredicate, int]
@@ -178,10 +170,6 @@ class MaskCache:
         with self._lock:
             for key in [k for k in self._entries if k[0] == name]:
                 del self._entries[key]
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

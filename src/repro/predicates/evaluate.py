@@ -44,28 +44,27 @@ def predicate_mask(
 def masks_for_predicates(
     table: Table,
     predicates: Iterable[LocalPredicate],
-    rows: Optional[np.ndarray] = None,
-    cache_get=None,
-    cache_put=None,
+    rows: Optional[np.ndarray],
+    cache_get,
+    cache_put,
 ):
     """One boolean mask per *distinct* predicate in ``predicates``.
 
     ``cache_get(predicate) -> mask | None`` and ``cache_put(predicate, mask)``
-    plug an external memo (the JITS mask cache) into the evaluation; both
-    default to uncached computation. Returns ``(masks, hits, misses)`` where
-    hits/misses only count external-cache traffic.
+    plug an external memo (the JITS mask cache) into the evaluation.
+    Returns ``(masks, hits, misses)`` where hits/misses count that
+    memo's traffic.
     """
     masks = {}
     hits = misses = 0
     for predicate in predicates:
         if predicate in masks:
             continue
-        mask = cache_get(predicate) if cache_get is not None else None
+        mask = cache_get(predicate)
         if mask is None:
             mask = predicate_mask(table, predicate, rows)
-            if cache_put is not None:
-                cache_put(predicate, mask)
-                misses += 1
+            cache_put(predicate, mask)
+            misses += 1
         else:
             hits += 1
         masks[predicate] = mask

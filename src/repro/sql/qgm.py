@@ -16,7 +16,7 @@ Q", Algorithm 1). Each block records:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import BindingError
 from ..storage import Database
@@ -56,9 +56,6 @@ class Quantifier:
     @property
     def is_base(self) -> bool:
         return self.table_name is not None
-
-    def visible_columns(self) -> List[Tuple[str, DataType]]:
-        raise NotImplementedError  # replaced at bind time
 
 
 @dataclass

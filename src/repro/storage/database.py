@@ -136,10 +136,6 @@ class Database:
         """Hash index on (table, column) if one exists."""
         return self.indexes(table).hash_on(column)
 
-    def find_index_for_range(self, table: str, column: str):
-        """Sorted index on (table, column) if one exists."""
-        return self.indexes(table).sorted_on(column)
-
     def create_hash_index(self, table: str, column: str):
         return self.indexes(table).create_hash(column)
 

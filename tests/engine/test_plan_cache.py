@@ -4,7 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro import Engine, EngineConfig, ReproError
+from repro import Engine, EngineConfig
+from repro.errors import ConfigError
 from repro.jits import JITSConfig
 
 from ..conftest import build_mini_db
@@ -83,10 +84,10 @@ def test_plan_cache_off_by_default():
     assert not result.jits_report.plan_cache_hit
 
 
-def test_fastpath_results_match_cache_disabled_engine():
-    # Regression for the acceptance criterion: on an unchanged table the
-    # fast path (all caches on) and the cache-disabled path must agree on
-    # results and, within sampling tolerance, on selectivity estimates.
+def test_fastpath_results_match_traditional_engine():
+    # The plan cache and JITS's cached samples change plans, never rows:
+    # a repeat served from the plan cache answers what a plain optimizer
+    # without statistics collection answers.
     queries = [
         SQL,
         "SELECT COUNT(*) FROM car WHERE year > 2002",
@@ -94,26 +95,12 @@ def test_fastpath_results_match_cache_disabled_engine():
         SQL,  # repeat: served from the plan cache on the fast engine
     ]
     fast = fastpath_engine()
-    slow_config = EngineConfig(
-        jits=JITSConfig(
-            enabled=True,
-            sample_cache_enabled=False,
-            mask_cache_enabled=False,
-            deferred_calibration=False,
-        )
-    )
-    slow = Engine(build_mini_db(), slow_config)
+    plain = Engine(build_mini_db(), EngineConfig.traditional())
     for sql in queries:
         a = fast.execute(sql)
-        b = slow.execute(sql)
+        b = plain.execute(sql)
         assert sorted(map(tuple, a.rows)) == sorted(map(tuple, b.rows))
-    # Both engines watched the same workload; their archived selectivity
-    # estimates for the shared template should be close (same sample-size
-    # estimator, different random draws).
-    fa = fast.jits.archive.lookup("car", ["price", "year"])
-    sa = slow.jits.archive.lookup("car", ["price", "year"])
-    if fa is not None and sa is not None:
-        assert fa.total_mass == pytest.approx(sa.total_mass, rel=0.05)
+    assert fast.plan_cache.hits >= 1
 
 
 def test_engine_config_surface_stays_small():
@@ -148,15 +135,26 @@ def test_engine_config_surface_stays_small():
 
 
 def test_jits_config_validation():
-    with pytest.raises(ReproError):
+    with pytest.raises(ConfigError):
         JITSConfig(sample_size=0)
-    with pytest.raises(ReproError):
-        JITSConfig(cell_budget=-1)
-    with pytest.raises(ReproError):
+    with pytest.raises(ConfigError):
         JITSConfig(s_max=1.5)
-    with pytest.raises(ReproError):
+    with pytest.raises(ConfigError):
         JITSConfig(migration_interval=-1)
-    with pytest.raises(ReproError):
-        JITSConfig(sample_staleness=0.0)
-    with pytest.raises(ReproError):
-        JITSConfig(mask_cache_size=0)
+
+
+def test_jits_config_surface_stays_small():
+    """Removed JITS knobs are gone as keywords, not silently ignored."""
+    assert len(dataclasses.fields(JITSConfig)) == 7
+    for removed in (
+        "sample_cache_enabled",
+        "mask_cache_enabled",
+        "deferred_calibration",
+        "feedback_enabled",
+        "maxent_calibration",
+        "cell_budget",
+        "sample_staleness",
+        "mask_cache_size",
+    ):
+        with pytest.raises(TypeError):
+            JITSConfig(**{removed: 1})

@@ -3,8 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.jits import QSSArchive, StatisticsCollector, TableDecision
-from repro.jits.sensitivity import TableDecision  # noqa: F811
+from repro.jits import (
+    MaskCache,
+    QSSArchive,
+    SampleCache,
+    StatisticsCollector,
+    TableDecision,
+)
 from repro.predicates import (
     LocalPredicate,
     PredOp,
@@ -18,11 +23,14 @@ def pred(column, op, *values):
     return LocalPredicate("c", column, op, values)
 
 
+def make_collector(db, archive, sample_size, seed):
+    sample_cache = SampleCache(db, sample_size, np.random.default_rng(seed))
+    return StatisticsCollector(db, archive, sample_cache, MaskCache())
+
+
 def collect(db, groups, materialize=(), sample_size=400, table="car"):
     archive = QSSArchive(db)
-    collector = StatisticsCollector(
-        db, archive, sample_size, np.random.default_rng(3)
-    )
+    collector = make_collector(db, archive, sample_size, seed=3)
     decision = TableDecision(
         table=table, collect=True, score=1.0, s1=1.0, s2=1.0,
         materialize=list(materialize),
@@ -122,7 +130,7 @@ def test_unrepresentable_groups_not_materialized(mini_db):
 
 def test_skipped_tables_not_sampled(mini_db):
     archive = QSSArchive(mini_db)
-    collector = StatisticsCollector(mini_db, archive, 100, np.random.default_rng(0))
+    collector = make_collector(mini_db, archive, 100, seed=0)
     decision = TableDecision(
         table="car", collect=False, score=0.0, s1=0.0, s2=0.0
     )

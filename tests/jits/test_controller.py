@@ -88,19 +88,6 @@ def test_feedback_populates_history(mini_db):
     assert entries[0].errorfactor == pytest.approx(1 / 3)
 
 
-def test_feedback_disabled(mini_db):
-    jits = make_jits(mini_db, feedback_enabled=False)
-    group = PredicateGroup.of(
-        LocalPredicate("c", "make", PredOp.EQ, ("Toyota",))
-    )
-    record = FeedbackRecord(
-        table="car", group=group, statlist=(), source="catalog",
-        estimated_selectivity=0.1, actual_selectivity=0.3,
-    )
-    jits.after_execute([record], now=2)
-    assert len(jits.history) == 0
-
-
 def test_materialize_disabled_keeps_archive_empty(mini_db):
     jits = make_jits(mini_db, always_collect=True, materialize_enabled=False)
     profile, report = jits.before_optimize(block_for(mini_db), now=1)

@@ -1,9 +1,9 @@
 """Deferred, batched max-entropy recalibration of the QSS archive."""
 
-import numpy as np
 import pytest
 
-from repro.histograms import Interval, Region
+from repro.catalog import column_domain
+from repro.histograms import AdaptiveGridHistogram, Interval, Region
 from repro.jits import QSSArchive
 
 
@@ -20,7 +20,7 @@ OBSERVATIONS = [
 
 
 def test_observe_defers_and_batch_flushes(mini_db):
-    archive = QSSArchive(mini_db, deferred_calibration=True)
+    archive = QSSArchive(mini_db)
     for region, count, total, now in OBSERVATIONS:
         hist = archive.observe("car", ["year"], region, count, total, now=now)
         assert hist.dirty
@@ -30,7 +30,7 @@ def test_observe_defers_and_batch_flushes(mini_db):
 
 
 def test_lookup_lazily_recalibrates(mini_db):
-    archive = QSSArchive(mini_db, deferred_calibration=True)
+    archive = QSSArchive(mini_db)
     region, count, total, now = OBSERVATIONS[0]
     archive.observe("car", ["year"], region, count, total, now=now)
     hist = archive.lookup("car", ["year"])
@@ -41,28 +41,35 @@ def test_lookup_lazily_recalibrates(mini_db):
 
 
 def test_batched_matches_eager_calibration(mini_db):
-    # Same observation stream through both modes: the batched pass lands
-    # on the same grid and constraint set, so every constraint region's
-    # count must agree within the IPF solver's own tolerance band (the
-    # fixed point depends mildly on the starting measure, nothing more).
-    eager = QSSArchive(mini_db, deferred_calibration=False)
-    deferred = QSSArchive(mini_db, deferred_calibration=True)
+    # Same observation stream into the archive (batched) and into a
+    # standalone histogram calibrated on every observe (the eager
+    # reference): the batched pass lands on the same grid and constraint
+    # set, so every constraint region's count must agree within the IPF
+    # solver's own tolerance band (the fixed point depends mildly on the
+    # starting measure, nothing more).
+    deferred = QSSArchive(mini_db)
+    _, _, first_total, first_now = OBSERVATIONS[0]
+    eager = AdaptiveGridHistogram(
+        Region.of(column_domain(mini_db.table("car"), "year")),
+        total=first_total,
+        now=first_now,
+        max_boundaries_per_dim=deferred.max_boundaries_per_dim,
+    )
     for region, count, total, now in OBSERVATIONS:
-        eager.observe("car", ["year"], region, count, total, now=now)
+        eager.observe(region, count, total=total, now=now, calibrate_now=True)
         deferred.observe("car", ["year"], region, count, total, now=now)
     deferred.recalibrate_dirty()
-    a = eager.lookup("car", ["year"])
     b = deferred.lookup("car", ["year"])
-    assert a.n_cells == b.n_cells
-    assert b.total_mass == pytest.approx(a.total_mass, rel=1e-2)
+    assert eager.n_cells == b.n_cells
+    assert b.total_mass == pytest.approx(eager.total_mass, rel=1e-2)
     for region, _, _, _ in OBSERVATIONS:
         assert b.estimate_count(region) == pytest.approx(
-            a.estimate_count(region), rel=1e-2
+            eager.estimate_count(region), rel=1e-2
         )
 
 
 def test_eviction_and_drop_clear_dirty_keys(mini_db):
-    archive = QSSArchive(mini_db, deferred_calibration=True)
+    archive = QSSArchive(mini_db)
     archive.observe("car", ["year"], obs_region(2000, 2002), 50, 600, now=1)
     archive.observe("owner", ["salary"], obs_region(0, 1000), 20, 200, now=2)
     archive.drop_table("car")

@@ -31,11 +31,12 @@ def test_sample_reused_while_table_unchanged(mini_db):
 
 
 def test_epoch_tracks_redraws(mini_db):
-    cache = make_cache(mini_db)
+    cache = make_cache(mini_db, staleness=0.05)
     assert cache.epoch("car") == -1  # no draw yet
     cache.get("car")
     assert cache.epoch("car") == 0
-    cache.invalidate("car")
+    car = mini_db.table("car")
+    car.udi_total += max(1, int(0.05 * car.row_count))  # crosses staleness
     _, epoch, hit = cache.get("car")
     assert not hit and epoch == 1
     assert cache.epoch("car") == 1

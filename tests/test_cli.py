@@ -66,13 +66,23 @@ def test_bad_config_value_exits_with_config_error(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--no-mvcc", "--snapshot-chunk-rows=4", "--snapshot-retention=2"]
+    "flag",
+    [
+        "--no-mvcc",
+        "--snapshot-chunk-rows=4",
+        "--snapshot-retention=2",
+        "--no-caches",
+    ],
 )
 def test_removed_snapshot_flags_are_argparse_errors(capsys, flag):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["--scale", "0.0004", flag, "-e", "SELECT 1 FROM car"])
-    assert excinfo.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    for argv in (
+        ["--scale", "0.0004", flag, "-e", "SELECT 1 FROM car"],
+        ["serve", "--scale", "0.0004", flag],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_jits_note_printed(capsys):
