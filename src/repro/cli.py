@@ -11,14 +11,17 @@ Usage::
     python -m repro connect --port 7433   # shell against a server
 
 Shell commands: ``\\q`` quit, ``\\explain <sql>`` plan without executing,
-``\\stats`` JITS state summary, ``\\tables`` table sizes, ``\\help``.
+``\\stats`` engine/JITS counter snapshot, ``\\tables`` table sizes,
+``\\help``.
 """
 
 from __future__ import annotations
 
 import argparse
 import asyncio
+import contextlib
 import sys
+import time
 from typing import List, Optional
 
 from . import Engine, EngineConfig, JITSConfig, ReproError, SqlSyntaxError
@@ -95,23 +98,47 @@ def make_config(args: argparse.Namespace) -> EngineConfig:
     return EngineConfig(jits=jits, **knobs)
 
 
-def format_rows(columns: List[str], rows, limit: int = 25) -> str:
-    if not rows:
-        return "(no rows)"
-    shown = rows[:limit]
-    text = [[_cell(v) for v in row] for row in shown]
-    widths = [
-        max(len(columns[i]), *(len(r[i]) for r in text))
-        for i in range(len(columns))
-    ]
-    lines = [
-        " | ".join(c.ljust(w) for c, w in zip(columns, widths)),
-        "-+-".join("-" * w for w in widths),
-    ]
-    lines += [" | ".join(v.ljust(w) for v, w in zip(r, widths)) for r in text]
-    if len(rows) > limit:
-        lines.append(f"... ({len(rows) - limit} more rows)")
-    return "\n".join(lines)
+class ResultTable:
+    """The shells' one result renderer: a text table painted batch by
+    batch (the network shell paints each chunk as it decodes). The first
+    batch fixes the column widths, at most ``limit`` rows print, and
+    :meth:`finish` notes an empty result or the rows left out."""
+
+    def __init__(self, out, limit: int = 25):
+        self.out = out
+        self.limit = limit
+        self.widths: Optional[List[int]] = None
+        self.rows_seen = 0
+
+    def add(self, columns: List[str], rows) -> None:
+        if not rows:
+            return
+        shown = [
+            [_cell(v) for v in row]
+            for row in rows[: max(0, self.limit - self.rows_seen)]
+        ]
+        if self.widths is None:
+            self.widths = [
+                max([len(name)] + [len(cells[i]) for cells in shown])
+                for i, name in enumerate(columns)
+            ]
+            self._line(columns)
+            self.out.write("-+-".join("-" * w for w in self.widths) + "\n")
+        for cells in shown:
+            self._line(cells)
+        self.rows_seen += len(rows)
+        self.out.flush()
+
+    def finish(self) -> None:
+        if not self.rows_seen:
+            self.out.write("(no rows)\n")
+        elif self.rows_seen > self.limit:
+            self.out.write(f"... ({self.rows_seen - self.limit} more rows)\n")
+
+    def _line(self, cells: List[str]) -> None:
+        self.out.write(
+            " | ".join(c.ljust(w) for c, w in zip(cells, self.widths)) + "\n"
+        )
 
 
 def _cell(value) -> str:
@@ -128,81 +155,59 @@ def format_error_caret(sql: str, exc: SqlSyntaxError) -> str:
     return f"  {sql}\n  {' ' * position}^\n"
 
 
+@contextlib.contextmanager
+def reported_errors(out, sql: str = ""):
+    """The shells' one error report: a failed statement prints its
+    message, a syntax error also a caret under the offending token."""
+    try:
+        yield
+    except ReproError as exc:
+        out.write(f"error: {exc}\n")
+        if isinstance(exc, SqlSyntaxError):
+            out.write(format_error_caret(sql, exc))
+
+
+def report_result(
+    result, table: ResultTable, out, elapsed: Optional[float] = None
+) -> None:
+    """Close a statement's output: a SELECT's table and timing line (with
+    the wall time over the wire, JITS notes in process), or the row count
+    of a DML/DDL statement."""
+    if result.statement_type != "select":
+        out.write(f"{result.statement_type}: {result.affected_rows} row(s)\n")
+        return
+    table.finish()
+    wall = "" if elapsed is None else f" in {elapsed * 1000:.2f} ms"
+    out.write(
+        f"{result.row_count} row(s){wall}; compile "
+        f"{result.compile_time * 1000:.2f} ms, execute "
+        f"{result.execution_time * 1000:.2f} ms\n"
+    )
+    report = result.jits_report
+    if report is not None and report.plan_cache_hit:
+        out.write("[plan cache] hit — compilation skipped\n")
+    if report is not None and report.tables_collected:
+        out.write(
+            f"[jits] sampled {', '.join(report.tables_collected)}; "
+            f"{report.collection.groups_computed} group(s), "
+            f"{report.collection.groups_materialized} materialized\n"
+        )
+
+
 def run_statement(
     engine, sql: str, explain: bool, out, result=None
 ) -> None:
-    """Run one statement against an Engine or a network Client."""
-    try:
+    """Run one statement in process (or report ``result``, already run)."""
+    with reported_errors(out, sql):
         if explain:
             out.write(engine.explain(sql) + "\n")
             return
         if result is None:
             result = engine.execute(sql)
-        if result.statement_type == "select":
-            out.write(format_rows(result.columns, result.rows) + "\n")
-            out.write(
-                f"{result.row_count} row(s); compile "
-                f"{result.compile_time * 1000:.2f} ms, execute "
-                f"{result.execution_time * 1000:.2f} ms\n"
-            )
-            report = result.jits_report
-            if report is not None and report.plan_cache_hit:
-                out.write("[plan cache] hit — compilation skipped\n")
-            if report is not None and report.tables_collected:
-                out.write(
-                    f"[jits] sampled {', '.join(report.tables_collected)}; "
-                    f"{report.collection.groups_computed} group(s), "
-                    f"{report.collection.groups_materialized} materialized\n"
-                )
-        else:
-            out.write(
-                f"{result.statement_type}: {result.affected_rows} row(s)\n"
-            )
-    except SqlSyntaxError as exc:
-        out.write(f"error: {exc}\n")
-        out.write(format_error_caret(sql, exc))
-    except ReproError as exc:
-        out.write(f"error: {exc}\n")
+        table = ResultTable(out)
+        table.add(result.columns, result.rows)
+        report_result(result, table, out)
 
-
-def print_stats(engine: Engine, out) -> None:
-    jits = engine.jits
-    out.write(
-        f"jits enabled={jits.config.enabled} s_max={jits.config.s_max}\n"
-        f"collections={jits.total_collections} "
-        f"archive={len(jits.archive)} histogram(s), "
-        f"{jits.archive.total_cells} cell(s)\n"
-        f"history={len(jits.history)} entry(ies), "
-        f"residual stats={len(jits.residual_store)}\n"
-        f"migrations={jits.total_migrations}\n"
-    )
-    sc, mc = jits.sample_cache, jits.mask_cache
-    out.write(
-        f"sample cache: {sc.hits} hit(s), {sc.misses} miss(es), "
-        f"{sc.invalidations} invalidation(s)\n"
-        f"mask cache: {mc.hits} hit(s), {mc.misses} miss(es), "
-        f"{len(mc)} entry(ies)\n"
-        f"deferred recalibrations={jits.archive.deferred_recalibrations}\n"
-    )
-    if engine.plan_cache is not None:
-        pc = engine.plan_cache
-        out.write(
-            f"plan cache: {pc.hits} hit(s), {pc.misses} miss(es), "
-            f"{pc.invalidations} invalidation(s), {len(pc)} plan(s)\n"
-        )
-    if engine.parallel is not None:
-        par = engine.parallel.stats()
-        out.write(
-            f"parallel scans [{par['process_path']}]: "
-            f"{par['parallel_calls']} pooled, {par['inline_calls']} inline, "
-            f"{par['fallbacks']} fallback(s), "
-            f"{par['tables_exported']} table export(s), "
-            f"{par['worker_respawns']} respawn(s)\n"
-        )
-        fragments = ", ".join(
-            f"{kind}={count}" for kind, count in par["fragments"].items()
-        )
-        out.write(f"plan fragments: {fragments or 'none'}\n")
 
 def print_tables(engine: Engine, out) -> None:
     for table in engine.database.tables():
@@ -225,87 +230,27 @@ def print_stats_dict(stats: dict, out, indent: str = "") -> None:
 def run_network_statement(
     client, sql: str, explain: bool, out, busy_retries: int = 0
 ) -> None:
-    """Run one statement over the wire, painting streamed batches as they
-    arrive — the first chunk prints before the server finishes the
+    """Run one statement over the wire, painting each chunk's rows as it
+    decodes — the first chunk prints before the server finishes the
     result. Ctrl-C while a statement runs cancels it server-side and
     marks the output ``[cancelled]`` instead of killing the shell."""
-    import time as time_module
-
-    if explain:
-        try:
+    with reported_errors(out, sql):
+        if explain:
             out.write(client.explain(sql, busy_retries=busy_retries) + "\n")
-        except SqlSyntaxError as exc:
-            out.write(f"error: {exc}\n")
-            out.write(format_error_caret(sql, exc))
-        except ReproError as exc:
-            out.write(f"error: {exc}\n")
-        return
-
-    limit = 25
-    state = {"widths": None, "shown": 0}
-
-    def paint(columns: List[str], rows) -> None:
-        if state["widths"] is None:
-            text = [[_cell(v) for v in row] for row in rows[:limit]]
-            state["widths"] = [
-                max(len(columns[i]), *(len(r[i]) for r in text))
-                if text
-                else len(columns[i])
-                for i in range(len(columns))
-            ]
-            widths = state["widths"]
-            out.write(
-                " | ".join(c.ljust(w) for c, w in zip(columns, widths))
-                + "\n"
-            )
-            out.write("-+-".join("-" * w for w in widths) + "\n")
-        budget = limit - state["shown"]
-        if budget > 0:
-            widths = state["widths"]
-            for row in rows[:budget]:
-                out.write(
-                    " | ".join(
-                        _cell(v).ljust(w) for v, w in zip(row, widths)
-                    )
-                    + "\n"
-                )
-        state["shown"] += len(rows)
-        out.flush()
-
-    started = time_module.perf_counter()
-    try:
-        result = client.execute_streaming(
-            sql, paint, busy_retries=busy_retries
-        )
-    except KeyboardInterrupt:
+            return
+        table = ResultTable(out)
+        started = time.perf_counter()
         try:
-            client.cancel(client.last_request_id)
-        except ReproError:
-            pass
-        out.write("\n[cancelled]\n")
-        return
-    except SqlSyntaxError as exc:
-        out.write(f"error: {exc}\n")
-        out.write(format_error_caret(sql, exc))
-        return
-    except ReproError as exc:
-        out.write(f"error: {exc}\n")
-        return
-    elapsed = time_module.perf_counter() - started
-    if result.statement_type == "select":
-        if not result.rows:
-            out.write("(no rows)\n")
-        elif state["shown"] > limit:
-            out.write(f"... ({state['shown'] - limit} more rows)\n")
-        mode = "streamed" if result.streamed else "whole"
-        out.write(
-            f"{result.row_count} row(s) ({mode}) in {elapsed * 1000:.2f} "
-            f"ms; compile {result.compile_time * 1000:.2f} ms, execute "
-            f"{result.execution_time * 1000:.2f} ms\n"
-        )
-    else:
-        out.write(
-            f"{result.statement_type}: {result.affected_rows} row(s)\n"
+            result = client.execute_streaming(
+                sql, table.add, busy_retries=busy_retries
+            )
+        except KeyboardInterrupt:
+            with contextlib.suppress(ReproError):
+                client.cancel(client.last_request_id)
+            out.write("\n[cancelled]\n")
+            return
+        report_result(
+            result, table, out, elapsed=time.perf_counter() - started
         )
 
 
@@ -353,7 +298,7 @@ def repl(engine: Engine, stdin, out) -> None:
         engine,
         stdin,
         out,
-        stats=lambda: print_stats(engine, out),
+        stats=lambda: print_stats_dict(engine.stats_snapshot(), out),
         tables=lambda: print_tables(engine, out),
     )
 
@@ -364,17 +309,13 @@ def network_repl(client, stdin, out, busy_retries: int = 0) -> None:
     running statement instead of exiting."""
 
     def stats() -> None:
-        try:
+        with reported_errors(out):
             print_stats_dict(client.stats(), out)
-        except ReproError as exc:
-            out.write(f"error: {exc}\n")
 
     def tables() -> None:
-        try:
+        with reported_errors(out):
             for name, rows in client.stats().get("tables", {}).items():
                 out.write(f"{name} ({rows} rows)\n")
-        except ReproError as exc:
-            out.write(f"error: {exc}\n")
 
     def run(executor, sql, explain, out):
         run_network_statement(
@@ -411,15 +352,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         "--per-client-inflight", type=int, default=4, metavar="N",
         help="per-connection admission cap before BUSY frames",
     )
-    parser.add_argument(
-        "--stream-threshold", type=int, default=256, metavar="ROWS",
-        help="SELECT results with at least this many rows stream as "
-        "binary chunks (default 256)",
-    )
-    parser.add_argument(
-        "--chunk-rows", type=int, default=None, metavar="ROWS",
-        help="rows per binary chunk frame (default 65536)",
-    )
     return parser
 
 
@@ -452,12 +384,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             workers=args.workers,
             max_inflight=args.max_inflight,
             per_client_inflight=args.per_client_inflight,
-            stream_threshold_rows=args.stream_threshold,
-            **(
-                {"chunk_rows": args.chunk_rows}
-                if args.chunk_rows is not None
-                else {}
-            ),
         )
         asyncio.run(_serve_async(server, out))
     except ReproError as exc:

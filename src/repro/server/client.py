@@ -2,13 +2,14 @@
 
 :class:`Client` mirrors the engine's session surface (``execute`` /
 ``explain``), so the CLI shell, tests and benchmarks drive a remote
-server exactly the way they drive an in-process engine. Large SELECT
-results arrive as binary columnar chunks and reassemble into the same
-row tuples a small JSON ``result`` frame delivers. ``iterate()`` exposes
-the stream incrementally, yielding row batches as chunks arrive.
-Backpressure is first-class: a ``busy`` frame raises
-:class:`ServerBusyError` unless the caller opted into bounded retries
-with jittered exponential backoff.
+server exactly the way they drive an in-process engine. Every SELECT
+result arrives as a columnar stream (a header, binary chunks, an end
+frame) and reassembles into row tuples; DML and DDL replies are one JSON
+``result`` frame. ``execute``, ``execute_streaming`` and ``iterate`` share
+one request loop: the last two expose the stream incrementally, handing
+out row batches as chunks decode. Backpressure is first-class: a
+``busy`` frame raises :class:`ServerBusyError` unless the caller opted
+into bounded retries with jittered exponential backoff.
 """
 
 from __future__ import annotations
@@ -55,14 +56,14 @@ def _parse_snapshots(frame: Dict) -> Optional[Dict[str, Tuple[int, int]]]:
 
 @dataclass
 class RemoteResult:
-    """Client-side view of a ``result`` frame (QueryResult's wire subset)."""
+    """Client-side view of one statement's reply (QueryResult's wire subset)."""
 
     statement_type: str
     columns: List[str] = field(default_factory=list)
     rows: List[Tuple[Value, ...]] = field(default_factory=list)
     affected_rows: int = 0
     timings: Dict[str, float] = field(default_factory=dict)
-    streamed: bool = False  # arrived as binary chunks, not JSON rows
+    streamed: bool = False  # a SELECT: arrived as a columnar stream
     # MVCC provenance relayed by the server: {table: (epoch, stamp)} of
     # the snapshot generations this statement observed or published.
     snapshots: Optional[Dict[str, Tuple[int, int]]] = None
@@ -70,7 +71,7 @@ class RemoteResult:
 
     @property
     def row_count(self) -> int:
-        return len(self.rows) if self.rows else self.affected_rows
+        return len(self.rows) if self.streamed else self.affected_rows
 
     @property
     def compile_time(self) -> float:
@@ -83,6 +84,34 @@ class RemoteResult:
     @property
     def total_time(self) -> float:
         return sum(self.timings.values())
+
+
+def _finish(exchange, on_batch=None) -> Dict:
+    """Drive a :meth:`Client._exchange` to its reply frame, handing each
+    decoded row batch to ``on_batch(columns, rows)`` on the way."""
+    while True:
+        try:
+            columns, batch = next(exchange)
+        except StopIteration as stop:
+            return stop.value
+        if on_batch is not None:
+            on_batch(columns, batch)
+
+
+def _remote_result(reply: Dict) -> RemoteResult:
+    """The one place a reply frame becomes a :class:`RemoteResult`."""
+    decoder: Optional[StreamDecoder] = reply.get("_decoder")
+    return RemoteResult(
+        statement_type=reply.get("statement_type", "unknown"),
+        columns=decoder.columns if decoder is not None else [],
+        rows=decoder.rows if decoder is not None else [],
+        affected_rows=int(reply.get("affected_rows", 0)),
+        timings={
+            str(k): float(v) for k, v in dict(reply.get("timings", {})).items()
+        },
+        streamed=decoder is not None,
+        snapshots=_parse_snapshots(reply),
+    )
 
 
 class Client:
@@ -122,7 +151,7 @@ class Client:
         self._out_of_order: Dict[object, Dict] = {}
         # request id -> StreamDecoder of a result mid-stream.
         self._streams: Dict[object, StreamDecoder] = {}
-        # id of the most recent query/iterate request (Ctrl-C cancel hook).
+        # id of the most recent query/explain request (Ctrl-C cancel hook).
         self.last_request_id = 0
         # Default busy-retry policy; per-call arguments override.
         self.max_retries = max_retries
@@ -172,8 +201,9 @@ class Client:
         """Read one wire frame and advance protocol state.
 
         Returns a completed JSON reply (``result_end`` collapses the
-        whole stream into a synthetic ``result`` frame) or ``None`` when
-        the frame only advanced an in-flight stream.
+        whole stream into a ``result`` frame: the header's fields plus
+        the stream's decoder under ``_decoder``) or ``None`` when the
+        frame only advanced an in-flight stream.
         """
         kind, payload = self.recv_wire()
         if kind == "binary":
@@ -198,19 +228,7 @@ class Client:
                     f"result_end without a stream for id {rid}"
                 )
             decoder.finish(frame)
-            header = decoder.header
-            return {
-                "type": "result",
-                "id": rid,
-                "statement_type": header.get("statement_type", "select"),
-                "columns": decoder.columns,
-                "rows": decoder.rows,
-                "affected_rows": header.get("affected_rows", 0),
-                "timings": header.get("timings", {}),
-                "snapshots": header.get("snapshots"),
-                "_streamed": True,
-                "_decoder": decoder,
-            }
+            return {**decoder.header, "type": "result", "_decoder": decoder}
         return frame
 
     def _request(self, frame: Dict) -> Dict:
@@ -244,20 +262,46 @@ class Client:
             )
         return reply
 
-    def _resolve_retry(
-        self, busy_retries: Optional[int], busy_backoff: Optional[float]
-    ) -> Tuple[int, float]:
-        return (
-            self.max_retries if busy_retries is None else busy_retries,
-            self.busy_backoff if busy_backoff is None else busy_backoff,
-        )
+    def _exchange(
+        self,
+        frame_type: str,
+        sql: str,
+        want: str,
+        busy_retries: Optional[int],
+        busy_backoff: Optional[float],
+    ):
+        """The one request loop behind ``execute``, ``execute_streaming``,
+        ``iterate`` and ``explain``.
 
-    def _retrying(self, frame_factory, want: str, busy_retries: int,
-                  busy_backoff: float) -> Dict:
+        Sends a ``query`` or ``explain`` frame, yields ``(columns, rows)``
+        batches as a SELECT's chunks decode, and returns the reply frame
+        (generator value). A BUSY refusal is resent after a jittered
+        backoff, up to ``busy_retries`` times (default: the client-level
+        ``max_retries`` / ``busy_backoff`` knobs); once they are spent the
+        ServerBusyError counts every attempt and chains the last refusal.
+        """
+        if busy_retries is None:
+            busy_retries = self.max_retries
+        if busy_backoff is None:
+            busy_backoff = self.busy_backoff
         attempt = 0
         while True:
+            rid = self.next_id()
+            self.last_request_id = rid
+            self.send_raw({"type": frame_type, "id": rid, "sql": sql})
+            reply: Optional[Dict] = None
+            while reply is None:
+                reply = self._pump()
+                decoder = self._streams.get(rid)
+                if decoder is not None:
+                    batch = decoder.drain_rows()
+                    if batch:
+                        yield decoder.columns, batch
+                if reply is not None and reply.get("id") != rid:
+                    self._out_of_order[reply.get("id")] = reply
+                    reply = None
             try:
-                return self._unwrap(self._request(frame_factory()), want)
+                final = self._unwrap(reply, want)
             except ServerBusyError as exc:
                 if attempt >= busy_retries:
                     if busy_retries > 0:
@@ -272,6 +316,14 @@ class Client:
                     raise
                 time.sleep(_backoff_delay(busy_backoff, attempt))
                 attempt += 1
+                continue
+            decoder = final.get("_decoder")
+            if decoder is not None:
+                # Anything decoded between the last chunk and result_end.
+                tail = decoder.drain_rows()
+                if tail:
+                    yield decoder.columns, tail
+            return final
 
     # ------------------------------------------------------------------
     # Session-shaped surface
@@ -287,59 +339,11 @@ class Client:
         Retry arguments default to the client-level ``max_retries`` /
         ``busy_backoff`` knobs.
         """
-        busy_retries, busy_backoff = self._resolve_retry(
-            busy_retries, busy_backoff
+        return _remote_result(
+            _finish(
+                self._exchange("query", sql, "result", busy_retries, busy_backoff)
+            )
         )
-        reply = self._retrying(
-            lambda: {"type": "query", "id": self.next_id(), "sql": sql},
-            "result",
-            busy_retries,
-            busy_backoff,
-        )
-        return RemoteResult(
-            statement_type=reply.get("statement_type", "unknown"),
-            columns=list(reply.get("columns", [])),
-            rows=[tuple(row) for row in reply.get("rows", [])],
-            affected_rows=int(reply.get("affected_rows", 0)),
-            timings={
-                str(k): float(v)
-                for k, v in dict(reply.get("timings", {})).items()
-            },
-            streamed=bool(reply.get("_streamed", False)),
-            snapshots=_parse_snapshots(reply),
-        )
-
-    def _stream_events(self, sql: str, busy_retries: int,
-                       busy_backoff: float):
-        """Core streaming loop: yields ``(columns, rows)`` batches as
-        chunks decode; returns the final reply frame (generator value)."""
-        attempt = 0
-        while True:
-            rid = self.next_id()
-            self.last_request_id = rid
-            self.send_raw({"type": "query", "id": rid, "sql": sql})
-            reply: Optional[Dict] = self._out_of_order.pop(rid, None)
-            while reply is None:
-                reply = self._pump()
-                decoder = self._streams.get(rid)
-                if decoder is not None:
-                    batch = decoder.drain_rows()
-                    if batch:
-                        yield decoder.columns, batch
-                if reply is not None and reply.get("id") != rid:
-                    self._out_of_order[reply.get("id")] = reply
-                    reply = None
-            if reply.get("type") == "busy" and attempt < busy_retries:
-                time.sleep(_backoff_delay(busy_backoff, attempt))
-                attempt += 1
-                continue
-            final = self._unwrap(reply, "result")
-            if final.get("_streamed"):
-                # Anything decoded between the last chunk and result_end.
-                tail = final["_decoder"].drain_rows()
-                if tail:
-                    yield final["_decoder"].columns, tail
-            return final
 
     def iterate(
         self,
@@ -349,23 +353,13 @@ class Client:
     ) -> Iterator[List[Tuple[Value, ...]]]:
         """Execute one statement, yielding row batches as they arrive.
 
-        Each streamed chunk becomes one batch the moment it is decoded
-        — the first batch is available before the server finishes
-        sending the result. Small (unstreamed) results yield a single
-        batch. Raises exactly like :meth:`execute` on errors.
+        Each chunk becomes one batch the moment it is decoded — the first
+        batch is available before the server finishes sending the
+        result. Raises exactly like :meth:`execute` on errors.
         """
-        busy_retries, busy_backoff = self._resolve_retry(
-            busy_retries, busy_backoff
-        )
-        events = self._stream_events(sql, busy_retries, busy_backoff)
-        while True:
-            try:
-                _columns, batch = next(events)
-            except StopIteration as stop:
-                final = stop.value or {}
-                if not final.get("_streamed") and final.get("rows"):
-                    yield [tuple(row) for row in final["rows"]]
-                return
+        for _columns, batch in self._exchange(
+            "query", sql, "result", busy_retries, busy_backoff
+        ):
             yield batch
 
     def execute_streaming(
@@ -376,33 +370,14 @@ class Client:
         busy_backoff: Optional[float] = None,
     ) -> RemoteResult:
         """:meth:`execute`, invoking ``on_batch(columns, rows)`` as each
-        chunk decodes (once with the whole result when unstreamed). The
-        returned result still carries all rows."""
-        busy_retries, busy_backoff = self._resolve_retry(
-            busy_retries, busy_backoff
-        )
-        events = self._stream_events(sql, busy_retries, busy_backoff)
-        while True:
-            try:
-                columns, batch = next(events)
-            except StopIteration as stop:
-                final = stop.value or {}
-                break
-            on_batch(columns, batch)
-        rows = [tuple(row) for row in final.get("rows", [])]
-        if not final.get("_streamed") and rows:
-            on_batch(list(final.get("columns", [])), rows)
-        return RemoteResult(
-            statement_type=final.get("statement_type", "unknown"),
-            columns=list(final.get("columns", [])),
-            rows=rows,
-            affected_rows=int(final.get("affected_rows", 0)),
-            timings={
-                str(k): float(v)
-                for k, v in dict(final.get("timings", {})).items()
-            },
-            streamed=bool(final.get("_streamed", False)),
-            snapshots=_parse_snapshots(final),
+        chunk decodes. The returned result still carries all rows."""
+        return _remote_result(
+            _finish(
+                self._exchange(
+                    "query", sql, "result", busy_retries, busy_backoff
+                ),
+                on_batch,
+            )
         )
 
     def explain(
@@ -411,14 +386,8 @@ class Client:
         busy_retries: Optional[int] = None,
         busy_backoff: Optional[float] = None,
     ) -> str:
-        busy_retries, busy_backoff = self._resolve_retry(
-            busy_retries, busy_backoff
-        )
-        reply = self._retrying(
-            lambda: {"type": "explain", "id": self.next_id(), "sql": sql},
-            "plan",
-            busy_retries,
-            busy_backoff,
+        reply = _finish(
+            self._exchange("explain", sql, "plan", busy_retries, busy_backoff)
         )
         return str(reply.get("text", ""))
 

@@ -1,7 +1,6 @@
 """Binary columnar result frames.
 
-A SELECT whose row count clears the server's streaming threshold is
-shipped as::
+Every SELECT result, at any row count, is shipped as::
 
     JSON    {"type": "result_header", "id": n, "columns": [...],
              "dtypes": [...], "row_count": r, "chunk_rows": c,
@@ -9,6 +8,9 @@ shipped as::
     binary  DICT frame, one per string column (result-local dictionary)
     binary  CHUNK frame * k (raw little-endian column buffers)
     JSON    {"type": "result_end", "id": n, "chunks": k}
+
+A 0-row result is its header (columns and dtypes intact), the DICT
+frames of its string columns, no CHUNK frame, and ``result_end``.
 
 Binary payload layout (everything little-endian)::
 
@@ -136,7 +138,7 @@ def _wire_columns(vectors) -> Tuple[List[Tuple[int, np.ndarray]], Dict[int, List
 def build_stream_frames(
     request_id: int, result, chunk_rows: int = DEFAULT_CHUNK_ROWS
 ) -> Tuple[Dict, List[bytes], Dict]:
-    """Frames for one streamed SELECT: (header, binary payloads, end).
+    """Frames for one SELECT reply: (header, binary payloads, end).
 
     ``result`` is a SELECT's (it carries columnar vectors); the caller
     wraps the binary payloads with
@@ -160,8 +162,8 @@ def build_stream_frames(
     }
     snapshots = getattr(result, "snapshots", None)
     if snapshots:
-        # MVCC provenance (see the JSON result frame): per-table
-        # [epoch, stamp] of the pinned/published generations.
+        # MVCC provenance: per-table [epoch, stamp] of the pinned
+        # generations.
         header["snapshots"] = {
             name: list(pair) for name, pair in snapshots.items()
         }

@@ -14,10 +14,11 @@ Handshake (first frame in each direction)::
     S -> C   {"type": "hello_ok", "version": 2, "server": "repro/x.y"}
 
 Version 2 is the only version; any other ``hello`` is refused with a
-``PROTOCOL`` error and the connection closed. Large SELECT results
-stream as a JSON ``result_header``, binary dictionary/chunk frames, then
-a JSON ``result_end``; small ones are one JSON ``result``. ``cancel``
-interrupts *running* statements at morsel/checkpoint boundaries.
+``PROTOCOL`` error and the connection closed. Every SELECT result, of
+any row count, streams as a JSON ``result_header``, binary
+dictionary/chunk frames, then a JSON ``result_end``; DML and DDL replies
+are one JSON ``result``. ``cancel`` interrupts *running* statements at
+morsel/checkpoint boundaries.
 
 Requests::
 
@@ -29,10 +30,10 @@ Requests::
 
 Responses::
 
-    {"type": "result", "id": n, "statement_type": ..., "columns": [...],
-     "rows": [[...]], "affected_rows": k, "timings": {...}}
     {"type": "result_header", "id": n, ...}  then binary frames, then
-    {"type": "result_end", "id": n, "chunks": k}      (streaming)
+    {"type": "result_end", "id": n, "chunks": k}      (SELECT)
+    {"type": "result", "id": n, "statement_type": ...,
+     "affected_rows": k, "timings": {...}}            (DML, DDL)
     {"type": "plan", "id": n, "text": "..."}
     {"type": "stats_result", "id": n, "stats": {...}}
     {"type": "pong", "id": n}
@@ -140,7 +141,7 @@ _ERROR_CLASSES: Dict[str, Type[ReproError]] = {
 
 
 def _json_default(value):
-    """Tolerate numpy scalars leaking into result rows."""
+    """Tolerate numpy scalars leaking into counters and timings."""
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):

@@ -22,10 +22,10 @@ Admission control and fairness:
   occupy executor threads at once — the "admission semaphore", enforced
   on the event-loop thread where all scheduler state lives.
 
-Results: SELECT results at or above ``stream_threshold_rows`` rows
-stream as binary columnar frames encoded straight from the result's
-column vectors (see :mod:`repro.server.frames`); smaller ones, which is
-where tuple decoding is cheap, go out as one JSON ``result`` frame.
+Results: every SELECT result, whatever its row count (0 included),
+streams as binary columnar frames encoded straight from the result's
+column vectors (see :mod:`repro.server.frames`), so the server never
+decodes row tuples. DML and DDL replies are one JSON ``result`` frame.
 
 Cancellation: a ``cancel`` frame dequeues the target request if it has
 not started executing, and otherwise interrupts a *running* statement by
@@ -126,7 +126,6 @@ class ReproServer:
         workers: Optional[int] = None,
         max_inflight: int = 8,
         per_client_inflight: int = 4,
-        stream_threshold_rows: int = 256,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
     ):
         if workers is None:
@@ -141,11 +140,6 @@ class ReproServer:
             raise ConfigError(
                 f"per_client_inflight must be >= 1, got {per_client_inflight}"
             )
-        if stream_threshold_rows < 1:
-            raise ConfigError(
-                "stream_threshold_rows must be >= 1, "
-                f"got {stream_threshold_rows}"
-            )
         if chunk_rows < 1:
             raise ConfigError(f"chunk_rows must be >= 1, got {chunk_rows}")
         self.engine = engine
@@ -154,8 +148,6 @@ class ReproServer:
         self.workers = workers
         self.max_inflight = max_inflight
         self.per_client_inflight = per_client_inflight
-        # SELECTs with at least this many rows stream as binary chunks.
-        self.stream_threshold_rows = stream_threshold_rows
         self.chunk_rows = chunk_rows
         self.busy_rejections = 0
         self.statements_served = 0
@@ -464,26 +456,23 @@ class ReproServer:
                     )
                 ]
             result = conn.session.execute(sql, cancel=token)
-            if (
-                result.statement_type == "select"
-                and result.row_count >= self.stream_threshold_rows
-            ):
-                # Encoded from the column vectors; ``result.rows`` is
-                # never built for a streamed result.
-                header, payloads, end = build_stream_frames(
-                    rid, result, self.chunk_rows
-                )
-                return (
-                    [encode_frame(header)]
-                    + [encode_binary_frame(p) for p in payloads]
-                    + [encode_frame(end)]
-                )
-            return [encode_frame(_result_frame(rid, result))]
+            if result.statement_type != "select":
+                return [encode_frame(_result_frame(rid, result))]
+            # Encoded from the column vectors; ``result.rows`` is never
+            # built on the server.
+            header, payloads, end = build_stream_frames(
+                rid, result, self.chunk_rows
+            )
+            return (
+                [encode_frame(header)]
+                + [encode_binary_frame(p) for p in payloads]
+                + [encode_frame(end)]
+            )
 
         try:
             datas = await loop.run_in_executor(self._pool, work)
             self.statements_served += 1
-            if len(datas) > 1:
+            if len(datas) > 1:  # a stream: header and end at least
                 self.streamed_results += 1
         except Exception as exc:
             datas = [encode_frame(error_frame(rid, exc))]
@@ -504,17 +493,15 @@ class ReproServer:
             "busy_rejections": self.busy_rejections,
             "max_inflight": self.max_inflight,
             "per_client_inflight": self.per_client_inflight,
-            "stream_threshold_rows": self.stream_threshold_rows,
         }
 
 
 def _result_frame(request_id, result) -> Dict:
+    """The reply to a DML or DDL statement (SELECTs stream)."""
     frame = {
         "type": "result",
         "id": request_id,
         "statement_type": result.statement_type,
-        "columns": list(result.columns),
-        "rows": [list(row) for row in result.rows],
         "affected_rows": result.affected_rows,
         "timings": dict(result.timings),
     }

@@ -5,8 +5,9 @@ executor produced them (no copy) and decodes row tuples on first access.
   same table still read what the reference executor returned before the
   DML — embedded, and over the wire with the frames encoded only after
   the DML committed.
-* Laziness: a streamed result never calls ``ExecutionResult.rows``, a
-  JSON-framed one calls it once, and an embedded result caches the list.
+* Laziness: the server never calls ``ExecutionResult.rows`` (every
+  SELECT reply streams, 0 rows included), and an embedded result caches
+  the list.
 """
 
 import threading
@@ -88,9 +89,7 @@ def test_held_results_survive_dml_embedded():
 
 @pytest.fixture
 def server():
-    srv = ReproServer(
-        make_engine(), port=0, stream_threshold_rows=64, chunk_rows=100
-    ).start_in_thread()
+    srv = ReproServer(make_engine(), port=0, chunk_rows=100).start_in_thread()
     yield srv
     srv.stop_from_thread()
 
@@ -151,11 +150,13 @@ def test_streamed_select_never_decodes_rows_on_the_server(server, rows_calls):
     with connect(port=server.port) as client:
         streamed = client.execute(FULL)
         assert streamed.streamed and streamed.row_count == N_CARS
-        assert rows_calls == []
         small = client.execute("SELECT COUNT(*) FROM car")
-        assert not small.streamed and small.rows == [(N_CARS,)]
-        assert len(rows_calls) == 1
-    assert server.streamed_results == 1
+        assert small.streamed and small.rows == [(N_CARS,)]
+        empty = client.execute("SELECT id FROM car WHERE id < 0")
+        assert empty.streamed and empty.columns == ["id"] and empty.rows == []
+        assert client.execute("DELETE FROM car WHERE id < 0").streamed is False
+    assert rows_calls == []
+    assert server.streamed_results == 3
 
 
 def test_embedded_rows_decode_once_and_time_the_fetch_phase(rows_calls):

@@ -1,5 +1,6 @@
 """Client-side BUSY handling: jittered backoff, bounded retries,
-structured exhaustion errors, and the client-level ``max_retries`` knob.
+structured exhaustion errors (the same from every entry point), and the
+client-level ``max_retries`` knob.
 """
 
 import random
@@ -55,11 +56,24 @@ def occupy(client) -> None:
     time.sleep(0.2)  # let it get admitted before the next request
 
 
-def test_exhausted_retries_raise_structured_error(busy_server):
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda client, sql, **retry: client.execute(sql, **retry),
+        lambda client, sql, **retry: client.execute_streaming(
+            sql, lambda columns, rows: None, **retry
+        ),
+        lambda client, sql, **retry: list(client.iterate(sql, **retry)),
+    ],
+    ids=["execute", "execute_streaming", "iterate"],
+)
+def test_exhausted_retries_raise_structured_error(busy_server, run):
+    # Every entry point reports exhaustion the same way.
     with connect(port=busy_server.port) as client:
         occupy(client)
         with pytest.raises(ServerBusyError) as excinfo:
-            client.execute(
+            run(
+                client,
                 "SELECT COUNT(*) FROM owner",
                 busy_retries=3,
                 busy_backoff=0.001,

@@ -51,6 +51,8 @@ def test_server_config_validation():
         ReproServer(engine, per_client_inflight=0)
     with pytest.raises(ConfigError):
         ReproServer(engine, workers=0)
+    with pytest.raises(ConfigError):
+        ReproServer(engine, chunk_rows=0)
 
 
 def test_query_explain_stats_ping(server):
@@ -152,9 +154,12 @@ def test_flooding_client_gets_busy_frames(server):
                 }
             )
         replies = {}
-        for _ in ids:
-            frame = client.recv_raw()
-            replies[frame["id"]] = frame
+        while len(replies) < len(ids):
+            # One completed reply per id: a BUSY frame, or a SELECT's
+            # stream collapsed into its ``result`` frame.
+            frame = client._pump()
+            if frame is not None:
+                replies[frame["id"]] = frame
         assert set(replies) == set(ids)
         kinds = [replies[rid]["type"] for rid in ids]
         assert kinds.count("busy") >= 1  # cap is 2; 8 were pipelined

@@ -1,8 +1,8 @@
 """Binary columnar frames, the handshake, streaming clients.
 
 Covers the frame codec in isolation (round-trips, every truncation and
-corruption path), the server's streaming decision, streamed/JSON result
-identity over a live socket, incremental delivery, the frame cap, and
+corruption path), that every SELECT reply is a stream (0 rows included)
+and every DML reply one JSON frame, incremental delivery, the frame cap, and
 the edge cases a wire protocol lives or dies by: torn frames, binary
 frames in the wrong direction, mid-stream disconnects, a refused
 version-1 hello.
@@ -55,11 +55,8 @@ def make_engine() -> Engine:
 
 @pytest.fixture
 def server():
-    # Low threshold and tiny chunks so a 300-row result streams as
-    # several CHUNK frames.
-    srv = ReproServer(
-        make_engine(), port=0, stream_threshold_rows=64, chunk_rows=100
-    ).start_in_thread()
+    # Tiny chunks so a 300-row result streams as several CHUNK frames.
+    srv = ReproServer(make_engine(), port=0, chunk_rows=100).start_in_thread()
     yield srv
     srv.stop_from_thread()
 
@@ -216,11 +213,60 @@ def test_version_1_hello_is_refused(server):
         assert stream.read(1) == b""  # the server closed the socket
 
 
-def test_small_results_stay_json_on_v2(server):
+def test_small_results_stream(server):
     with connect(port=server.port) as client:
         result = client.execute("SELECT COUNT(*) FROM owner")
         assert result.rows == [(300,)]
-        assert result.streamed is False
+        assert result.streamed is True
+
+
+def test_empty_result_streams_its_columns(server):
+    seen = []
+    with connect(port=server.port) as client:
+        result = client.execute_streaming(
+            "SELECT id, name FROM owner WHERE id < 0",
+            lambda columns, rows: seen.append(rows),
+        )
+    assert result.streamed is True
+    assert result.columns == ["id", "name"]
+    assert result.rows == [] and result.row_count == 0
+    assert seen == []
+
+
+@pytest.mark.parametrize(
+    "sql, n_rows",
+    [
+        ("SELECT id, name FROM owner WHERE id < 0", 0),
+        ("SELECT COUNT(*) FROM owner", 1),
+        (SQL, 300),
+    ],
+)
+def test_every_select_reply_is_a_stream(server, sql, n_rows):
+    with socket.create_connection(("127.0.0.1", server.port), 5) as sock:
+        stream = sock.makefile("rb")
+        sock.sendall(encode_frame({"type": "hello", "version": 2}))
+        assert read_json(stream)["type"] == "hello_ok"
+        sock.sendall(encode_frame({"type": "query", "id": 1, "sql": sql}))
+        header = read_json(stream)
+        assert header["type"] == "result_header"
+        assert header["row_count"] == n_rows
+        assert header["n_chunks"] == -(-n_rows // 100)
+        chunks = 0
+        kind, frame = read_wire_frame_blocking(stream)
+        while kind == "binary":
+            chunks += parse_binary_frame(frame)[0] == KIND_CHUNK
+            kind, frame = read_wire_frame_blocking(stream)
+        assert frame == {"type": "result_end", "id": 1, "chunks": chunks}
+        assert chunks == header["n_chunks"]
+        # DML stays one JSON frame, with no columns or rows.
+        sock.sendall(
+            encode_frame(
+                {"type": "query", "id": 2, "sql": "DELETE FROM car WHERE id < 0"}
+            )
+        )
+        reply = read_json(stream)
+        assert reply["type"] == "result" and reply["affected_rows"] == 0
+        assert "rows" not in reply and "columns" not in reply
 
 
 def test_iterate_yields_incremental_batches(server):
@@ -245,15 +291,15 @@ def test_execute_streaming_callback_sees_every_chunk(server):
     assert sum(n for _, n in seen) == len(result.rows)
 
 
-def test_unstreamed_callback_fires_once(server):
+def test_one_chunk_callback_fires_once(server):
     seen = []
     with connect(port=server.port) as client:
         result = client.execute_streaming(
             "SELECT COUNT(*) FROM car",
-            lambda columns, rows: seen.append(rows),
+            lambda columns, rows: seen.append((columns, rows)),
         )
-    assert result.streamed is False
-    assert seen == [[(60,)]]
+    assert result.streamed is True
+    assert seen == [(result.columns, [(60,)])]
 
 
 def test_dml_and_errors_unaffected_by_v2(server):

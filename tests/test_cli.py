@@ -8,8 +8,8 @@ from repro.cli import (
     build_parser,
     build_serve_parser,
     connect_main,
+    ResultTable,
     format_error_caret,
-    format_rows,
     main,
     make_engine,
     network_repl,
@@ -72,6 +72,8 @@ def test_bad_config_value_exits_with_config_error(capsys):
         "--snapshot-chunk-rows=4",
         "--snapshot-retention=2",
         "--no-caches",
+        "--stream-threshold=8",
+        "--chunk-rows=8",
     ],
 )
 def test_removed_snapshot_flags_are_argparse_errors(capsys, flag):
@@ -97,14 +99,27 @@ def test_jits_note_printed(capsys):
     assert "[jits] sampled car" in out
 
 
+def paint(batches, limit=25) -> str:
+    out = io.StringIO()
+    table = ResultTable(out, limit=limit)
+    for rows in batches:
+        table.add(["a"], rows)
+    table.finish()
+    return out.getvalue()
+
+
 def test_format_rows_truncates():
-    text = format_rows(["a"], [(i,) for i in range(30)], limit=5)
-    assert "more rows" in text
-    assert text.splitlines()[0].strip() == "a"
+    # Batches as a stream delivers them: widths from the first, at most
+    # ``limit`` rows shown across all of them.
+    text = paint([[(i,) for i in range(3)], [(i,) for i in range(3, 30)]], 5)
+    lines = text.splitlines()
+    assert lines[0].strip() == "a"
+    assert [line.strip() for line in lines[2:7]] == ["0", "1", "2", "3", "4"]
+    assert lines[7:] == ["... (25 more rows)"]
 
 
 def test_format_rows_empty():
-    assert format_rows(["a"], []) == "(no rows)"
+    assert paint([]) == "(no rows)\n"
 
 
 def test_repl_commands():
@@ -124,7 +139,7 @@ def test_repl_commands():
     repl(engine, stdin, out)
     text = out.getvalue()
     assert "car (" in text
-    assert "jits enabled=False" in text
+    assert "jits:\n  enabled=False" in text  # the stats_snapshot() dict
     assert "1 row(s)" in text
     assert "SeqScan" in text
     assert "unknown command" in text
