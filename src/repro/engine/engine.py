@@ -34,6 +34,7 @@ from ..catalog import (
 )
 from ..errors import BindingError, ConfigError, ExecutionError, ReproError
 from ..executor import PlanExecutor, collect_feedback
+from ..executor.executor import matching_rows
 from ..executor.expr import eval_expr
 from ..executor.parallel import ParallelScanManager
 from ..executor.vector import batch_from_table
@@ -44,7 +45,6 @@ from ..jits import (
     table_stats_epoch,
 )
 from ..optimizer import Optimizer, StatsContext
-from ..predicates import group_mask
 from ..rng import make_rng
 from ..schema import ColumnDef, TableSchema
 from ..sql import ast, build_query_graph, parse
@@ -547,26 +547,13 @@ class Engine:
         )
         block = build_query_graph(select, self.database)
         alias = next(iter(block.quantifiers))
-        table = self.database.table(table_name)
-        if where is None:
-            rows = np.arange(table.row_count, dtype=np.int64)
-        else:
-            predicates = block.local_predicates_for(alias)
-            rows = None
-            if self.parallel is not None:
-                rows = self.parallel.scan_rows(table, predicates)
-            if rows is None:
-                mask = group_mask(table, predicates)
-                rows = np.flatnonzero(mask).astype(np.int64)
-            residuals = block.scan_residuals.get(alias, [])
-            if residuals:
-                batch = batch_from_table(table, alias, rows)
-                keep = np.ones(len(batch), dtype=bool)
-                from ..executor.expr import eval_bool
-
-                for residual in residuals:
-                    keep &= eval_bool(residual, batch)
-                rows = rows[keep]
+        rows = matching_rows(
+            self.database.table(table_name),
+            alias,
+            block.local_predicates_for(alias),
+            block.scan_residuals.get(alias, []),
+            self.parallel,
+        )
         return rows, block
 
     def _execute_update(

@@ -17,7 +17,7 @@ Cost realism notes:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from ..optimizer.plans import (
     SeqScan,
     Sort,
 )
-from ..predicates import LocalPredicate, PredOp, group_mask, predicate_mask
+from ..predicates import LocalPredicate, PredOp, group_mask
 from ..predicates.physical import PhysPredicate, physical_mask
 from ..sql import ast
 from ..sql.qgm import QueryBlock
@@ -61,6 +61,10 @@ class ScanObservation:
     table_name: str
     base_rows: int
     matched_rows: int
+
+    @classmethod
+    def of(cls, alias: str, table, matched_rows: int) -> "ScanObservation":
+        return cls(alias, table.name, table.row_count, matched_rows)
 
 
 @dataclass
@@ -148,12 +152,7 @@ class PlanExecutor:
                 child, node.group_keys, node.items, node.output_names, node.having
             )
         elif isinstance(node, Project):
-            child = self._exec(node.child, block)
-            out = {
-                ("", name.lower()): eval_expr(item.expr, child)
-                for item, name in zip(node.items, node.output_names)
-            }
-            batch = Batch(out, len(child))
+            batch = project_batch(node, self._exec(node.child, block))
         elif isinstance(node, Distinct):
             batch = self._exec_distinct(node, block)
         elif isinstance(node, Sort):
@@ -172,38 +171,20 @@ class PlanExecutor:
     # ------------------------------------------------------------------
     # Scans
     # ------------------------------------------------------------------
-    def _scan_output(
-        self,
-        node,
-        block: QueryBlock,
-        table,
-        rows: np.ndarray,
-    ) -> Batch:
+    def _scan_output(self, node, table, rows: np.ndarray) -> Batch:
         needed = sorted(self._required.get(node.alias, set()))
-        batch = batch_from_table(table, node.alias, rows, needed)
-        for residual in node.scan_residuals:
-            batch = batch.mask(eval_bool(residual, batch))
-        self._observations[node.alias] = ScanObservation(
-            alias=node.alias,
-            table_name=table.name,
-            base_rows=table.row_count,
-            matched_rows=len(batch),
+        self._observations[node.alias] = ScanObservation.of(
+            node.alias, table, len(rows)
         )
-        return batch
+        return batch_from_table(table, node.alias, rows, needed)
 
     def _exec_seq_scan(self, node: SeqScan, block: QueryBlock) -> Batch:
         table = self.database.table(node.table_name)
         node.actual_base_rows = table.row_count
-        if node.predicates:
-            rows = None
-            if self.parallel is not None:
-                rows = self.parallel.scan_rows(table, node.predicates)
-            if rows is None:
-                mask = group_mask(table, node.predicates)
-                rows = np.flatnonzero(mask).astype(np.int64)
-        else:
-            rows = np.arange(table.row_count, dtype=np.int64)
-        return self._scan_output(node, block, table, rows)
+        rows = matching_rows(
+            table, node.alias, node.predicates, node.scan_residuals, self.parallel
+        )
+        return self._scan_output(node, table, rows)
 
     def _exec_index_scan(self, node: IndexScan, block: QueryBlock) -> Batch:
         table = self.database.table(node.table_name)
@@ -225,10 +206,10 @@ class PlanExecutor:
                 raise ExecutionError(f"missing sorted index for {node.label()}")
             rows = self._sorted_index_rows(table, index, predicate)
         node.actual_base_rows = len(rows)
-        if node.remaining:
-            mask = group_mask(table, node.remaining, rows)
-            rows = rows[mask]
-        return self._scan_output(node, block, table, rows)
+        rows = matching_rows(
+            table, node.alias, node.remaining, node.scan_residuals, rows=rows
+        )
+        return self._scan_output(node, table, rows)
 
     @staticmethod
     def _sorted_index_rows(table, index, predicate: LocalPredicate) -> np.ndarray:
@@ -432,6 +413,51 @@ class PlanExecutor:
             keys.append(-ranks if order.descending else ranks)
         order_idx = np.lexsort(keys)
         return child.take(order_idx)
+
+
+def matching_rows(
+    table,
+    alias: str,
+    predicates,
+    residuals=(),
+    parallel=None,
+    rows: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Positions of the table's rows (or of the candidate ``rows``) that
+    satisfy every local predicate and scan residual.
+
+    A full-table predicate scan shards over ``parallel`` when the pool
+    takes it, else runs ``group_mask``; residuals are evaluated over a
+    batch of the columns they reference. Scans and DML targeting share it.
+    """
+    if rows is None and predicates and parallel is not None:
+        rows = parallel.scan_rows(table, predicates)
+        if rows is not None:
+            predicates = ()
+    if predicates:
+        mask = group_mask(table, predicates, rows)
+        rows = np.flatnonzero(mask).astype(np.int64) if rows is None else rows[mask]
+    elif rows is None:
+        rows = np.arange(table.row_count, dtype=np.int64)
+    if residuals:
+        columns = {
+            ref.name.lower() for r in residuals for ref in ast.column_refs(r)
+        }
+        batch = batch_from_table(table, alias, rows, sorted(columns))
+        keep = np.ones(len(rows), dtype=bool)
+        for residual in residuals:
+            keep &= eval_bool(residual, batch)
+        rows = rows[keep]
+    return rows
+
+
+def project_batch(node: Project, child: Batch) -> Batch:
+    """A Project's output over its child batch, keyed ``("", name)``."""
+    out = {
+        ("", name.lower()): eval_expr(item.expr, child)
+        for item, name in zip(node.items, node.output_names)
+    }
+    return Batch(out, len(child))
 
 
 def _batch_predicate_mask(predicate: LocalPredicate, batch: Batch) -> np.ndarray:

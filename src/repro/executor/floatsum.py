@@ -1,28 +1,26 @@
-"""Exactly-rounded float64 summation for SUM/AVG aggregates.
+"""Exact float64 summation: the pair arithmetic behind float SUM/AVG.
 
-Float addition is not associative, so a naive parallel SUM depends on
-shard order — the reason the fragment planner historically declined
-float aggregates. This module computes group sums *exactly*: every
-float64 is decomposed into an integer mantissa and a power-of-two
+Float addition is not associative, so a float SUM added up shard by
+shard would depend on the shard layout. This module sums *exactly*:
+every float64 is decomposed into an integer mantissa and a power-of-two
 exponent (``np.frexp``), mantissas are accumulated per (group, exponent)
 in overflow-safe int64 lanes, and per-group totals combine into one
 arbitrary-precision ``(mantissa, exp2)`` pair. The pair represents the
 mathematically exact sum ``mantissa * 2**exp2``; converting it to float64
-rounds once, correctly. The result is therefore independent of addition
-order — stronger than compensated (Neumaier) summation, whose partials
-are exact only up to one residual term — so sequential execution and any
-shard layout produce bit-identical answers.
+rounds once, correctly. Pairs add without rounding, so the in-process
+aggregate and any shard layout give bit-identical answers — the value
+``math.fsum`` returns.
 
-Inputs must be finite (callers gate on ``np.isfinite``); the int64 lane
-accumulation is exact for up to 2**31 rows per group per exponent, far
-above anything a batch holds.
+Inputs must be finite (``executor.aggregate`` keeps groups holding inf
+or NaN out); the int64 lane accumulation is exact for up to 2**31 rows
+per group per exponent, far above anything a batch holds.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -64,17 +62,24 @@ def pair_to_float(pair: Tuple[int, int]) -> float:
         return math.inf if m > 0 else -math.inf
 
 
+def _zero_pairs(n: int) -> np.ndarray:
+    out = np.empty(n, dtype=object)
+    out[:] = [ZERO_PAIR] * n
+    return out
+
+
 def group_sum_pairs(
     values: np.ndarray, gids: np.ndarray, n_groups: int
-) -> List[Tuple[int, int]]:
+) -> np.ndarray:
     """Exact per-group sums of finite float64 values as (mantissa, exp2).
 
     Vectorized over rows: mantissas are split into 32-bit lo/hi int64
     lanes and accumulated per (group, exponent) with ``np.add.at``; only
     the final cross-exponent combine runs in Python, once per touched
-    (group, exponent) cell.
+    (group, exponent) cell. Returned as an object array so partials of
+    any size pickle cleanly between processes.
     """
-    totals: List[Tuple[int, int]] = [ZERO_PAIR] * n_groups
+    totals = _zero_pairs(n_groups)
     if len(values) == 0:
         return totals
     mantissa, exponent = np.frexp(values.astype(np.float64))
@@ -101,41 +106,21 @@ def group_sum_pairs(
     return totals
 
 
-def exact_group_sums(
-    values: np.ndarray, gids: np.ndarray, n_groups: int
-) -> np.ndarray:
-    """Per-group exactly-rounded float64 sums (order-independent)."""
-    pairs = group_sum_pairs(values, gids, n_groups)
-    return np.array([pair_to_float(p) for p in pairs], dtype=np.float64)
-
-
-def sum_pairs_shard(
-    values: np.ndarray, gids: np.ndarray, n_groups: int
-) -> np.ndarray:
-    """Kernel-side partial: one exact pair per shard-local group.
-
-    Returned as an object array so shards of any size pickle cleanly;
-    ``add_pairs`` merges partials across shards without rounding.
-    """
-    pairs = group_sum_pairs(values, gids, n_groups)
-    out = np.empty(n_groups, dtype=object)
-    out[:] = pairs
-    return out
-
-
 def merge_pair_arrays(
     concatenated: np.ndarray, gids: np.ndarray, n_groups: int
-) -> Optional[np.ndarray]:
-    """Combine concatenated shard pair-partials by merged group id."""
-    merged: List[Tuple[int, int]] = [ZERO_PAIR] * n_groups
+) -> np.ndarray:
+    """Combine concatenated pair partials by merged group id."""
+    merged = _zero_pairs(n_groups)
     for pos, pair in enumerate(concatenated):
         gi = int(gids[pos])
         merged[gi] = add_pairs(merged[gi], pair)
-    out = np.empty(n_groups, dtype=object)
-    out[:] = merged
-    return out
+    return merged
 
 
 def pairs_to_floats(pairs: np.ndarray) -> np.ndarray:
-    """Object array of pairs -> exactly-rounded float64 values."""
-    return np.array([pair_to_float(p) for p in pairs], dtype=np.float64)
+    """Object array of pairs -> exactly-rounded float64 values; a slot
+    already holding a float passes through."""
+    return np.array(
+        [p if isinstance(p, float) else pair_to_float(p) for p in pairs],
+        dtype=np.float64,
+    )

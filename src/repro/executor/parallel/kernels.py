@@ -18,12 +18,12 @@ the shard masks come from the same ``physical_mask`` that
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ...predicates.physical import PhysPredicate, physical_mask
-from ..floatsum import sum_pairs_shard
+from ..aggregate import group_rows, partial
 from ..joinutil import factorize
 
 
@@ -86,70 +86,32 @@ def group_aggregate_shard(
 ) -> Tuple[Tuple[np.ndarray, ...], Tuple[np.ndarray, ...], int]:
     """Fused scan → filter → grouped partial aggregate over one shard.
 
-    ``keys`` are group-key column names (empty for a global aggregate);
-    ``specs`` are primitive partials ``(func, column)`` with func in
-    count/sum/fsum/min/max/min_rank/max_rank (``column`` ignored for
-    count). Returns ``(key_value_arrays, partial_arrays, matched_rows)``
-    where each partial array has one slot per shard-local group, groups
-    ordered by their key values — :func:`merge_group_partials` in the
-    fragments module re-groups across shards. count/sum partials are
-    float64; fsum partials are exact ``(mantissa, exp2)`` pairs (object
-    dtype, see ``executor.floatsum``); min/max keep the column's physical
-    dtype so the merged extreme is exactly the sequential one.
-    min_rank/max_rank reduce string columns over ``ranks[column]`` —
-    parent-precomputed lexicographic rank per dictionary code — since
-    codes themselves do not follow string order and workers never see
-    dictionaries.
+    ``keys`` are group-key column names (empty for a global aggregate,
+    which is one group even over zero rows); ``specs`` are
+    ``(kind, column)`` pairs for ``aggregate.partial`` (``column`` is
+    empty for COUNT). Returns ``(key_value_arrays, partial_arrays,
+    matched_rows)``, one partial slot per shard-local group in key
+    order; ``fragments.merge_group_partials`` re-groups across shards.
+    ``ranks`` maps a string column to the lexicographic rank of each
+    dictionary code: workers never see dictionaries, and MIN/MAX reduce
+    over ranks because codes do not follow string order.
     """
     idx = scan_shard(arrays, preds, start, stop)
-    n = len(idx)
-    if keys:
-        key_data = [arrays[k][idx] for k in keys]
-        gids, first_idx = factorize(key_data)
-        n_groups = len(first_idx)
-        group_keys = tuple(kd[first_idx] for kd in key_data)
-    else:
-        gids = np.zeros(n, dtype=np.int64)
-        n_groups = 1 if n else 0
-        group_keys = ()
-    partials: List[np.ndarray] = []
-    for func, column in specs:
-        if func == "count":
-            partials.append(
-                np.bincount(gids, minlength=n_groups).astype(np.float64)
-            )
-            continue
+    key_data = [arrays[k][idx] for k in keys]
+    gids, first_idx = group_rows(key_data, len(idx))
+    ranks = ranks or {}
+
+    def argument(column: str) -> Optional[np.ndarray]:
+        if not column:
+            return None
         values = arrays[column][idx]
-        if func == "sum":
-            partials.append(
-                np.bincount(
-                    gids,
-                    weights=values.astype(np.float64),
-                    minlength=n_groups,
-                )
-            )
-            continue
-        if func == "fsum":
-            partials.append(
-                sum_pairs_shard(values.astype(np.float64), gids, n_groups)
-            )
-            continue
-        if func in ("min_rank", "max_rank"):
-            values = (
-                ranks[column][values.astype(np.int64)]
-                if len(values)
-                else values.astype(np.int64)
-            )
-        # min/max: group-contiguous reduceat (every group is non-empty
-        # by construction, so the segment reduction is well-defined).
-        order = np.argsort(gids, kind="stable")
-        starts = np.searchsorted(gids[order], np.arange(n_groups))
-        reducer = np.minimum if func.startswith("min") else np.maximum
-        if n_groups:
-            partials.append(reducer.reduceat(values[order], starts))
-        else:
-            partials.append(values[:0])
-    return group_keys, tuple(partials), int(n)
+        return ranks[column][values] if column in ranks else values
+
+    partials = tuple(
+        partial(kind, argument(column), gids, len(first_idx))
+        for kind, column in specs
+    )
+    return tuple(kd[first_idx] for kd in key_data), partials, int(len(idx))
 
 
 def distinct_shard(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import ExecutionError
@@ -215,32 +216,49 @@ def _finite_floats(values: List[Value]) -> bool:
     )
 
 
+def _exact_sum(values: List[float]) -> float:
+    """The exactly rounded sum (``math.fsum``, which raises on
+    intermediate overflow even where the exact sum is finite)."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        total = sum(map(Fraction, values), Fraction(0))
+        try:
+            return float(total)
+        except OverflowError:
+            return math.inf if total > 0 else -math.inf
+
+
+def _total_order(value: Value):
+    """MIN/MAX key: -0.0 < +0.0, and every NaN above +inf as one value."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            return (True,)
+        return (False, value, math.copysign(1.0, value))
+    return value
+
+
 def _agg_value(agg: ast.Aggregate, members: List[Env]) -> Value:
     if agg.func is ast.AggFunc.COUNT and agg.argument is None:
         return len(members)
     values = [_eval(agg.argument, env) for env in members]
     if agg.distinct:
-        # Smallest first: the addition order of the engine's
-        # SUM/AVG(DISTINCT), so float results compare bit for bit.
+        # Smallest first: the order in which the engine adds a group's
+        # distinct values when they are not all finite.
         values = sorted(dict.fromkeys(values))
     if agg.func is ast.AggFunc.COUNT:
         return len(values)
     if not values:
         return 0 if agg.func is not ast.AggFunc.AVG else 0.0
-    if agg.func is ast.AggFunc.SUM:
-        if not agg.distinct and _finite_floats(values):
-            # The engine's float sums are exactly rounded (see
-            # ``executor.floatsum``); math.fsum matches bit-for-bit.
-            return math.fsum(values)
-        return sum(values)
-    if agg.func is ast.AggFunc.AVG:
-        if not agg.distinct and _finite_floats(values):
-            return math.fsum(values) / len(values)
-        return sum(values) / len(values)
+    if agg.func in (ast.AggFunc.SUM, ast.AggFunc.AVG):
+        # Finite float sums are exactly rounded on every engine path
+        # (``executor.floatsum``); anything else adds in row order.
+        total = _exact_sum(values) if _finite_floats(values) else sum(values)
+        return total if agg.func is ast.AggFunc.SUM else total / len(values)
     if agg.func is ast.AggFunc.MIN:
-        return min(values)
+        return min(values, key=_total_order)
     if agg.func is ast.AggFunc.MAX:
-        return max(values)
+        return max(values, key=_total_order)
     raise ExecutionError(f"unhandled aggregate {agg.func}")
 
 

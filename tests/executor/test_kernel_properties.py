@@ -28,13 +28,30 @@ from tests.conftest import build_mini_db
 N_TRIALS = 25
 
 
+#: Float values whose order or propagation a careless reduction gets
+#: wrong: both zeros, NaN of either sign, both infinities.
+SPECIAL_FLOATS = np.array(
+    [-0.0, 0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf]
+)
+
+
 def random_arrays(rng, n_rows: int):
     """Random physical columns: int64, float64 and dictionary codes
     (strings are scanned as their code arrays; ``codes`` includes runs
-    and, sometimes, a single constant value)."""
+    and, sometimes, a single constant value). ``f`` is normal, normal
+    with some :data:`SPECIAL_FLOATS` mixed in, or drawn from a random
+    subset of them only, so groups whose extreme is a signed zero or
+    NaN are common."""
+    f = np.round(rng.normal(0, 100, size=n_rows), 2)
+    mode = rng.integers(0, 3)
+    if mode and n_rows:
+        pool = SPECIAL_FLOATS[rng.integers(0, 2, size=len(SPECIAL_FLOATS)) > 0]
+        pool = pool if len(pool) else SPECIAL_FLOATS[:2]
+        hit = rng.integers(0, 2, size=n_rows) > 0 if mode == 1 else slice(None)
+        f[hit] = pool[rng.integers(0, len(pool), size=len(f[hit]))]
     return {
         "i": rng.integers(-50, 50, size=n_rows).astype(np.int64),
-        "f": np.round(rng.normal(0, 100, size=n_rows), 2),
+        "f": f,
         "s": rng.integers(0, max(1, rng.integers(1, 8)), size=n_rows).astype(
             np.float64
         ),
@@ -173,40 +190,66 @@ def test_encoded_table_scan_matches_group_mask(trial):
 # ----------------------------------------------------------------------
 # Fragment kernels: grouped partials and distinct
 # ----------------------------------------------------------------------
-GROUP_SPECS = (("count", ""), ("sum", "i"), ("min", "i"), ("max", "f"))
+GROUP_SPECS = (
+    ("count", ""),
+    ("isum", "i"),
+    ("min", "i"),
+    ("max", "i"),
+    ("min", "f"),
+    ("max", "f"),
+    ("fsum", "f"),
+)
+
+
+def _group_specs(arrays):
+    """GROUP_SPECS as the fragment planner would fuse them: float sums
+    over a column holding inf/NaN stay in-process, so no fsum then."""
+    if np.isfinite(arrays["f"]).all():
+        return GROUP_SPECS
+    return tuple(spec for spec in GROUP_SPECS if spec[0] != "fsum")
+
+
+def _bits(array: np.ndarray):
+    """A bit-exact comparison form (``assert_array_equal`` treats -0.0
+    == 0.0 and NaN == NaN): floats as their int64 bits, exact-sum pairs
+    as their reprs."""
+    if array.dtype.kind == "f":
+        return array.view(np.int64)
+    if array.dtype == object:
+        return np.array([repr(v) for v in array], dtype=str)
+    return array
 
 
 def _assert_group_results_equal(got, want):
     g_keys, g_prims, g_groups, g_matched = got
     w_keys, w_prims, w_groups, w_matched = want
     assert (g_groups, g_matched) == (w_groups, w_matched)
-    for g, w in zip(g_keys, w_keys):
-        np.testing.assert_array_equal(g, w)
-    for g, w in zip(g_prims, w_prims):
-        np.testing.assert_array_equal(g, w)
+    for g, w in list(zip(g_keys, w_keys)) + list(zip(g_prims, w_prims)):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(_bits(g), _bits(w))
 
 
 @pytest.mark.parametrize("trial", range(N_TRIALS))
 def test_group_partials_invariant_under_shard_layout(trial):
     """group_aggregate_shard partials merged across any shard layout
-    equal the single-shard result — split boundaries cannot leak into
-    group keys, counts, integer sums or extremes."""
+    equal the single-shard result bit for bit — split boundaries cannot
+    leak into group keys, counts, integer or exact float sums, or
+    extremes (signed zeros, NaN and infinities included)."""
     rng = make_rng(6000 + trial)
     n = int(rng.integers(0, 400))
     arrays = random_arrays(rng, n)
+    specs = _group_specs(arrays)
     preds = random_predicates(rng, arrays)
     keys = ((), ("s",), ("s", "i"))[rng.integers(0, 3)]
     bounds = random_bounds(rng, n)
     single = merge_group_partials(
-        [group_aggregate_shard(arrays, preds, 0, n, keys, GROUP_SPECS)],
-        len(keys),
-        GROUP_SPECS,
+        [group_aggregate_shard(arrays, preds, 0, n, keys, specs)], specs
     )
     parts = [
-        group_aggregate_shard(arrays, preds, s, t, keys, GROUP_SPECS)
+        group_aggregate_shard(arrays, preds, s, t, keys, specs)
         for s, t in bounds
     ]
-    merged = merge_group_partials(parts, len(keys), GROUP_SPECS)
+    merged = merge_group_partials(parts, specs)
     _assert_group_results_equal(merged, single)
 
 
@@ -218,21 +261,22 @@ def test_group_partials_merge_is_associative(trial):
     rng = make_rng(6500 + trial)
     n = int(rng.integers(1, 400))
     arrays = random_arrays(rng, n)
+    specs = _group_specs(arrays)
     preds = random_predicates(rng, arrays)
     keys = ((), ("s",), ("s", "i"))[rng.integers(0, 3)]
     bounds = random_bounds(rng, n)
     parts = [
-        group_aggregate_shard(arrays, preds, s, t, keys, GROUP_SPECS)
+        group_aggregate_shard(arrays, preds, s, t, keys, specs)
         for s, t in bounds
     ]
-    flat = merge_group_partials(parts, len(keys), GROUP_SPECS)
+    flat = merge_group_partials(parts, specs)
     cut = int(rng.integers(0, len(parts) + 1))
     halves = []
     for half in (parts[:cut], parts[cut:]):
         if half:
-            k, p, _, m = merge_group_partials(half, len(keys), GROUP_SPECS)
+            k, p, _, m = merge_group_partials(half, specs)
             halves.append((k, p, m))
-    nested = merge_group_partials(halves or parts, len(keys), GROUP_SPECS)
+    nested = merge_group_partials(halves or parts, specs)
     _assert_group_results_equal(nested, flat)
 
 
