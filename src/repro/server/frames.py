@@ -77,17 +77,24 @@ def encode_dict_frame(
     request_id: int, column_index: int, entries: Sequence[str]
 ) -> bytes:
     """One string column's result-local dictionary."""
-    blobs = [entry.encode("utf-8") for entry in entries]
-    offsets = np.zeros(len(blobs) + 1, dtype="<u4")
-    if blobs:
-        offsets[1:] = np.cumsum([len(b) for b in blobs])
-    parts = [
-        _PREFIX.pack(KIND_DICT, request_id),
-        _DICT_HEAD.pack(column_index, len(blobs)),
-        offsets.tobytes(),
-    ]
-    parts.extend(blobs)
-    return b"".join(parts)
+    text = "".join(entries)
+    blob = text.encode("utf-8")
+    # Every non-ASCII character takes two or more UTF-8 bytes, so equal
+    # lengths mean pure ASCII: character lengths are byte lengths.
+    if len(blob) == len(text):
+        lengths = map(len, entries)
+    else:
+        lengths = (len(entry.encode("utf-8")) for entry in entries)
+    offsets = np.zeros(len(entries) + 1, dtype="<u4")
+    offsets[1:] = np.cumsum(np.fromiter(lengths, np.int64, len(entries)))
+    return b"".join(
+        (
+            _PREFIX.pack(KIND_DICT, request_id),
+            _DICT_HEAD.pack(column_index, len(entries)),
+            offsets.tobytes(),
+            blob,
+        )
+    )
 
 
 def encode_chunk_frame(
@@ -196,6 +203,20 @@ def peek_request_id(payload: bytes) -> int:
     return _PREFIX.unpack_from(payload, 0)[1]
 
 
+def _dict_entries(blob: bytes, offsets: List[int]) -> List[str]:
+    """A DICT blob cut at ``offsets`` (ascending, ``offsets[-1] == len(blob)``)."""
+    try:
+        text = blob.decode("utf-8")
+        if len(text) == len(blob):
+            # Pure ASCII: byte offsets are character offsets.
+            return [text[a:b] for a, b in zip(offsets, offsets[1:])]
+        # Per-entry decode keeps a multi-byte character from being split
+        # across two entries.
+        return [blob[a:b].decode("utf-8") for a, b in zip(offsets, offsets[1:])]
+    except UnicodeDecodeError as exc:
+        raise ProtocolError(f"DICT frame entry is not UTF-8: {exc}") from None
+
+
 def parse_binary_frame(payload: bytes) -> Tuple[int, int, object]:
     """Parse one binary payload into ``(kind, request_id, body)``.
 
@@ -217,14 +238,15 @@ def parse_binary_frame(payload: bytes) -> Tuple[int, int, object]:
         offsets = np.frombuffer(
             payload, dtype="<u4", count=n_entries + 1, offset=offset
         )
+        if offsets[0] != 0 or np.any(offsets[1:] < offsets[:-1]):
+            raise ProtocolError("DICT frame offsets are not ascending from 0")
         offset += offsets_bytes
-        blob = payload[offset:]
-        if n_entries and len(blob) < int(offsets[-1]):
+        blob_bytes = int(offsets[-1])
+        if len(payload) - offset < blob_bytes:
             raise ProtocolError("truncated DICT frame blob")
-        entries = [
-            blob[int(offsets[i]) : int(offsets[i + 1])].decode("utf-8")
-            for i in range(n_entries)
-        ]
+        if len(payload) - offset > blob_bytes:
+            raise ProtocolError("DICT frame carries bytes past its blob")
+        entries = _dict_entries(payload[offset:], offsets.tolist())
         return kind, request_id, (column_index, entries)
     if kind == KIND_CHUNK:
         if len(payload) < offset + _CHUNK_HEAD.size:
@@ -296,6 +318,11 @@ class StreamDecoder:
                 f"(expected {self._next_chunk})"
             )
         self._next_chunk += 1
+        if len(columns) != len(self.columns):
+            raise ProtocolError(
+                f"CHUNK {chunk_index} carries {len(columns)} columns, "
+                f"header names {len(self.columns)}"
+            )
         decoded: List[list] = []
         for index, (dtype_code, array) in enumerate(columns):
             if dtype_code == DTYPE_DICT32:
@@ -305,11 +332,15 @@ class StreamDecoder:
                         f"CHUNK references column {index} dictionary "
                         "before its DICT frame"
                     )
-                decoded.append(
-                    entries[array.astype(np.int64)].tolist()
-                    if len(array)
-                    else []
-                )
+                # A negative code would index from the end of the entries.
+                if len(array) and (
+                    array.min() < 0 or array.max() >= len(entries)
+                ):
+                    raise ProtocolError(
+                        f"CHUNK {chunk_index} column {self.columns[index]!r} "
+                        f"has codes outside its {len(entries)}-entry dictionary"
+                    )
+                decoded.append(entries[array].tolist())
             else:
                 decoded.append(array.tolist())
         chunk_rows = list(zip(*decoded)) if decoded else []
@@ -327,7 +358,7 @@ class StreamDecoder:
             raise ProtocolError(
                 f"stream ended after {self._next_chunk} of {chunks} chunks"
             )
-        if self.row_count and len(self.rows) != self.row_count:
+        if len(self.rows) != self.row_count:
             raise ProtocolError(
                 f"stream carried {len(self.rows)} rows, header promised "
                 f"{self.row_count}"

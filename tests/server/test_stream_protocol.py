@@ -14,6 +14,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro import Engine, EngineConfig
 from repro.server import (
@@ -80,6 +82,66 @@ def test_empty_dict_frame_roundtrip():
     assert (kind, column_index, decoded) == (KIND_DICT, 0, [])
 
 
+def reference_dict_frame(request_id, column_index, entries) -> bytes:
+    """The DICT wire format spelled out one entry at a time."""
+    blobs = [entry.encode("utf-8") for entry in entries]
+    offsets = [0]
+    for blob in blobs:
+        offsets.append(offsets[-1] + len(blob))
+    return (
+        struct.pack("<BqII", KIND_DICT, request_id, column_index, len(blobs))
+        + struct.pack(f"<{len(offsets)}I", *offsets)
+        + b"".join(blobs)
+    )
+
+
+@st.composite
+def dictionary_entries(draw):
+    shape = draw(st.sampled_from(["any", "ascii", "one_non_ascii"]))
+    if shape == "any":
+        return draw(st.lists(st.text()))
+    entries = draw(st.lists(st.text(st.characters(max_codepoint=0x7F))))
+    if shape == "one_non_ascii":
+        other = draw(st.text(st.characters(min_codepoint=0x80), min_size=1))
+        entries.insert(draw(st.integers(0, len(entries))), other)
+    return entries
+
+
+@settings(max_examples=300, deadline=None)
+@given(dictionary_entries())
+@example(["", "\x00", "a\x00b", ""])
+@example(["Ottawa", "Waßerloo", "東京", "x"])
+def test_dict_frame_codec_roundtrips_and_keeps_the_wire_format(entries):
+    payload = encode_dict_frame(9, 2, entries)
+    assert payload == reference_dict_frame(9, 2, entries)
+    assert parse_binary_frame(payload) == (KIND_DICT, 9, (2, entries))
+
+
+def dict_payload(offsets, blob: bytes) -> bytes:
+    return (
+        struct.pack("<BqII", KIND_DICT, 1, 0, len(offsets) - 1)
+        + struct.pack(f"<{len(offsets)}I", *offsets)
+        + blob
+    )
+
+
+@pytest.mark.parametrize(
+    "offsets, blob, message",
+    [
+        ([0, 2], b"\xff\xfe", "not UTF-8"),
+        # One two-byte character cut across two entries: the whole blob
+        # is valid UTF-8, each entry is not.
+        ([0, 1, 2], "é".encode("utf-8"), "not UTF-8"),
+        # Slicing at these offsets would yield ['abc', ''].
+        ([0, 3, 2], b"abc", "not ascending"),
+        ([1, 3], b"abc", "not ascending"),
+    ],
+)
+def test_malformed_dict_frames_rejected(offsets, blob, message):
+    with pytest.raises(ProtocolError, match=message):
+        parse_binary_frame(dict_payload(offsets, blob))
+
+
 def test_chunk_frame_roundtrip_all_dtypes():
     ints = np.arange(5, dtype="<i8") * 1000
     floats = np.linspace(-1.5, 2.5, 5)
@@ -114,6 +176,7 @@ def test_torn_and_corrupt_binary_frames_rejected():
         (dictionary[:12], "truncated DICT frame header"),
         (dictionary[:20], "truncated DICT frame offsets"),
         (dictionary[:-1], "truncated DICT frame blob"),
+        (dictionary + b"d", "bytes past its blob"),
     ]
     for payload, message in cases:
         with pytest.raises(ProtocolError, match=message):
@@ -197,6 +260,72 @@ def test_decoder_rejects_truncated_stream():
         decoder.feed(payload)
     with pytest.raises(ProtocolError, match="of 4 chunks"):
         decoder.finish(end)
+
+
+def one_string_column(codes) -> StreamDecoder:
+    decoder = StreamDecoder(
+        {"columns": ["city"], "row_count": len(codes), "n_chunks": 1}
+    )
+    decoder.feed(encode_dict_frame(1, 0, ["Ottawa", "Toronto"]))
+    return decoder
+
+
+@pytest.mark.parametrize("bad_code", [-1, 2, 2**31 - 1])
+def test_decoder_rejects_codes_outside_the_dictionary(bad_code):
+    # numpy would decode a negative code as an entry counted from the end
+    # and raise IndexError on a large one.
+    codes = np.array([0, bad_code, 1], dtype="<i4")
+    decoder = one_string_column(codes)
+    with pytest.raises(ProtocolError, match="'city' has codes outside"):
+        decoder.feed(encode_chunk_frame(1, 0, [(DTYPE_DICT32, codes)]))
+
+
+def test_decoder_rejects_a_chunk_of_the_wrong_width():
+    codes = np.array([0, 1], dtype="<i4")
+    decoder = one_string_column(codes)
+    chunk = encode_chunk_frame(
+        1, 0, [(DTYPE_DICT32, codes), (DTYPE_INT64, np.arange(2))]
+    )
+    with pytest.raises(ProtocolError, match="carries 2 columns, header names 1"):
+        decoder.feed(chunk)
+
+
+def test_decoder_rejects_rows_a_zero_row_header_did_not_promise():
+    result = make_engine().execute(SQL)
+    header, payloads, end = build_stream_frames(5, result, chunk_rows=90)
+    decoder = StreamDecoder({**header, "row_count": 0})
+    for payload in payloads:
+        decoder.feed(payload)
+    with pytest.raises(ProtocolError, match="carried 300 rows, header promised 0"):
+        decoder.finish(end)
+
+
+@pytest.fixture(scope="module")
+def sample_stream():
+    result = make_engine().execute(SQL)
+    return build_stream_frames(5, result, chunk_rows=90)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_corrupt_frames_raise_only_protocol_errors(sample_stream, data):
+    header, payloads, end = sample_stream
+    payloads = list(payloads)
+    target = data.draw(st.integers(0, len(payloads) - 1))
+    corrupt = bytearray(payloads[target])
+    for _ in range(data.draw(st.integers(0, 3))):
+        position = data.draw(st.integers(0, len(corrupt) - 1))
+        corrupt[position] ^= data.draw(st.integers(1, 255))
+    if data.draw(st.booleans()):
+        del corrupt[data.draw(st.integers(0, len(corrupt))) :]
+    payloads[target] = bytes(corrupt)
+    decoder = StreamDecoder(header)
+    try:
+        for payload in payloads:
+            decoder.feed(payload)
+        decoder.finish(end)
+    except ProtocolError:
+        pass
 
 
 # ----------------------------------------------------------------------
