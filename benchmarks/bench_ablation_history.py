@@ -22,8 +22,7 @@ N = 300
 
 def run_variant(use_history: bool, workload):
     db, _ = build_car_database(scale=SCALE, seed=DATA_SEED)
-    config = EngineConfig.with_jits(s_max=0.5)
-    config.jits.use_history_score = use_history
+    config = EngineConfig.with_jits(s_max=0.5, use_history_score=use_history)
     engine = Engine(db, config)
     report = run_workload(engine, workload, f"history={use_history}")
     return engine, report

@@ -30,8 +30,7 @@ N = 300
 
 def run_variant(materialize: bool, workload):
     db, _ = build_car_database(scale=SCALE, seed=DATA_SEED)
-    config = EngineConfig.with_jits(s_max=0.5)
-    config.jits.materialize_enabled = materialize
+    config = EngineConfig.with_jits(s_max=0.5, materialize_enabled=materialize)
     engine = Engine(db, config)
     report = run_workload(engine, workload, f"materialize={materialize}")
     return engine, report

@@ -20,21 +20,21 @@ from __future__ import annotations
 import argparse
 import asyncio
 import contextlib
+import dataclasses
 import sys
 import time
 from typing import List, Optional
 
-from . import Engine, EngineConfig, JITSConfig, ReproError, SqlSyntaxError
+from . import Engine, EngineConfig, ReproError, SqlSyntaxError
 from .workload import build_car_database
 
 PROMPT = "repro> "
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="JITS reproduction SQL shell (car-insurance database)",
-    )
+def engine_flags() -> argparse.ArgumentParser:
+    """The engine flags ``repro`` and ``repro serve`` share (an argparse
+    parent parser): the car database and the :class:`EngineConfig`."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument(
         "--scale", type=float, default=0.002,
         help="fraction of the paper's Table 2 row counts (default 0.002)",
@@ -52,6 +52,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="enable the plan cache (repeated statements skip compilation)",
     )
     parser.add_argument(
+        "--scan-workers", type=int, default=0, metavar="N",
+        help="process-parallel scan worker pool size (0 disables; scans "
+        "shard across N forkserver workers over shared-memory columns)",
+    )
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="JITS reproduction SQL shell (car-insurance database)",
+        parents=[engine_flags()],
+    )
+    parser.add_argument(
         "-e", "--execute", metavar="SQL", action="append",
         help="execute one statement and exit (repeatable)",
     )
@@ -64,16 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="run multiple -e statements across N concurrent client "
         "sessions (results print in statement order)",
     )
-    parser.add_argument(
-        "--scan-workers", type=int, default=0, metavar="N",
-        help="process-parallel scan worker pool size (0 disables; scans "
-        "shard across N forkserver workers over shared-memory columns)",
-    )
-    parser.add_argument(
-        "--parallel-threshold", type=int, default=None, metavar="ROWS",
-        help="minimum scanned row count before scans go parallel "
-        "(default 32768)",
-    )
     return parser
 
 
@@ -84,18 +88,15 @@ def make_engine(args: argparse.Namespace) -> Engine:
 
 
 def make_config(args: argparse.Namespace) -> EngineConfig:
-    """One EngineConfig construction from the parsed flags, so every value
-    passes ``EngineConfig.__post_init__`` (bad ones raise ConfigError)."""
-    knobs = dict(scan_workers=max(0, getattr(args, "scan_workers", 0) or 0))
-    threshold = getattr(args, "parallel_threshold", None)
-    if threshold is not None:
-        knobs["parallel_threshold_rows"] = threshold
+    """The EngineConfig of the parsed engine flags. ``replace`` re-runs
+    ``EngineConfig.__post_init__``, so a bad value raises ConfigError."""
     if args.no_jits:
-        jits = JITSConfig(enabled=False)
+        config = EngineConfig.traditional()
     else:
-        jits = JITSConfig(enabled=True, s_max=args.smax)
-        knobs["plan_cache_enabled"] = getattr(args, "fastpath", False)
-    return EngineConfig(jits=jits, **knobs)
+        config = EngineConfig.with_jits(
+            plan_cache_enabled=args.fastpath, s_max=args.smax
+        )
+    return dataclasses.replace(config, scan_workers=args.scan_workers)
 
 
 class ResultTable:
@@ -329,24 +330,17 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro serve",
         description="Serve the car database over the repro wire protocol",
+        parents=[engine_flags()],
     )
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument(
         "--port", type=int, default=None,
         help="listening port (default 7433; 0 picks an ephemeral port)",
     )
-    parser.add_argument("--scale", type=float, default=0.002)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--no-jits", action="store_true")
-    parser.add_argument("--smax", type=float, default=0.5)
-    parser.add_argument("--fastpath", action="store_true")
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="executor thread-pool width (default: --max-inflight)",
-    )
     parser.add_argument(
         "--max-inflight", type=int, default=8, metavar="N",
-        help="global admission limit: statements executing at once",
+        help="global admission limit: statements executing at once "
+        "(also the executor thread-pool width)",
     )
     parser.add_argument(
         "--per-client-inflight", type=int, default=4, metavar="N",
@@ -381,7 +375,6 @@ def serve_main(argv: Optional[List[str]] = None) -> int:
             engine,
             host=args.host,
             port=port,
-            workers=args.workers,
             max_inflight=args.max_inflight,
             per_client_inflight=args.per_client_inflight,
         )

@@ -18,9 +18,10 @@ class StatsMode(enum.Enum):
     WORKLOAD = "workload"  # general + all workload column groups (setting 3)
 
 
-@dataclass
+@dataclass(slots=True)
 class EngineConfig:
-    """All engine knobs in one place."""
+    """All engine knobs in one place. Slotted, so assigning a name that is
+    not a knob raises instead of being silently ignored."""
 
     jits: JITSConfig = field(default_factory=lambda: JITSConfig(enabled=False))
     seed: int = DEFAULT_SEED
@@ -28,35 +29,23 @@ class EngineConfig:
     # a cached plan skips the whole JITS pipeline, so workloads that study
     # per-query statistics collection should not silently stop collecting.
     plan_cache_enabled: bool = False
-    # Thread-pool width for execute_many()/execute_streams() when the
-    # caller does not pass one. 1 keeps those APIs fully sequential.
-    default_workers: int = 4
     # Process-parallel scans (default off). With scan_workers > 0 the
     # engine keeps a forkserver worker pool attached to shared-memory
     # column exports; predicate scans, DML WHERE targeting, fused
     # aggregates, DISTINCT and RUNSTATS column passes shard across the
-    # workers once the scanned row count reaches parallel_threshold_rows.
-    # Any pool/shm failure falls back in-process with a warning.
+    # workers once the scanned row count reaches the pool's threshold
+    # (executor/parallel DEFAULT_PARALLEL_THRESHOLD). Any pool/shm
+    # failure falls back in-process with a warning.
     scan_workers: int = 0
-    parallel_threshold_rows: int = 32768
     # Not knobs: every read runs on pinned MVCC snapshot generations, and
     # the copy-on-write chunk size and retention window are the storage
     # layer's constants (storage/snapshot.py DEFAULT_CHUNK_ROWS /
     # DEFAULT_SNAPSHOT_RETENTION).
 
     def __post_init__(self) -> None:
-        if self.default_workers < 1:
-            raise ConfigError(
-                f"default_workers must be >= 1, got {self.default_workers}"
-            )
         if self.scan_workers < 0:
             raise ConfigError(
                 f"scan_workers must be >= 0, got {self.scan_workers}"
-            )
-        if self.parallel_threshold_rows < 1:
-            raise ConfigError(
-                "parallel_threshold_rows must be >= 1, "
-                f"got {self.parallel_threshold_rows}"
             )
 
     @staticmethod
@@ -65,22 +54,10 @@ class EngineConfig:
         return EngineConfig(jits=JITSConfig(enabled=False))
 
     @staticmethod
-    def with_jits(
-        s_max: float = 0.5,
-        sample_size: int = 2000,
-        always_collect: bool = False,
-        materialize_enabled: bool = True,
-        migration_interval: int = 50,
-        plan_cache_enabled: bool = False,
-    ) -> "EngineConfig":
+    def with_jits(plan_cache_enabled: bool = False, **jits) -> "EngineConfig":
+        """JITS on; ``jits`` are :class:`JITSConfig` fields (its defaults
+        apply to the rest)."""
         return EngineConfig(
-            jits=JITSConfig(
-                enabled=True,
-                s_max=s_max,
-                sample_size=sample_size,
-                always_collect=always_collect,
-                materialize_enabled=materialize_enabled,
-                migration_interval=migration_interval,
-            ),
+            jits=JITSConfig(enabled=True, **jits),
             plan_cache_enabled=plan_cache_enabled,
         )

@@ -57,6 +57,9 @@ from .plancache import PLAN_STALENESS, PlanCache
 from .result import PHASE_COMPILE, PHASE_EXECUTE, PHASE_FETCH, QueryResult
 from .session import Session
 
+# Thread-pool width for execute_many() when the caller does not pass one.
+DEFAULT_WORKERS = 4
+
 
 class Engine:
     """One database engine instance."""
@@ -72,10 +75,7 @@ class Engine:
         self.rng = make_rng(self.config.seed)
         # Process-parallel scan machinery.
         self.parallel: Optional[ParallelScanManager] = (
-            ParallelScanManager(
-                workers=self.config.scan_workers,
-                threshold_rows=self.config.parallel_threshold_rows,
-            )
+            ParallelScanManager(workers=self.config.scan_workers)
             if self.config.scan_workers > 0
             else None
         )
@@ -228,14 +228,10 @@ class Engine:
             )
 
     def _resolve_workers(
-        self, workers: Optional[int], default: Optional[int] = None
+        self, workers: Optional[int], default: int = DEFAULT_WORKERS
     ) -> int:
         if workers is None:
-            workers = (
-                default
-                if default is not None
-                else self.config.default_workers
-            )
+            workers = default
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         return workers

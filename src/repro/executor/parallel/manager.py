@@ -46,14 +46,13 @@ class ParallelScanManager:
         self,
         workers: int = 0,
         threshold_rows: int = DEFAULT_PARALLEL_THRESHOLD,
-        start_method: str = "forkserver",
         task_timeout: float = 120.0,
     ):
         self.workers = max(0, workers)
         self.threshold_rows = max(1, threshold_rows)
         self.registry = ShmRegistry()
         self.pool: Optional[WorkerPool] = (
-            WorkerPool(self.workers, start_method, task_timeout)
+            WorkerPool(self.workers, task_timeout)
             if self.workers > 0
             else None
         )

@@ -95,19 +95,14 @@ def _suppress_main_reimport():
 class WorkerPool:
     """A fixed-width pool with crash detection and automatic respawn."""
 
-    def __init__(
-        self,
-        workers: int,
-        start_method: str = "forkserver",
-        task_timeout: float = 120.0,
-    ):
+    def __init__(self, workers: int, task_timeout: float = 120.0):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.task_timeout = task_timeout
         try:
-            self._ctx = mp.get_context(start_method)
-        except ValueError:
+            self._ctx = mp.get_context("forkserver")
+        except ValueError:  # a platform without forkserver
             self._ctx = mp.get_context("spawn")
         self._procs: List[Optional[mp.process.BaseProcess]] = [None] * workers
         self._task_qs: List[Any] = [None] * workers

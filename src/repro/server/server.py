@@ -1,7 +1,7 @@
 """Asyncio network server: many connections, one engine.
 
-The server owns one :class:`~repro.engine.engine.Engine` and a bounded
-thread pool. Each accepted connection gets its own
+The server owns one :class:`~repro.engine.engine.Engine` and a thread
+pool ``max_inflight`` threads wide. Each accepted connection gets its own
 :class:`~repro.engine.session.Session`; statements run in the pool via
 ``run_in_executor`` so the engine's two-level lock hierarchy (database
 intent + per-table locks) and per-session UDI-shard semantics are
@@ -123,15 +123,10 @@ class ReproServer:
         engine,
         host: str = "127.0.0.1",
         port: int = 0,
-        workers: Optional[int] = None,
         max_inflight: int = 8,
         per_client_inflight: int = 4,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
     ):
-        if workers is None:
-            workers = max_inflight
-        if workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {workers}")
         if max_inflight < 1:
             raise ConfigError(
                 f"max_inflight must be >= 1, got {max_inflight}"
@@ -145,7 +140,6 @@ class ReproServer:
         self.engine = engine
         self.host = host
         self.port = port
-        self.workers = workers
         self.max_inflight = max_inflight
         self.per_client_inflight = per_client_inflight
         self.chunk_rows = chunk_rows
@@ -169,8 +163,11 @@ class ReproServer:
     # ------------------------------------------------------------------
     async def start(self) -> None:
         """Bind the listening socket (port 0 picks an ephemeral port)."""
+        # Only admitted statements run on the pool, and admission stops
+        # at max_inflight: a wider pool idles, a narrower one queues
+        # statements that were already admitted.
         self._pool = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-server"
+            max_workers=self.max_inflight, thread_name_prefix="repro-server"
         )
         self._server = await asyncio.start_server(
             self._handle_connection, self.host, self.port

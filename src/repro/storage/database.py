@@ -116,8 +116,13 @@ class Database:
         key = name.lower()
         viewed = self._viewed(key)
         if viewed is not None:
+            # A generation of a dropped (or dropped and re-created) table
+            # keeps the indexes it had: pass None, not the new table's set.
             live = self._indexes.get(key)
-            return viewed.index_view(live.declared() if live is not None else ())
+            current = self._tables.get(key) is viewed.storage_identity
+            return viewed.index_view(
+                live.declared() if live is not None and current else None
+            )
         try:
             return self._indexes[key]
         except KeyError:

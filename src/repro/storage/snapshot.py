@@ -187,7 +187,8 @@ class SnapshotIndexSet:
 
     Mirrors the lookup surface of :class:`~repro.storage.index.IndexSet`
     (``hash_on`` / ``sorted_on`` / ``all``). Declared (kind, column)
-    pairs are captured from the live set on first access; the physical
+    pairs are captured from the live set when the set is built (see
+    :meth:`TableSnapshot.index_view`); the physical
     structures build lazily from the snapshot's immutable arrays and are
     cached on the column snapshots, so they are shared across every
     generation whose column is byte-identical (same object).
@@ -317,20 +318,26 @@ class TableSnapshot:
     def udi_since(self, snapshot: int) -> int:
         return self.udi_total - snapshot
 
-    def index_view(self, declared: Iterable[Tuple[str, str]]) -> SnapshotIndexSet:
-        """The snapshot's lazy index set; built once, then cached (so a
-        table dropped while this generation stays pinned keeps serving
-        the indexes it had)."""
-        indexes = self._indexes
-        if indexes is None:
-            with self._index_lock:
-                indexes = self._indexes
-                if indexes is None:
-                    indexes = SnapshotIndexSet(
-                        self.name, self.columns, declared
-                    )
-                    self._indexes = indexes
-        return indexes
+    def index_view(
+        self, declared: Optional[Iterable[Tuple[str, str]]]
+    ) -> SnapshotIndexSet:
+        """The snapshot's lazy index set over the live table's current
+        ``declared`` (kind, column) pairs. The set is cached and rebuilt
+        only when an index was created or dropped since (cheap: the
+        physical structures stay cached on the column snapshots).
+        ``declared`` is None once the live table is gone: a generation
+        pinned across DROP TABLE keeps serving the indexes it had."""
+        wanted = None if declared is None else frozenset(
+            (kind, column.lower()) for kind, column in declared
+        )
+        with self._index_lock:
+            indexes = self._indexes
+            if indexes is None or (
+                wanted is not None and indexes.declared() != wanted
+            ):
+                indexes = SnapshotIndexSet(self.name, self.columns, wanted or ())
+                self._indexes = indexes
+            return indexes
 
     def release(self) -> None:
         """Unpin this generation (see ``Table.unpin``)."""

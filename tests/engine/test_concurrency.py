@@ -386,13 +386,7 @@ def _run_torture(seed: int, scan_workers: int = 0) -> None:
 
     def base_config() -> EngineConfig:
         config = EngineConfig.with_jits(s_max=0.3, sample_size=100)
-        # Tiny COW chunks so the mini tables span many chunks and the
-        # chunk-local DML actually exercises partial-copy publishes.
-        config.chunk_rows = 32
-        config.snapshot_retention = 4
-        if scan_workers:
-            config.scan_workers = scan_workers
-            config.parallel_threshold_rows = 64
+        config.scan_workers = scan_workers
         return config
 
     report = run_torture_schedule(
@@ -410,6 +404,7 @@ def _run_torture(seed: int, scan_workers: int = 0) -> None:
     assert report.dml_executed == sum(len(s) for s in streams)
     assert report.reads_validated > 0
     assert report.runstats_passes > 0
+    assert (report.parallel_calls > 0) == bool(scan_workers)
 
 
 @pytest.mark.parametrize("seed", range(TORTURE_SCHEDULES))

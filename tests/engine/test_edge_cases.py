@@ -153,8 +153,9 @@ def test_aggregate_matches_reference(case, workers):
     setup, sql = AGGREGATE_CASES[case]
     config = EngineConfig.traditional()
     config.scan_workers = workers
-    config.parallel_threshold_rows = 4
     engine = Engine(config=config)
+    if workers:
+        engine.parallel.threshold_rows = 4
     try:
         for statement in setup:
             engine.execute(statement)
@@ -177,8 +178,9 @@ def test_int_sum_past_int64_raises(workers):
 
     config = EngineConfig.traditional()
     config.scan_workers = workers
-    config.parallel_threshold_rows = 4
     engine = Engine(config=config)
+    if workers:
+        engine.parallel.threshold_rows = 4
     big = 1 << 62
     try:
         engine.execute("CREATE TABLE t (id INT PRIMARY KEY, g INT, v INT)")

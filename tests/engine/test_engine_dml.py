@@ -140,3 +140,21 @@ def test_create_index_statement(plain_engine, mini_db):
     assert mini_db.indexes("car").hash_on("year") is not None
     plain_engine.execute("CREATE INDEX iy2 ON car (year) USING SORTED")
     assert mini_db.indexes("car").sorted_on("year") is not None
+
+
+def test_index_created_after_a_read_is_planned():
+    """A read caches its generation's index set; an index created after
+    it must still reach the planner before the table's next write."""
+    engine = Engine(config=EngineConfig.traditional())
+    engine.execute("CREATE TABLE t (id INT PRIMARY KEY, k INT)")
+    engine.execute(
+        "INSERT INTO t VALUES "
+        + ", ".join(f"({i}, {i % 500})" for i in range(5000))
+    )
+    engine.collect_general_statistics()
+    sql = "SELECT id FROM t WHERE k = 5"
+    assert len(engine.execute(sql).rows) == 10
+    assert "SeqScan" in engine.explain(sql)
+    engine.execute("CREATE HASH INDEX ik ON t (k)")
+    assert "IndexScan(hash)" in engine.explain(sql)
+    assert len(engine.execute(sql).rows) == 10

@@ -106,7 +106,7 @@ def test_fastpath_results_match_traditional_engine():
 def test_engine_config_surface_stays_small():
     """The knob diet holds: removed knobs are gone as keywords (not
     silently ignored) and the field count does not creep back up."""
-    assert len(dataclasses.fields(EngineConfig)) == 6
+    assert len(dataclasses.fields(EngineConfig)) == 4
     for removed in (
         "fetch_overhead",
         "commit_latency",
@@ -129,9 +129,13 @@ def test_engine_config_surface_stays_small():
         "mvcc",
         "chunk_rows",
         "snapshot_retention",
+        "default_workers",
+        "parallel_threshold_rows",
     ):
         with pytest.raises(TypeError):
             EngineConfig(**{removed: 1})
+        with pytest.raises(AttributeError):
+            setattr(EngineConfig(), removed, 1)
 
 
 def test_jits_config_validation():

@@ -62,8 +62,6 @@ def test_invalid_worker_counts_raise_config_error():
     engine = make_engine()
     with pytest.raises(ConfigError):
         engine.execute_many(["SELECT COUNT(*) FROM car"] * 2, workers=0)
-    with pytest.raises(ConfigError):
-        EngineConfig(default_workers=0)
 
 
 def test_error_mid_stream_leaves_session_usable():

@@ -109,17 +109,18 @@ def engines(engine_factory):
     """One in-process and one pooled engine over identical databases."""
     pooled = EngineConfig.traditional()
     pooled.scan_workers = 2
-    pooled.parallel_threshold_rows = 64
     pair = (
         engine_factory(build_mini_db(), EngineConfig.traditional()),
         engine_factory(build_mini_db(), pooled),
     )
+    pair[1].parallel.threshold_rows = 64
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflow
         for engine in pair:
             for statement in NUM_TABLE:
                 engine.execute(statement)
-    return pair
+    yield pair
+    assert pair[1].stats_snapshot()["parallel"]["fragments"], "no fragment ran"
 
 
 def _canonical(rows) -> str:

@@ -22,15 +22,12 @@ from repro.storage.shm import ColumnSegment, ShmError, TablePayload
 from tests.conftest import build_mini_db
 
 
-def _engine(engine_factory, **overrides) -> Engine:
+def _engine(engine_factory) -> Engine:
     config = EngineConfig.with_jits(s_max=0.4, sample_size=150)
-    config.scan_workers = overrides.pop("scan_workers", 2)
-    config.parallel_threshold_rows = overrides.pop(
-        "parallel_threshold_rows", 64
-    )
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return engine_factory(build_mini_db(200, 600, seed=7), config)
+    config.scan_workers = 2
+    engine = engine_factory(build_mini_db(200, 600, seed=7), config)
+    engine.parallel.threshold_rows = 64
+    return engine
 
 
 QUERY = "SELECT id, price FROM car WHERE year >= 2000 AND make = 'Toyota'"

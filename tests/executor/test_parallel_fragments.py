@@ -59,15 +59,12 @@ def _base_config():
     return EngineConfig.with_jits(s_max=0.4, sample_size=150)
 
 
-def _parallel_engine(engine_factory, **overrides) -> Engine:
+def _parallel_engine(engine_factory) -> Engine:
     config = _base_config()
-    config.scan_workers = overrides.pop("scan_workers", 4)
-    config.parallel_threshold_rows = overrides.pop(
-        "parallel_threshold_rows", 64
-    )
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return engine_factory(_build_db(), config)
+    config.scan_workers = 4
+    engine = engine_factory(_build_db(), config)
+    engine.parallel.threshold_rows = 64
+    return engine
 
 
 def test_fragment_differential_sequential_vs_process():
@@ -161,8 +158,8 @@ def test_fragment_stats_surface_through_server_wire():
     db = build_mini_db(n_owners=200, n_cars=600, seed=7)
     config = _base_config()
     config.scan_workers = 2
-    config.parallel_threshold_rows = 64
     engine = Engine(db, config)
+    engine.parallel.threshold_rows = 64
     srv = ReproServer(engine, port=0).start_in_thread()
     try:
         with connect(port=srv.port) as client:

@@ -60,15 +60,14 @@ def _base_config():
     return EngineConfig.with_jits(s_max=0.4, sample_size=150)
 
 
-def _parallel_engine(engine_factory, **overrides) -> Engine:
+def _parallel_engine(
+    engine_factory, scan_workers: int = 4, threshold_rows: int = 64
+) -> Engine:
     config = _base_config()
-    config.scan_workers = overrides.pop("scan_workers", 4)
-    config.parallel_threshold_rows = overrides.pop(
-        "parallel_threshold_rows", 64
-    )
-    for key, value in overrides.items():
-        setattr(config, key, value)
-    return engine_factory(_build_db(), config)
+    config.scan_workers = scan_workers
+    engine = engine_factory(_build_db(), config)
+    engine.parallel.threshold_rows = threshold_rows
+    return engine
 
 
 def test_differential_mixed_workload_across_all_modes():
@@ -216,8 +215,8 @@ def test_shutdown_unlinks_all_segments():
     db = _build_db()
     config = _base_config()
     config.scan_workers = 2
-    config.parallel_threshold_rows = 64
     engine = Engine(db, config)
+    engine.parallel.threshold_rows = 64
     engine.execute("SELECT id FROM car WHERE price > 10000")
     engine.execute("SELECT id FROM owner WHERE salary > 2000")
     assert set(list_segments()) - before, "scans should have exported"
@@ -227,7 +226,7 @@ def test_shutdown_unlinks_all_segments():
 
 
 def test_below_threshold_stays_inline(engine_factory):
-    engine = _parallel_engine(engine_factory, parallel_threshold_rows=10_000)
+    engine = _parallel_engine(engine_factory, threshold_rows=10_000)
     engine.execute("SELECT id FROM car WHERE price > 20000")
     snap = engine.stats_snapshot()["parallel"]
     assert snap["parallel_calls"] == 0

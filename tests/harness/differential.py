@@ -28,12 +28,21 @@ MODES = ("sequential", "threaded", "process")
 # ----------------------------------------------------------------------
 # Engine factories
 # ----------------------------------------------------------------------
+def make_engine(db, config: EngineConfig, threshold_rows: int = 64) -> Engine:
+    """An engine over ``db`` whose scan pool, if it has one, shards tables
+    of ``threshold_rows`` rows and up, so mini-scale test tables reach it."""
+    engine = Engine(db, config)
+    if engine.parallel is not None:
+        engine.parallel.threshold_rows = threshold_rows
+    return engine
+
+
 def engine_for_mode(
     mode: str,
     build_db: Callable[[], object],
     base_config: Callable[[], EngineConfig],
     scan_workers: int = 4,
-    parallel_threshold_rows: int = 64,
+    threshold_rows: int = 64,
 ) -> Engine:
     """A fresh engine for one mode over a freshly built (seeded) database.
 
@@ -46,8 +55,7 @@ def engine_for_mode(
     config = base_config()
     if mode == "process":
         config.scan_workers = scan_workers
-        config.parallel_threshold_rows = parallel_threshold_rows
-    return Engine(build_db(), config)
+    return make_engine(build_db(), config, threshold_rows)
 
 
 # ----------------------------------------------------------------------
@@ -151,7 +159,7 @@ def run_differential(
     modes: Sequence[str] = MODES,
     workers: int = 4,
     scan_workers: int = 4,
-    parallel_threshold_rows: int = 64,
+    threshold_rows: int = 64,
 ) -> Dict[str, Engine]:
     """Run the workload through every mode and assert equivalence.
 
@@ -170,7 +178,7 @@ def run_differential(
                 build_db,
                 base_config,
                 scan_workers=scan_workers,
-                parallel_threshold_rows=parallel_threshold_rows,
+                threshold_rows=threshold_rows,
             )
             engines[mode] = engine
             results[mode] = run_workload(
@@ -209,6 +217,7 @@ class TortureReport:
     dml_executed: int = 0
     reads_validated: int = 0
     runstats_passes: int = 0
+    parallel_calls: int = 0  # pool dispatches of the concurrent engine
     generations: Dict[str, int] = field(default_factory=dict)
 
 
@@ -260,7 +269,7 @@ def run_torture_schedule(
     from repro.executor import run_reference
     from repro.sql import build_query_graph, parse_select
 
-    engine = Engine(build_db(), base_config())
+    engine = make_engine(build_db(), base_config())
     writes: List[List[Tuple[str, int, Dict[str, Tuple[int, int]]]]] = [
         [] for _ in writer_streams
     ]
@@ -326,7 +335,7 @@ def run_torture_schedule(
             raise errors[0]
 
         # -- sequential replay in publish-stamp order -------------------
-        replay = Engine(build_db(), base_config())
+        replay = make_engine(build_db(), base_config())
         try:
             schemas = [
                 replay.database.table(n).schema
@@ -351,8 +360,13 @@ def run_torture_schedule(
             stamps = [entry[0] for entry in timeline]
             assert len(set(stamps)) == len(stamps), "publish stamps collided"
 
-            report = TortureReport(dml_executed=dml_done[0],
-                                   runstats_passes=runstats_done[0])
+            report = TortureReport(
+                dml_executed=dml_done[0],
+                runstats_passes=runstats_done[0],
+                parallel_calls=(
+                    engine.parallel.parallel_calls if engine.parallel else 0
+                ),
+            )
             for stamp, name, sql, affected in timeline:
                 replayed = replay.execute(sql)
                 assert replayed.affected_rows == affected, (

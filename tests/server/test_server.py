@@ -49,8 +49,8 @@ def test_server_config_validation():
         ReproServer(engine, max_inflight=0)
     with pytest.raises(ConfigError):
         ReproServer(engine, per_client_inflight=0)
-    with pytest.raises(ConfigError):
-        ReproServer(engine, workers=0)
+    with pytest.raises(TypeError):  # the pool is max_inflight wide
+        ReproServer(engine, workers=1)
     with pytest.raises(ConfigError):
         ReproServer(engine, chunk_rows=0)
 

@@ -265,6 +265,18 @@ def test_trimmed_generations_die_without_the_cyclic_gc():
         gc.enable()
 
 
+def test_index_view_follows_the_live_set_until_the_table_is_gone():
+    t = make_table()
+    fill(t, 4)
+    snap = t.pin_current()
+    assert snap.index_view([("hash", "id")]).sorted_on("pay") is None
+    both = snap.index_view([("hash", "id"), ("sorted", "pay")])
+    assert both.sorted_on("pay") is not None
+    # None: the live table was dropped; the generation keeps its indexes.
+    assert snap.index_view(None) is both
+    snap.release()
+
+
 def test_double_pin_needs_double_release():
     t = make_table(snapshot_retention=1)
     fill(t, 4)

@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro import EngineConfig, JITSConfig
 from repro.cli import (
     build_parser,
     build_serve_parser,
@@ -11,6 +12,7 @@ from repro.cli import (
     ResultTable,
     format_error_caret,
     main,
+    make_config,
     make_engine,
     network_repl,
     repl,
@@ -56,13 +58,27 @@ def test_one_shot_dml_and_error(capsys):
 
 def test_bad_config_value_exits_with_config_error(capsys):
     code = main(
-        ["--scale", "0.0004", "--parallel-threshold", "0",
+        ["--scale", "0.0004", "--scan-workers", "-1",
          "-e", "SELECT 1 FROM car"]
     )
     out = capsys.readouterr().out
     assert code != 0
-    assert "error: parallel_threshold_rows must be >= 1, got 0" in out
+    assert "error: scan_workers must be >= 0, got -1" in out
     assert "row(s)" not in out
+
+
+@pytest.mark.parametrize("build", [build_parser, build_serve_parser])
+def test_both_shells_parse_one_engine_flag_set(build):
+    args = build().parse_args(
+        ["--scale", "0.0004", "--seed", "3", "--smax", "0.25",
+         "--fastpath", "--scan-workers", "2"]
+    )
+    assert (args.scale, args.seed) == (0.0004, 3)
+    assert make_config(args) == EngineConfig(
+        jits=JITSConfig(s_max=0.25), plan_cache_enabled=True, scan_workers=2
+    )
+    args = build().parse_args(["--no-jits", "--fastpath"])
+    assert make_config(args) == EngineConfig.traditional()
 
 
 @pytest.mark.parametrize(
@@ -74,6 +90,7 @@ def test_bad_config_value_exits_with_config_error(capsys):
         "--no-caches",
         "--stream-threshold=8",
         "--chunk-rows=8",
+        "--parallel-threshold=64",
     ],
 )
 def test_removed_snapshot_flags_are_argparse_errors(capsys, flag):
@@ -177,6 +194,8 @@ def test_serve_parser_knobs():
     assert args.port == 0
     assert args.max_inflight == 3
     assert args.per_client_inflight == 1
+    with pytest.raises(SystemExit):  # the pool is --max-inflight wide
+        build_serve_parser().parse_args(["--workers", "2"])
 
 
 @pytest.fixture

@@ -1,10 +1,7 @@
-"""Core utilities: types, timers, RNG helpers."""
-
-import time
+"""Core utilities: types, RNG helpers."""
 
 import pytest
 
-from repro.timer import PhaseTimer, Stopwatch
 from repro.rng import DEFAULT_SEED, derive_rng, make_rng
 from repro.types import DataType, comparable
 
@@ -51,55 +48,6 @@ def test_comparable():
     assert not comparable(DataType.INT, True)
     assert comparable(DataType.STRING, "x")
     assert not comparable(DataType.STRING, 5)
-
-
-# ----------------------------------------------------------------------
-# Timers
-# ----------------------------------------------------------------------
-def test_stopwatch_accumulates():
-    watch = Stopwatch()
-    watch.start()
-    time.sleep(0.01)
-    first = watch.stop()
-    assert first >= 0.01
-    watch.start()
-    watch.stop()
-    assert watch.elapsed >= first
-
-
-def test_stopwatch_misuse():
-    watch = Stopwatch()
-    with pytest.raises(RuntimeError):
-        watch.stop()
-    watch.start()
-    with pytest.raises(RuntimeError):
-        watch.start()
-
-
-def test_phase_timer():
-    timer = PhaseTimer()
-    with timer.phase("compile"):
-        time.sleep(0.005)
-    with timer.phase("execute"):
-        pass
-    with timer.phase("compile"):
-        pass
-    assert timer.get("compile") >= 0.005
-    assert timer.get("missing") == 0.0
-    assert timer.total == pytest.approx(
-        timer.get("compile") + timer.get("execute")
-    )
-    timer.add("fetch", 0.5)
-    assert timer.get("fetch") == 0.5
-
-
-def test_phase_timer_records_on_exception():
-    timer = PhaseTimer()
-    with pytest.raises(ValueError):
-        with timer.phase("boom"):
-            raise ValueError()
-    assert timer.get("boom") >= 0.0
-    assert "boom" in timer.phases
 
 
 # ----------------------------------------------------------------------
