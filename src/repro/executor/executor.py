@@ -5,11 +5,14 @@ A :class:`PlanExecutor` walks a physical plan bottom-up, producing
 cardinality is written back onto the plan (``node.actual_rows``) — those
 numbers feed the LEO-style feedback module.
 
-Cost realism notes:
+Cost notes:
 
-* the index nested-loop join probes the hash index **once per outer row**
-  (a Python-level loop), which is the in-memory analogue of per-probe
-  random I/O — exactly the cost a misestimated outer cardinality blows up;
+* the index nested-loop join probes the hash index once per *batch*
+  (:meth:`~repro.storage.index.HashIndex.probe`): every outer key in one
+  vectorized call, about 0.04 microseconds per probe (5,000 keys against
+  a 429k-row column on a 2-core Xeon VM). The optimizer still
+  charges ``INDEX_PROBE_COST`` per probe, a modelled random-access charge
+  rather than this executor's cost (see ``optimizer/cost.py``);
 * the fallback nested-loop join materializes the cross product in bounded
   chunks, so catastrophic plans are slow but never exhaust memory.
 """
@@ -43,7 +46,7 @@ from ..predicates import LocalPredicate, PredOp, group_mask
 from ..predicates.physical import PhysPredicate, physical_mask
 from ..sql import ast
 from ..sql.qgm import QueryBlock
-from ..storage import Database
+from ..storage import Database, StringDictionary
 from ..types import DataType, Value
 from .aggregate import aggregate_batch
 from .expr import eval_bool, eval_expr
@@ -265,12 +268,7 @@ class PlanExecutor:
         else:
             lkey = left.column(predicate.right_alias, predicate.right_column)
             rkey = right.column(predicate.left_alias, predicate.left_column)
-        lv, rv = lkey.values, rkey.values
-        if lkey.dictionary is not None or rkey.dictionary is not None:
-            if lkey.dictionary is None or rkey.dictionary is None:
-                raise ExecutionError("join between string and numeric column")
-            lv = translate_codes(lkey.dictionary, rkey.dictionary, lv)
-        return lv, rv
+        return _in_code_space(lkey, rkey.dictionary), rkey.values
 
     def _exec_hash_join(self, node: HashJoin, block: QueryBlock) -> Batch:
         build = self._exec(node.build, block)
@@ -302,31 +300,12 @@ class PlanExecutor:
         )
         _, outer_alias = probe_pred.side_for(node.inner_alias)
         outer_column = probe_pred.column_for(outer_alias)
-        key_vector = outer.column(outer_alias, outer_column)
-        keys = key_vector.values
         inner_column = inner_table.column(node.inner_index_column)
-        if key_vector.dictionary is not None:
-            if inner_column.dictionary is None:
-                raise ExecutionError("join between string and numeric column")
-            keys = translate_codes(
-                key_vector.dictionary, inner_column.dictionary, keys
-            )
-        node.actual_probes = len(keys)
-        # One probe per outer row — deliberately not batched (see module
-        # docstring): this is where a bad outer-cardinality estimate hurts.
-        matches: List[np.ndarray] = []
-        counts = np.empty(len(keys), dtype=np.int64)
-        for i, key in enumerate(keys.tolist()):
-            if (i & 0x0FFF) == 0:
-                check_cancelled()  # probe loop: poll every 4096 probes
-            rows = index.lookup(key)
-            counts[i] = len(rows)
-            if len(rows):
-                matches.append(rows)
-        inner_rows = (
-            np.concatenate(matches) if matches else np.empty(0, dtype=np.int64)
+        keys = _in_code_space(
+            outer.column(outer_alias, outer_column), inner_column.dictionary
         )
-        outer_idx = np.repeat(np.arange(len(keys), dtype=np.int64), counts)
+        node.actual_probes = len(keys)
+        outer_idx, inner_rows = index.probe(keys)
 
         if node.inner_predicates:
             mask = group_mask(inner_table, node.inner_predicates, inner_rows)
@@ -339,15 +318,9 @@ class PlanExecutor:
         for predicate in node.join_predicates:
             if predicate is probe_pred:
                 continue
-            lv = result.column(
-                predicate.left_alias, predicate.left_column
+            left_values, right_values = self._join_key_vectors(
+                predicate, result, result
             )
-            rv = result.column(predicate.right_alias, predicate.right_column)
-            left_values, right_values = lv.values, rv.values
-            if lv.dictionary is not None and rv.dictionary is not None:
-                left_values = translate_codes(
-                    lv.dictionary, rv.dictionary, left_values
-                )
             result = result.mask(left_values == right_values)
         for residual in node.inner_scan_residuals:
             result = result.mask(eval_bool(residual, result))
@@ -458,6 +431,19 @@ def project_batch(node: Project, child: Batch) -> Batch:
         for item, name in zip(node.items, node.output_names)
     }
     return Batch(out, len(child))
+
+
+def _in_code_space(
+    key: ColumnVector, dictionary: Optional[StringDictionary]
+) -> np.ndarray:
+    """``key``'s values comparable with a column whose dictionary is
+    ``dictionary`` (None for a numeric column): string codes translated,
+    a string meeting a number refused — the rule of every equi-join."""
+    if key.dictionary is None and dictionary is None:
+        return key.values
+    if key.dictionary is None or dictionary is None:
+        raise ExecutionError("join between string and numeric column")
+    return translate_codes(key.dictionary, dictionary, key.values)
 
 
 def _batch_predicate_mask(predicate: LocalPredicate, batch: Batch) -> np.ndarray:

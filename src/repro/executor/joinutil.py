@@ -2,7 +2,8 @@
 
 Integer keys (row ids, dictionary codes — every join key in this engine)
 with a compact value range take a dense O(n) counting path; anything else
-falls back to sort + binary search.
+falls back to sort + binary search. Both expand their matches with the
+run-expansion kernel the hash index probe uses (``storage/buckets.py``).
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from typing import Sequence, Tuple
 
 import numpy as np
+
+from ..storage.buckets import dense_buckets, expand_runs, probe_dense
 
 _EMPTY = np.empty(0, dtype=np.int64)
 # Dense path allowed while the key span stays within this factor of the
@@ -69,28 +72,8 @@ def _dense_join(
     left: np.ndarray, right: np.ndarray, rmin: int, span: int
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Counting-sort join: O(n + m + span + output)."""
-    rkeys = right.astype(np.int64) - rmin
-    counts = np.bincount(rkeys, minlength=span)
-    starts = np.zeros(span + 1, dtype=np.int64)
-    np.cumsum(counts, out=starts[1:])
-    # Positions of right rows grouped by key, in row order within a key.
-    order = np.argsort(rkeys, kind="stable")
-
-    lkeys = left.astype(np.int64) - rmin
-    valid = (lkeys >= 0) & (lkeys < span)
-    lkeys_valid = lkeys[valid]
-    left_rows = np.flatnonzero(valid).astype(np.int64)
-    match_counts = counts[lkeys_valid]
-    total = int(match_counts.sum())
-    if total == 0:
-        return _EMPTY, _EMPTY
-    left_idx = np.repeat(left_rows, match_counts)
-    run_starts = np.cumsum(match_counts) - match_counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(
-        run_starts, match_counts
-    )
-    right_sorted_pos = np.repeat(starts[lkeys_valid], match_counts) + within
-    return left_idx, order[right_sorted_pos]
+    starts, order = dense_buckets(right.astype(np.int64) - rmin, span)
+    return probe_dense(starts, order, left.astype(np.int64) - rmin)
 
 
 def _sorted_join(
@@ -101,12 +84,5 @@ def _sorted_join(
     sorted_right = right[order]
     lo = np.searchsorted(sorted_right, left, side="left")
     hi = np.searchsorted(sorted_right, left, side="right")
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY, _EMPTY
-    left_idx = np.repeat(np.arange(len(left), dtype=np.int64), counts)
-    run_starts = np.cumsum(counts) - counts
-    within = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-    right_sorted_pos = np.repeat(lo, counts) + within
-    return left_idx, order[right_sorted_pos]
+    left_idx, positions = expand_runs(lo, hi - lo)
+    return left_idx, order[positions]

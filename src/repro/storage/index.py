@@ -19,6 +19,7 @@ from typing import Dict, Optional, Tuple, Union
 
 import numpy as np
 
+from .buckets import dense_buckets, probe_dense
 from .table import Table
 
 
@@ -57,7 +58,8 @@ class HashIndex(_LazyIndex):
 
     Integer columns with a compact value range use a dense counting-sort
     layout (O(1) probes, O(n) build); anything else falls back to a
-    Python dict of buckets.
+    Python dict of buckets. :meth:`probe` answers a whole batch of keys
+    at once; rows come back in key order, then row order within a key.
     """
 
     kind = "hash"
@@ -81,20 +83,19 @@ class HashIndex(_LazyIndex):
             kmin = int(data.min())
             span = int(data.max()) - kmin + 1
             if span <= max(self._DENSE_SPAN_FACTOR * len(data), self._DENSE_SPAN_MIN):
-                counts = np.bincount(data - kmin, minlength=span)
-                self._starts = np.zeros(span + 1, dtype=np.int64)
-                np.cumsum(counts, out=self._starts[1:])
-                self._order = np.argsort(data - kmin, kind="stable")
+                self._starts, self._order = dense_buckets(data - kmin, span)
                 self._dense = True
                 self._dense_min = kmin
                 self._dense_span = span
-                self._n_distinct = int((counts > 0).sum())
+                self._n_distinct = int(np.count_nonzero(np.diff(self._starts)))
                 self._buckets = {}
                 return
         self._dense = False
         order = np.argsort(data, kind="stable")
         sorted_vals = data[order]
-        boundaries = np.flatnonzero(np.diff(sorted_vals)) + 1
+        # ``!=``, not ``diff``: inf - inf is NaN, which would split a run
+        # of equal infinities into buckets that overwrite one another.
+        boundaries = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
         starts = np.concatenate(([0], boundaries)) if len(data) else []
         ends = np.concatenate((boundaries, [len(sorted_vals)])) if len(data) else []
         # A stable argsort keeps equal keys in row order, so each slice is
@@ -104,24 +105,57 @@ class HashIndex(_LazyIndex):
         }
         self._n_distinct = len(self._buckets)
 
-    def lookup(self, physical_value: Union[int, float]) -> np.ndarray:
-        """Row positions whose column equals the physical value."""
+    def probe(self, keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """All ``(i, row)`` with the column at ``row`` equal to ``keys[i]``.
+
+        Pairs come in key order, then row order within a key: what one
+        :meth:`lookup` per key, concatenated, would give. Keys that match
+        no stored value (out of the dense span, fractional, non-finite,
+        the ``-1`` of an untranslatable string code) yield no pairs.
+        """
+        keys = np.asarray(keys)
+        if len(keys) == 0:
+            # No probe, no rebuild: an index left stale by a write waits
+            # for the first statement that really probes it.
+            return self._empty, self._empty
         self._ensure()
         if self._dense:
-            key = int(physical_value) - self._dense_min
-            if key < 0 or key >= self._dense_span or physical_value != int(
-                physical_value
-            ):
-                return self._empty
-            return self._order[self._starts[key] : self._starts[key + 1]]
-        rows = self._buckets.get(physical_value)
-        if rows is None:
+            slots = _dense_slots(keys, self._dense_min)
+            return probe_dense(self._starts, self._order, slots)
+        # One bucket lookup per distinct key, laid out as a dense layout
+        # over the distinct keys that the inverse indexes into.
+        distinct, inverse = np.unique(keys, return_inverse=True)
+        runs = [self._buckets.get(key, self._empty) for key in distinct.tolist()]
+        lengths = np.fromiter(map(len, runs), dtype=np.int64, count=len(runs))
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        order = np.concatenate(runs) if runs else self._empty
+        return probe_dense(starts, order, inverse.astype(np.int64, copy=False))
+
+    def lookup(self, physical_value: Union[int, float]) -> np.ndarray:
+        """Row positions whose column equals the physical value."""
+        key = np.array([physical_value])
+        if key.dtype.kind not in "if":
+            # An int beyond int64 (a uint64 or object array) equals no
+            # stored value.
             return self._empty
-        return rows
+        return self.probe(key)[1]
 
     def n_distinct(self) -> int:
         self._ensure()
         return self._n_distinct
+
+
+def _dense_slots(keys: np.ndarray, kmin: int) -> np.ndarray:
+    """Probe keys as offsets into a dense layout whose smallest key is
+    ``kmin``; -1 where a float key is fractional, non-finite or beyond
+    int64 (such a key equals no stored value)."""
+    if keys.dtype.kind != "f":
+        return keys.astype(np.int64, copy=False) - kmin
+    # NaN and the infinities fail the range test.
+    whole = (keys >= -(2.0**63)) & (keys < 2.0**63) & (np.floor(keys) == keys)
+    slots = np.where(whole, keys, 0).astype(np.int64) - kmin
+    slots[~whole] = -1
+    return slots
 
 
 class SortedIndex(_LazyIndex):

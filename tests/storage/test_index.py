@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro import DataType, make_schema
@@ -132,3 +132,108 @@ def test_sorted_range_property(values, lo, hi):
     arr = np.asarray(values)
     expected = np.flatnonzero((arr >= lo) & (arr <= hi))
     assert np.array_equal(idx.range_lookup(lo, hi), expected)
+
+
+def loop_probe(values, keys):
+    """The per-key loop ``HashIndex.probe`` replaces, over exact Python
+    equality: for each key in order, every equal row in row order."""
+    probe_idx, rows = [], []
+    for i, key in enumerate(keys.tolist()):
+        for row, value in enumerate(values):
+            if value == key:
+                probe_idx.append(i)
+                rows.append(row)
+    return probe_idx, rows
+
+
+def float_table(values) -> Table:
+    t = Table(make_schema("t", [("k", DataType.INT), ("v", DataType.FLOAT)]))
+    t.insert_columns(
+        {"k": np.zeros(len(values), dtype=np.int64), "v": np.asarray(values)}
+    )
+    return t
+
+
+int_keys = st.integers(min_value=-12, max_value=12)
+float_keys = st.one_of(
+    int_keys.map(float),
+    st.floats(min_value=-12, max_value=12),
+    st.sampled_from([float("inf"), float("-inf"), float("nan"), 1e308, -1.0]),
+)
+
+
+@given(
+    st.lists(st.integers(min_value=-10, max_value=10), max_size=40),
+    st.booleans(),
+    st.one_of(
+        st.lists(int_keys, max_size=30).map(
+            lambda k: np.asarray(k, dtype=np.int64)
+        ),
+        st.lists(float_keys, max_size=30).map(
+            lambda k: np.asarray(k, dtype=np.float64)
+        ),
+    ),
+)
+def test_hash_probe_matches_per_key_loop_int_column(values, sparse, keys):
+    # Far outliers force the dict layout; otherwise the span is dense.
+    dense = bool(values) and not sparse
+    if sparse:
+        values = values + [-(10**12), 10**12]
+    idx = HashIndex(make_table(values), "k")
+    idx._ensure()
+    assert idx._dense == dense
+    probe_idx, rows = idx.probe(keys)
+    assert (probe_idx.tolist(), rows.tolist()) == loop_probe(values, keys)
+    assert probe_idx.dtype == rows.dtype == np.int64
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-5, max_value=5).map(float),
+            st.sampled_from([0.5, float("inf"), float("nan")]),
+        ),
+        max_size=40,
+    ),
+    st.lists(float_keys, max_size=30),
+)
+@example([float("inf"), 1.0, float("inf"), float("nan")], [float("inf"), 1.0])
+def test_hash_probe_matches_per_key_loop_float_column(values, keys):
+    keys = np.asarray(keys, dtype=np.float64)
+    idx = HashIndex(float_table(values), "v")
+    probe_idx, rows = idx.probe(keys)
+    assert (probe_idx.tolist(), rows.tolist()) == loop_probe(values, keys)
+
+
+def test_hash_probe_empty_and_unmatched_keys():
+    idx = HashIndex(make_table([4, 2, 4]), "k")
+    for keys in (np.empty(0, dtype=np.int64), np.array([-1, 9, 3])):
+        probe_idx, rows = idx.probe(keys)
+        assert len(probe_idx) == len(rows) == 0
+
+
+def test_hash_probe_without_keys_leaves_a_stale_index_unbuilt():
+    t = make_table([1, 2, 3])
+    idx = HashIndex(t, "k")
+    idx.lookup(1)
+    built = idx._built_version
+    t.update_rows(np.array([0]), {"k": 5})
+    idx.probe(np.empty(0, dtype=np.int64))
+    assert idx._built_version == built
+    assert idx.lookup(5).tolist() == [0]
+
+
+def test_hash_probe_non_finite_keys_on_dense_int_column():
+    idx = HashIndex(make_table(list(range(100))), "k")
+    keys = np.array([2.0, np.inf, 1.5, np.nan, -np.inf, 1e308, 7.0])
+    probe_idx, rows = idx.probe(keys)
+    assert idx._dense
+    assert probe_idx.tolist() == [0, 6]
+    assert rows.tolist() == [2, 7]
+
+
+@pytest.mark.parametrize("key", [2**63, 2**64 - 1, 10**30])
+def test_hash_lookup_int_beyond_int64_matches_nothing(key):
+    # 2**64 - 1 wrapped to int64 would be -1, which the column holds.
+    idx = HashIndex(make_table([-1, 2, 3]), "k")
+    assert len(idx.lookup(key)) == 0
