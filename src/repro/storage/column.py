@@ -2,7 +2,12 @@
 
 A :class:`Column` is a growable numpy array. INT and STRING columns are
 ``int64`` (strings hold dictionary codes); FLOAT columns are ``float64``.
-Amortized O(1) appends are implemented with capacity doubling.
+Amortized O(1) appends are implemented with capacity doubling. The buffer
+never shrinks: UPDATE overwrites rows in place and DELETE compacts the
+surviving rows in place from the first hole, so the capacity a table grew
+to survives its deletes and the INSERT after a DELETE fills it without
+reallocating. Published snapshots hold their own chunk copies (see
+:meth:`Column.snapshot`), so in-place writes never reach a reader.
 """
 
 from __future__ import annotations
@@ -157,21 +162,27 @@ class Column:
         self.version += 1
 
     def delete_rows(self, keep_mask: np.ndarray) -> None:
-        """Compact the column down to the rows where ``keep_mask`` is True."""
+        """Compact the column down to the rows where ``keep_mask`` is True.
+
+        Rows before the first hole stay where they are; the kept rows
+        after it move down in place, and the buffer keeps its capacity.
+        """
         if len(keep_mask) != self._size:
             raise StorageError("delete mask length mismatch")
-        kept = self._buf[: self._size][keep_mask]
-        # Every row from the first deletion onward shifts position, so
-        # the chunks from there to the (new, shorter) end are all dirty.
-        holes = np.flatnonzero(~np.asarray(keep_mask, dtype=bool))
-        self._buf = kept.copy()
-        self._size = len(kept)
-        if len(holes):
-            self._mark_range(int(holes[0]), self._size)
+        keep = np.asarray(keep_mask, dtype=bool)
+        if not keep.all():
+            first = int(np.argmin(keep))
+            live = self._buf[: self._size]
+            tail = live[first:][keep[first:]]
+            live[first : first + len(tail)] = tail
+            self._size = first + len(tail)
+            # Every row from the first deletion onward shifts position, so
+            # the chunks from there to the (new, shorter) end are all dirty.
+            self._mark_range(first, self._size)
             # A delete shrinking into an earlier chunk still dirties the
             # chunk the first hole landed in, even when it is now the
             # (shorter) tail chunk.
-            self._dirty.add(int(holes[0]) // self.chunk_rows)
+            self._dirty.add(first // self.chunk_rows)
         self.version += 1
 
     def snapshot(self) -> ColumnSnapshot:

@@ -6,10 +6,18 @@ Two physical shapes are provided:
 * :class:`SortedIndex` — an ``argsort`` permutation supporting range scans
   via binary search.
 
-Indexes rebuild lazily: each index remembers the table version it was built
-against and rebuilds on first use after any mutation. That mirrors the cost
+Indexes rebuild lazily: each index remembers the column version it was
+built against and rebuilds on first use after any mutation, on the reading
+statement's side; a write never pays for an index. That mirrors the cost
 profile of real systems closely enough for the optimizer's purposes (index
-maintenance is not what the paper measures).
+maintenance is not what the paper measures), but the rebuild is real work
+on the statement that triggers it, so it runs at memory speed. A dense
+hash layout costs one packed-key sort
+(:func:`~repro.storage.buckets.dense_buckets`) and a sorted index one
+default (unstable) ``argsort``; EXPERIMENTS.md has the timings.
+:class:`SortedIndex` needs no stable order because nothing can observe
+the order among equal values: :meth:`SortedIndex.range_lookup` sorts the
+row positions it returns, and the permutation has no other reader.
 """
 
 from __future__ import annotations
@@ -170,7 +178,7 @@ class SortedIndex(_LazyIndex):
 
     def _build(self) -> None:
         data = self.table.column_data(self.column)
-        self._perm = np.argsort(data, kind="stable")
+        self._perm = np.argsort(data)
         self._sorted = data[self._perm]
 
     def range_lookup(
@@ -180,8 +188,14 @@ class SortedIndex(_LazyIndex):
         low_inclusive: bool = True,
         high_inclusive: bool = True,
     ) -> np.ndarray:
-        """Row positions with column value inside the given range."""
+        """Row positions with column value inside the given range.
+
+        NaN (sorted last) lies in no range, open-ended ones included; a
+        NaN bound matches nothing.
+        """
         self._ensure()
+        if _is_nan(low) or _is_nan(high):
+            return np.empty(0, dtype=np.int64)
         lo = 0
         hi = len(self._sorted)
         if low is not None:
@@ -190,9 +204,15 @@ class SortedIndex(_LazyIndex):
         if high is not None:
             side = "right" if high_inclusive else "left"
             hi = int(np.searchsorted(self._sorted, high, side=side))
+        elif self._sorted.dtype.kind == "f":
+            hi = int(np.searchsorted(self._sorted, np.inf, side="right"))
         if hi <= lo:
             return np.empty(0, dtype=np.int64)
         return np.sort(self._perm[lo:hi])
+
+
+def _is_nan(bound: Optional[float]) -> bool:
+    return isinstance(bound, float) and bound != bound
 
 
 class IndexSet:

@@ -197,3 +197,31 @@ def test_int_sum_past_int64_raises(workers):
                 engine.execute("SELECT SUM(v) FROM t WHERE g = 0")
     finally:
         engine.shutdown()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_open_ended_sorted_index_scan_skips_nan():
+    """A range scan with no upper bound stops at +inf: a NaN row (which
+    sorts last in the index) lies in no range, as in the reference."""
+    import numpy as np
+
+    from repro import StatsMode
+    from repro.executor import run_reference
+    from repro.sql import build_query_graph, parse_select
+
+    engine = Engine(config=EngineConfig.traditional())
+    engine.execute("CREATE TABLE a (id INT, v FLOAT)")
+    ids = np.arange(20_000, dtype=np.int64)
+    values = ids.astype(np.float64)
+    values[5] = 1e308
+    engine.database.table("a").insert_columns({"id": ids, "v": values})
+    engine.execute("CREATE INDEX av ON a (v) USING SORTED")
+    engine.execute("UPDATE a SET v = v * 10 WHERE id = 5")  # inf
+    engine.execute("UPDATE a SET v = v - v WHERE id = 5")  # NaN
+    engine.apply_stats_mode(StatsMode.GENERAL)
+    sql = "SELECT id FROM a WHERE v > 19990"
+    assert "IndexScan" in engine.explain(sql)
+    got = sorted(engine.execute(sql).rows)
+    block = build_query_graph(parse_select(sql), engine.database)
+    assert got == sorted(run_reference(block, engine.database))
+    assert got == [(i,) for i in range(19_991, 20_000)]

@@ -237,3 +237,34 @@ def test_hash_lookup_int_beyond_int64_matches_nothing(key):
     # 2**64 - 1 wrapped to int64 would be -1, which the column holds.
     idx = HashIndex(make_table([-1, 2, 3]), "k")
     assert len(idx.lookup(key)) == 0
+
+
+range_floats = st.one_of(
+    st.integers(min_value=-4, max_value=4).map(float),
+    st.sampled_from([0.5, -0.0, 0.0, float("inf"), float("-inf"), float("nan")]),
+)
+
+
+@given(
+    st.lists(range_floats, min_size=1, max_size=60),
+    st.one_of(st.none(), range_floats),
+    st.one_of(st.none(), range_floats),
+    st.booleans(),
+    st.booleans(),
+)
+@example([float("nan"), 1.0], 0.0, None, False, True)
+@example([float("inf"), float("nan"), 2.0], None, None, True, True)
+@example([-0.0, 0.0, -0.0], 0.0, -0.0, True, True)
+def test_sorted_range_property_floats(values, lo, hi, lo_inc, hi_inc):
+    """Float range scans agree with a mask over the column: duplicates,
+    signed zeros and infinities are ordinary values, NaN lies in no
+    range and a NaN bound matches nothing."""
+    arr = np.asarray(values, dtype=np.float64)
+    mask = ~np.isnan(arr)
+    if lo is not None:
+        mask &= (arr >= lo) if lo_inc else (arr > lo)
+    if hi is not None:
+        mask &= (arr <= hi) if hi_inc else (arr < hi)
+    idx = SortedIndex(float_table(values), "v")
+    rows = idx.range_lookup(lo, hi, low_inclusive=lo_inc, high_inclusive=hi_inc)
+    assert rows.tolist() == np.flatnonzero(mask).tolist()
