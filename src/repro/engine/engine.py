@@ -260,10 +260,11 @@ class Engine:
                 statement_type="ddl", timings={PHASE_COMPILE: parse_time}
             )
         if isinstance(statement, ast.CreateIndexStatement):
-            if statement.kind == "sorted":
-                self.database.create_sorted_index(statement.table, statement.column)
-            else:
-                self.database.create_hash_index(statement.table, statement.column)
+            # Declared on the live table under the exclusive lock; every
+            # generation, pinned ones included, serves it from now on.
+            self.database.live_table(statement.table).create_index(
+                statement.kind, statement.column
+            )
             # New access paths change what the optimizer would pick.
             if self.plan_cache is not None:
                 self.plan_cache.clear()

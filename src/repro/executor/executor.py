@@ -287,10 +287,7 @@ class PlanExecutor:
     def _exec_index_nl_join(self, node: IndexNLJoin, block: QueryBlock) -> Batch:
         outer = self._exec(node.outer, block)
         inner_table = self.database.table(node.inner_table)
-        index = self.database.indexes(node.inner_table).hash_on(
-            node.inner_index_column
-        )
-        if index is None:
+        if ("hash", node.inner_index_column.lower()) not in inner_table.indexes:
             raise ExecutionError(f"missing index for {node.label()}")
         probe_pred = next(
             p
@@ -305,7 +302,15 @@ class PlanExecutor:
             outer.column(outer_alias, outer_column), inner_column.dictionary
         )
         node.actual_probes = len(keys)
-        outer_idx, inner_rows = index.probe(keys)
+        if len(keys):
+            index = self.database.indexes(node.inner_table).hash_on(
+                node.inner_index_column
+            )
+            outer_idx, inner_rows = index.probe(keys)
+        else:
+            # No probe, no build: a generation nobody probes never pays
+            # for its index.
+            outer_idx = inner_rows = np.empty(0, dtype=np.int64)
 
         if node.inner_predicates:
             mask = group_mask(inner_table, node.inner_predicates, inner_rows)

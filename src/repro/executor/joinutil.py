@@ -12,13 +12,9 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..storage.buckets import dense_buckets, expand_runs, probe_dense
+from ..storage.buckets import dense_buckets, dense_span, expand_runs, probe_dense
 
 _EMPTY = np.empty(0, dtype=np.int64)
-# Dense path allowed while the key span stays within this factor of the
-# build size (memory for the counting arrays stays proportional).
-_DENSE_SPAN_FACTOR = 8
-_DENSE_SPAN_MIN = 1 << 16
 
 
 def equi_join_indices(
@@ -29,15 +25,9 @@ def equi_join_indices(
     right = np.asarray(right)
     if len(left) == 0 or len(right) == 0:
         return _EMPTY, _EMPTY
-    if (
-        np.issubdtype(left.dtype, np.integer)
-        and np.issubdtype(right.dtype, np.integer)
-    ):
-        rmin = int(right.min())
-        rmax = int(right.max())
-        span = rmax - rmin + 1
-        if span <= max(_DENSE_SPAN_FACTOR * len(right), _DENSE_SPAN_MIN):
-            return _dense_join(left, right, rmin, span)
+    dense = dense_span(right) if np.issubdtype(left.dtype, np.integer) else None
+    if dense is not None:
+        return _dense_join(left, right, *dense)
     return _sorted_join(left, right)
 
 

@@ -195,9 +195,7 @@ class Optimizer:
                 best = candidate
 
         indexed = tuple(
-            idx.column.lower()
-            for idx in self.ctx.database.indexes(table.name).all()
-            if idx.kind == "hash"
+            sorted(column for kind, column in table.indexes if kind == "hash")
         )
         relation = BaseRelation(
             alias=alias,
@@ -231,10 +229,13 @@ class Optimizer:
         group_selectivity: float,
     ) -> List[IndexScan]:
         candidates: List[IndexScan] = []
-        indexes = self.ctx.database.indexes(table.name)
+        # Existence checks against the declared set: planning builds no
+        # index.
+        indexes = table.indexes
         for predicate in predicates:
+            column = predicate.column.lower()
             kind = None
-            if predicate.op is PredOp.EQ and indexes.hash_on(predicate.column):
+            if predicate.op is PredOp.EQ and ("hash", column) in indexes:
                 kind = "hash"
             elif predicate.op in (
                 PredOp.LT,
@@ -242,7 +243,7 @@ class Optimizer:
                 PredOp.GT,
                 PredOp.GE,
                 PredOp.BETWEEN,
-            ) and indexes.sorted_on(predicate.column):
+            ) and ("sorted", column) in indexes:
                 kind = "sorted"
             if kind is None:
                 continue

@@ -8,7 +8,7 @@ talks to tables through these objects.
 from .column import Column
 from .database import Database
 from .dictionary import MISSING_CODE, StringDictionary
-from .index import HashIndex, IndexSet, SortedIndex
+from .index import HashIndex, SortedIndex
 from .sampling import (
     DEFAULT_SAMPLE_SIZE,
     SampleView,
@@ -19,7 +19,6 @@ from .snapshot import (
     DEFAULT_CHUNK_ROWS,
     DEFAULT_SNAPSHOT_RETENTION,
     ColumnSnapshot,
-    SnapshotIndexSet,
     TableSnapshot,
 )
 from .shm import (
@@ -40,11 +39,9 @@ __all__ = [
     "MISSING_CODE",
     "HashIndex",
     "SortedIndex",
-    "IndexSet",
     "Table",
     "TableSnapshot",
     "ColumnSnapshot",
-    "SnapshotIndexSet",
     "DEFAULT_CHUNK_ROWS",
     "DEFAULT_SNAPSHOT_RETENTION",
     "UDIShard",

@@ -9,7 +9,7 @@ pairs: probe order first, then position order within a run. Storage owns
 the kernel because indexes use it and storage never imports the executor.
 
 :func:`dense_buckets` builds the layout every dense probe reads, for hash
-index rebuilds and hash-join builds alike. It needs the positions of each
+index builds and hash-join builds alike. It needs the positions of each
 key in position order, i.e. a stable sort of the keys. It gets that order
 from one unstable numpy ``sort`` of ``(key << b) | position``: the packed
 values are unique, so any correct sort puts them in the stable order, and
@@ -20,13 +20,33 @@ numpy's SIMD integer sort builds the layout 7-9x faster than a stable
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 _EMPTY = np.empty(0, dtype=np.int64)
 # Packed sort keys stay non-negative int64 values.
 _PACKED_BITS = 62
+
+
+def dense_limit(n: int) -> int:
+    """The widest key span the dense layout takes for ``n`` keys.
+
+    The dense-span rule, ``span <= max(8n, 65536)``: the counting arrays
+    stay proportional to the keys, and the packed sort keys of
+    :func:`dense_buckets` fit in int64 below about 2**29 rows.
+    """
+    return max(8 * n, 1 << 16)
+
+
+def dense_span(keys: np.ndarray) -> Optional[Tuple[int, int]]:
+    """``(kmin, span)`` of integer ``keys`` whose span the dense-span rule
+    admits (see :func:`dense_limit`); None for any other keys."""
+    if len(keys) == 0 or not np.issubdtype(keys.dtype, np.integer):
+        return None
+    kmin = int(keys.min())
+    span = int(keys.max()) - kmin + 1
+    return (kmin, span) if span <= dense_limit(len(keys)) else None
 
 
 def dense_buckets(keys: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -41,8 +61,8 @@ def dense_buckets(keys: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
     if n < 2 or bool(np.all(keys[1:] >= keys[:-1])):
         return starts, np.arange(n, dtype=np.int64)
     shift = (n - 1).bit_length()
-    # The dense-span rule (span <= max(8n, 65536)) keeps this true below
-    # about 2**29 rows.
+    # Every span dense_limit(n) admits keeps this true below about 2**29
+    # rows.
     assert (span - 1).bit_length() + shift <= _PACKED_BITS, (span, n)
     packed = keys << shift
     packed |= np.arange(n, dtype=np.int64)

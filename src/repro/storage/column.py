@@ -46,10 +46,6 @@ class Column:
         self.dictionary: Optional[StringDictionary] = (
             StringDictionary() if dtype is DataType.STRING else None
         )
-        # Bumped on every mutation of THIS column; indexes key their cache
-        # invalidation off it so updates to other columns don't force
-        # rebuilds.
-        self.version = 0
         # Copy-on-write bookkeeping for MVCC snapshots: which chunk
         # indices were touched since the last published generation, plus
         # that generation's chunk arrays (clean ones are reused by object
@@ -128,7 +124,6 @@ class Column:
         self._buf[self._size] = self.encode_value(value)
         self._size += 1
         self._mark_range(self._size - 1, self._size)
-        self.version += 1
 
     def extend(self, values: Sequence[Value]) -> None:
         self._reserve(len(values))
@@ -137,7 +132,6 @@ class Column:
             self._buf[self._size] = self.encode_value(value)
             self._size += 1
         self._mark_range(start, self._size)
-        self.version += 1
 
     def extend_physical(self, physical: np.ndarray) -> None:
         """Bulk-append already-encoded physical values (fast path)."""
@@ -147,19 +141,16 @@ class Column:
         self._buf[self._size : self._size + len(physical)] = physical
         self._mark_range(self._size, self._size + len(physical))
         self._size += len(physical)
-        self.version += 1
 
     def set_at(self, rows: np.ndarray, value: Value) -> None:
         """Overwrite the given row positions with one logical value."""
         self._buf[: self._size][rows] = self.encode_value(value)
         self._mark_rows(rows)
-        self.version += 1
 
     def set_physical(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Overwrite row positions with per-row physical values."""
         self._buf[: self._size][rows] = values
         self._mark_rows(rows)
-        self.version += 1
 
     def delete_rows(self, keep_mask: np.ndarray) -> None:
         """Compact the column down to the rows where ``keep_mask`` is True.
@@ -183,7 +174,6 @@ class Column:
             # chunk the first hole landed in, even when it is now the
             # (shorter) tail chunk.
             self._dirty.add(first // self.chunk_rows)
-        self.version += 1
 
     def snapshot(self) -> ColumnSnapshot:
         """Publish this column's current content as an immutable generation.
@@ -229,7 +219,6 @@ class Column:
             self.dictionary,
             chunks,
             n,
-            self.version,
             self._buf.dtype,
         )
         self._last_snapshot = snap

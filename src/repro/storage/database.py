@@ -1,4 +1,4 @@
-"""The database: a named set of tables plus their indexes.
+"""The database: a named set of tables.
 
 This is the engine's physical root object. The system catalog
 (:mod:`repro.catalog`) holds *statistics about* these tables; the database
@@ -6,7 +6,7 @@ holds the tables themselves.
 
 The table dict is not internally synchronized: the engine's
 :class:`~repro.engine.locks.LockManager` guarantees that structural
-mutations (create/drop table, index builds) only run database-exclusive,
+mutations (create/drop table, CREATE INDEX) only run database-exclusive,
 while per-table statements hold the database lock in shared mode — so a
 statement's name lookups here never race a structural change.
 """
@@ -19,7 +19,6 @@ from typing import Dict, List, Mapping, Optional
 
 from ..errors import CatalogError
 from ..schema import TableSchema
-from .index import IndexSet
 from .snapshot import (
     DEFAULT_CHUNK_ROWS,
     DEFAULT_SNAPSHOT_RETENTION,
@@ -29,7 +28,7 @@ from .table import Table
 
 
 class Database:
-    """Named tables and their index sets."""
+    """Named tables."""
 
     def __init__(
         self,
@@ -41,7 +40,6 @@ class Database:
         self.chunk_rows = chunk_rows
         self.snapshot_retention = snapshot_retention
         self._tables: Dict[str, Table] = {}
-        self._indexes: Dict[str, IndexSet] = {}
         # Per-thread MVCC read view: while installed, name lookups for
         # the pinned tables resolve to their TableSnapshot generation —
         # the executor, optimizer, JITS sampling and parallel manager all
@@ -77,11 +75,10 @@ class Database:
             snapshot_retention=self.snapshot_retention,
         )
         self._tables[key] = table
-        self._indexes[key] = IndexSet(table)
         # Primary keys get a hash index automatically: that is what makes
         # PK-FK joins cheap, as in any real system.
         if schema.primary_key is not None:
-            self._indexes[key].create_hash(schema.primary_key)
+            table.create_index("hash", schema.primary_key)
         return table
 
     def drop_table(self, name: str) -> None:
@@ -89,7 +86,6 @@ class Database:
         if key not in self._tables:
             raise CatalogError(f"table {name!r} does not exist")
         del self._tables[key]
-        del self._indexes[key]
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables
@@ -112,21 +108,14 @@ class Database:
         except KeyError:
             raise CatalogError(f"table {name!r} does not exist") from None
 
-    def indexes(self, name: str):
-        key = name.lower()
-        viewed = self._viewed(key)
+    def indexes(self, name: str) -> TableSnapshot:
+        """The generation whose indexes serve lookups on ``name``: the
+        one this thread's read view pinned, else the table's current
+        one."""
+        viewed = self._viewed(name.lower())
         if viewed is not None:
-            # A generation of a dropped (or dropped and re-created) table
-            # keeps the indexes it had: pass None, not the new table's set.
-            live = self._indexes.get(key)
-            current = self._tables.get(key) is viewed.storage_identity
-            return viewed.index_view(
-                live.declared() if live is not None and current else None
-            )
-        try:
-            return self._indexes[key]
-        except KeyError:
-            raise CatalogError(f"table {name!r} does not exist") from None
+            return viewed
+        return self.live_table(name).current_snapshot
 
     def table_names(self) -> List[str]:
         return [t.schema.name for t in self._tables.values()]
@@ -137,12 +126,8 @@ class Database:
     def total_rows(self) -> int:
         return sum(t.row_count for t in self._tables.values())
 
-    def find_index_for_equality(self, table: str, column: str):
-        """Hash index on (table, column) if one exists."""
-        return self.indexes(table).hash_on(column)
+    def create_hash_index(self, table: str, column: str) -> None:
+        self.live_table(table).create_index("hash", column)
 
-    def create_hash_index(self, table: str, column: str):
-        return self.indexes(table).create_hash(column)
-
-    def create_sorted_index(self, table: str, column: str):
-        return self.indexes(table).create_sorted(column)
+    def create_sorted_index(self, table: str, column: str) -> None:
+        self.live_table(table).create_index("sorted", column)

@@ -18,11 +18,15 @@ epoch with a plain attribute read) to the data columns themselves:
   (``column`` / ``column_data`` / ``fetch_rows`` / ``schema`` / ...), so
   the executor, optimizer, JITS sampling, predicate kernels and shared-
   memory exports all run against it unchanged.
-* :class:`SnapshotIndexSet` rebuilds declared secondary indexes lazily
-  from the snapshot's immutable arrays. Index structures are cached on
-  the :class:`ColumnSnapshot` itself, so a column untouched across ten
+* Secondary indexes live here and nowhere else. The live table declares
+  only ``(kind, column)`` pairs (``Table.indexes``); a
+  :class:`ColumnSnapshot` builds a declared index from its immutable
+  array on first use and caches it, so a column untouched across ten
   generations builds its index once and every generation (and every
-  concurrently pinned reader) shares it.
+  concurrently pinned reader) shares it. A generation answers
+  ``hash_on`` / ``sorted_on`` from its own table's current declared
+  set: an index created after a pin serves the pinned generation too,
+  and a generation of a dropped table keeps the set it had.
 
 Readers *pin* a snapshot for the duration of one statement (see
 ``Table.pin_current`` / ``pin_as_of``); pinning is a refcount under the
@@ -34,13 +38,13 @@ keep their arrays alive for exactly as long as they need them.
 from __future__ import annotations
 
 import threading
-import weakref
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Union
 
 import numpy as np
 
 from ..errors import StorageError
 from ..types import DataType, Value
+from .index import INDEX_KINDS
 
 #: Default copy-on-write chunk size (rows). 64Ki rows keeps a touched
 #: int64/float64 chunk at 512 KiB — small enough that point DML is cheap,
@@ -68,11 +72,10 @@ class ColumnSnapshot:
         "dictionary",
         "chunks",
         "size",
-        "version",
         "_np_dtype",
         "_data",
-        "_hash_index",
-        "_sorted_index",
+        "_indexes",
+        "_index_lock",
         "__weakref__",
     )
 
@@ -83,7 +86,6 @@ class ColumnSnapshot:
         dictionary,
         chunks: List[np.ndarray],
         size: int,
-        version: int,
         np_dtype: np.dtype,
     ):
         self.name = name
@@ -93,14 +95,10 @@ class ColumnSnapshot:
         self.dictionary = dictionary
         self.chunks = chunks
         self.size = size
-        # The live column's mutation version at publish time: identical
-        # data across generations keeps an identical version, which is
-        # what lets cached index structures carry over.
-        self.version = version
         self._np_dtype = np_dtype
         self._data: Optional[np.ndarray] = None
-        self._hash_index = None
-        self._sorted_index = None
+        self._indexes: Dict[str, object] = {}
+        self._index_lock = threading.Lock()
 
     def __len__(self) -> int:
         return self.size
@@ -124,6 +122,21 @@ class ColumnSnapshot:
             self._data = out
         return out
 
+    def index(self, kind: str):
+        """This generation's ``kind`` ("hash" or "sorted") index, built
+        from :attr:`data` on first use and cached, so every generation
+        sharing this column object shares it. Double-checked under the
+        build lock: concurrent readers build it once, and the steady
+        state takes no lock."""
+        index = self._indexes.get(kind)
+        if index is None:
+            with self._index_lock:
+                index = self._indexes.get(kind)
+                if index is None:
+                    index = INDEX_KINDS[kind](self.data)
+                    self._indexes[kind] = index
+        return index
+
     # -- the read-side surface shared with Column ----------------------
     def lookup_value(self, value: Value) -> Union[int, float, None]:
         value = self.dtype.validate(value)
@@ -145,103 +158,6 @@ class ColumnSnapshot:
         if self.dtype is DataType.INT:
             return [int(v) for v in phys]
         return [float(v) for v in phys]
-
-
-class _ColumnTableAdapter:
-    """Minimal table-like shim so the lazy index classes can build over a
-    single frozen :class:`ColumnSnapshot` without referencing any table
-    generation (which would chain generations alive through the index
-    cache).
-
-    The column is held weakly: it owns the index that owns this adapter,
-    and a strong back-reference would be a cycle that keeps a trimmed
-    generation's arrays alive until a gen-2 collection. Whoever can reach
-    the index got it through the column (the pinned read view), so the
-    referent is alive whenever the index is used.
-    """
-
-    __slots__ = ("name", "_column")
-
-    def __init__(self, table_name: str, column: ColumnSnapshot):
-        self.name = table_name
-        self._column = weakref.ref(column)
-
-    def column(self, _name: str) -> ColumnSnapshot:
-        column = self._column()
-        if column is None:
-            raise StorageError(
-                f"snapshot of {self.name!r} was released before its index"
-            )
-        return column
-
-    def column_data(self, name: str) -> np.ndarray:
-        return self.column(name).data
-
-    def __reduce__(self):
-        # Weak references do not pickle; rebuild one on load.
-        return (_ColumnTableAdapter, (self.name, self.column("")))
-
-
-class SnapshotIndexSet:
-    """Read-only index set over one :class:`TableSnapshot`.
-
-    Mirrors the lookup surface of :class:`~repro.storage.index.IndexSet`
-    (``hash_on`` / ``sorted_on`` / ``all``). Declared (kind, column)
-    pairs are captured from the live set when the set is built (see
-    :meth:`TableSnapshot.index_view`); the physical
-    structures build lazily from the snapshot's immutable arrays and are
-    cached on the column snapshots, so they are shared across every
-    generation whose column is byte-identical (same object).
-    """
-
-    def __init__(
-        self,
-        table_name: str,
-        columns: Dict[str, ColumnSnapshot],
-        declared: Iterable[Tuple[str, str]],
-    ):
-        # The columns, not the TableSnapshot that caches this set: a
-        # back-reference would be a cycle (see _ColumnTableAdapter).
-        self._table_name = table_name
-        self._columns = columns
-        self._declared = frozenset(
-            (kind, column.lower()) for kind, column in declared
-        )
-
-    def declared(self) -> frozenset:
-        return self._declared
-
-    def hash_on(self, column: str):
-        return self._get("hash", column.lower())
-
-    def sorted_on(self, column: str):
-        return self._get("sorted", column.lower())
-
-    def all(self) -> List[object]:
-        return [self._get(kind, column) for kind, column in self._declared]
-
-    def drop(self, kind: str, column: str) -> bool:  # pragma: no cover
-        raise StorageError("snapshot index sets are read-only")
-
-    create_hash = create_sorted = drop
-
-    def _get(self, kind: str, column: str):
-        if (kind, column) not in self._declared:
-            return None
-        col = self._columns[column]
-        slot = "_hash_index" if kind == "hash" else "_sorted_index"
-        index = getattr(col, slot)
-        if index is None:
-            # Imported here: index.py imports table.py imports this module.
-            from .index import HashIndex, SortedIndex
-
-            adapter = _ColumnTableAdapter(self._table_name, col)
-            cls = HashIndex if kind == "hash" else SortedIndex
-            index = cls(adapter, column)
-            # Benign race: two readers may build twice; last store wins
-            # and both structures answer identically.
-            setattr(col, slot, index)
-        return index
 
 
 class TableSnapshot:
@@ -273,8 +189,6 @@ class TableSnapshot:
         self._row_count = row_count
         # Pin refcount; guarded by the source table's snapshot lock.
         self.pins = 0
-        self._indexes: Optional[SnapshotIndexSet] = None
-        self._index_lock = threading.Lock()
 
     @property
     def name(self) -> str:
@@ -318,26 +232,28 @@ class TableSnapshot:
     def udi_since(self, snapshot: int) -> int:
         return self.udi_total - snapshot
 
-    def index_view(
-        self, declared: Optional[Iterable[Tuple[str, str]]]
-    ) -> SnapshotIndexSet:
-        """The snapshot's lazy index set over the live table's current
-        ``declared`` (kind, column) pairs. The set is cached and rebuilt
-        only when an index was created or dropped since (cheap: the
-        physical structures stay cached on the column snapshots).
-        ``declared`` is None once the live table is gone: a generation
-        pinned across DROP TABLE keeps serving the indexes it had."""
-        wanted = None if declared is None else frozenset(
-            (kind, column.lower()) for kind, column in declared
-        )
-        with self._index_lock:
-            indexes = self._indexes
-            if indexes is None or (
-                wanted is not None and indexes.declared() != wanted
-            ):
-                indexes = SnapshotIndexSet(self.name, self.columns, wanted or ())
-                self._indexes = indexes
-            return indexes
+    @property
+    def indexes(self) -> frozenset:
+        """The ``(kind, column)`` indexes declared on this generation's
+        own table, read at call time: an index created after the pin
+        serves this generation too, and a generation pinned across DROP
+        TABLE keeps the set its table had."""
+        return self._source.indexes
+
+    def hash_on(self, column: str):
+        """The declared hash index on ``column`` over this generation
+        (built on first use), or None."""
+        return self._index("hash", column)
+
+    def sorted_on(self, column: str):
+        """The declared sorted index on ``column`` over this generation
+        (built on first use), or None."""
+        return self._index("sorted", column)
+
+    def _index(self, kind: str, column: str):
+        if (kind, column.lower()) not in self._source.indexes:
+            return None
+        return self.column(column).index(kind)
 
     def release(self) -> None:
         """Unpin this generation (see ``Table.unpin``)."""

@@ -109,6 +109,11 @@ class Table:
         # only ever see published generations.
         self.udi_total = 0  # rows touched by any INSERT/UPDATE/DELETE
         self.version = 0
+        # The declared secondary indexes as (kind, column) pairs; the
+        # structures themselves live on the column generations (see
+        # ColumnSnapshot.index). Replaced whole, never mutated, so a
+        # reader's plain attribute load sees one set or the other.
+        self.indexes: frozenset = frozenset()
         self._udi_lock = threading.Lock()
         # MVCC snapshot chain: the published generations, oldest first,
         # stamps non-decreasing. Guarded by _snap_lock (pin/unpin/publish
@@ -150,6 +155,16 @@ class Table:
     def column_data(self, name: str) -> np.ndarray:
         """Physical (encoded) values of a column as a numpy view."""
         return self.column(name).data
+
+    def create_index(self, kind: str, column: str) -> None:
+        """Declare a ``kind`` ("hash" or "sorted") index on ``column``.
+
+        Every generation of the table, pinned ones included, serves it
+        from then on, each building its own structure on first use.
+        Idempotent.
+        """
+        self.column(column)  # validate the column exists
+        self.indexes = self.indexes | {(kind, column.lower())}
 
     # ------------------------------------------------------------------
     # Mutation

@@ -7,6 +7,7 @@ import pytest
 
 from repro import Database, DataType, Engine, EngineConfig, make_schema
 from repro.catalog import SystemCatalog, run_runstats
+from repro.storage import DEFAULT_CHUNK_ROWS
 
 
 MAKES_MODELS = {
@@ -16,9 +17,14 @@ MAKES_MODELS = {
 }
 
 
-def build_mini_db(n_owners: int = 200, n_cars: int = 600, seed: int = 7) -> Database:
+def build_mini_db(
+    n_owners: int = 200,
+    n_cars: int = 600,
+    seed: int = 7,
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+) -> Database:
     """A small car/owner database with a make->model correlation."""
-    db = Database()
+    db = Database(chunk_rows=chunk_rows)
     db.create_table(
         make_schema(
             "owner",

@@ -24,6 +24,7 @@ import pytest
 from repro import Engine, EngineConfig
 from repro.executor import run_reference
 from repro.sql import build_query_graph, parse_select
+from repro.storage import DEFAULT_CHUNK_ROWS
 from tests.conftest import build_mini_db
 from tests.harness.differential import (
     assert_same_final_state,
@@ -377,7 +378,9 @@ def _torture_writer_streams(rng: random.Random, n_writers: int,
     return streams
 
 
-def _run_torture(seed: int, scan_workers: int = 0) -> None:
+def _run_torture(
+    seed: int, scan_workers: int = 0, chunk_rows: int = DEFAULT_CHUNK_ROWS
+) -> None:
     n_owners, n_cars = 80, 240
     rng = random.Random(seed)
     streams = _torture_writer_streams(
@@ -391,7 +394,7 @@ def _run_torture(seed: int, scan_workers: int = 0) -> None:
 
     report = run_torture_schedule(
         build_db=lambda: build_mini_db(
-            n_owners=n_owners, n_cars=n_cars, seed=7
+            n_owners=n_owners, n_cars=n_cars, seed=7, chunk_rows=chunk_rows
         ),
         base_config=base_config,
         writer_streams=streams,
@@ -412,6 +415,15 @@ def test_snapshot_isolation_torture_threaded(seed):
     """Readers on pinned snapshots must equal sequential replay at their
     pinned publish stamps while writers run concurrently."""
     _run_torture(seed)
+
+
+@pytest.mark.parametrize("seed", range(TORTURE_SCHEDULES))
+def test_snapshot_isolation_torture_tiny_chunks(seed):
+    """The threaded schedules on 16-row chunks: 240 cars span 15
+    copy-on-write chunks, so a write copies some chunks of a column and
+    shares the rest, and generations share some ColumnSnapshots (and
+    their cached indexes) and not others."""
+    _run_torture(seed, chunk_rows=16)
 
 
 @pytest.mark.parametrize("seed", range(max(1, TORTURE_SCHEDULES // 4)))

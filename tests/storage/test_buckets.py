@@ -1,18 +1,15 @@
-"""The dense bucket layout against its counting-sort definition."""
+"""The dense bucket layout against its counting-sort definition, and the
+one dense-span rule every dense layout obeys."""
 
 import numpy as np
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from repro.storage.buckets import dense_buckets
+from repro.executor.joinutil import equi_join_indices
+from repro.storage.buckets import dense_buckets, dense_limit, dense_span
 from repro.storage.index import HashIndex
 
-DENSE_SPAN_MIN = HashIndex._DENSE_SPAN_MIN
-
-
-def dense_limit(n: int) -> int:
-    """The largest span the dense-span rule admits for n keys."""
-    return max(HashIndex._DENSE_SPAN_FACTOR * n, DENSE_SPAN_MIN)
+DENSE_SPAN_MIN = dense_limit(1)
 
 
 def reference_buckets(keys: np.ndarray, span: int):
@@ -65,3 +62,27 @@ def test_dense_buckets_leave_the_keys_alone():
     keys = np.array([2, 0, 1, 0, 2], dtype=np.int64)
     dense_buckets(keys, 3)
     assert keys.tolist() == [2, 0, 1, 0, 2]
+
+
+@given(
+    st.integers(min_value=2, max_value=20_000),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.integers(min_value=-2, max_value=2),
+)
+def test_dense_span_admits_exactly_the_rule(n, kmin, slack):
+    """``dense_span`` takes a span iff ``span <= dense_limit(n)``, and
+    the hash index and the hash join both follow it."""
+    span = max(1, dense_limit(n) + slack)
+    keys = np.full(n, kmin, dtype=np.int64)
+    keys[-1] = kmin + span - 1
+    admitted = span <= dense_limit(n)
+    assert dense_span(keys) == ((kmin, span) if admitted else None)
+    assert HashIndex(keys)._dense == admitted
+    left, right = equi_join_indices(keys[-1:], keys)
+    assert right.tolist() == ([n - 1] if span > 1 else list(range(n)))
+
+
+def test_dense_span_refuses_floats_and_empty_keys():
+    assert dense_span(np.empty(0, dtype=np.int64)) is None
+    assert dense_span(np.arange(4, dtype=np.float64)) is None
+    assert dense_span(np.array([5, 7], dtype=np.int64)) == (5, 3)

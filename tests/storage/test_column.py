@@ -71,12 +71,10 @@ def test_set_at_overwrites_rows():
     assert c.data.tolist() == [1, 9, 3, 9]
 
 
-def test_set_physical_bumps_version():
+def test_set_physical_overwrites_rows():
     c = Column("x", DataType.FLOAT)
     c.extend([1.0, 2.0])
-    before = c.version
     c.set_physical(np.array([0]), np.array([5.0]))
-    assert c.version > before
     assert c.data.tolist() == [5.0, 2.0]
 
 
@@ -105,17 +103,3 @@ def test_logical_values_subset():
     c = Column("s", DataType.STRING)
     c.extend(["p", "q", "r"])
     assert c.logical_values(np.array([2, 0])) == ["r", "p"]
-
-
-def test_version_increments_on_mutations():
-    c = Column("x", DataType.INT)
-    versions = [c.version]
-    c.append(1)
-    versions.append(c.version)
-    c.extend([2, 3])
-    versions.append(c.version)
-    c.set_at(np.array([0]), 7)
-    versions.append(c.version)
-    c.delete_rows(np.array([True, False, True]))
-    versions.append(c.version)
-    assert versions == sorted(set(versions))  # strictly increasing

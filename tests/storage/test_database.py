@@ -43,15 +43,16 @@ def test_drop_missing_raises():
 def test_primary_key_gets_hash_index():
     db = Database()
     db.create_table(schema())
-    assert db.find_index_for_equality("t", "id") is not None
+    assert db.table("t").indexes == {("hash", "id")}
+    assert db.indexes("t").hash_on("id") is not None
 
 
 def test_create_indexes_idempotent():
     db = Database()
     db.create_table(schema())
-    a = db.create_hash_index("t", "id")
-    b = db.create_hash_index("t", "id")
-    assert a is b
+    db.create_hash_index("t", "id")
+    db.create_hash_index("T", "ID")
+    assert db.table("t").indexes == {("hash", "id")}
 
 
 def test_index_on_unknown_column():

@@ -21,7 +21,7 @@ import pytest
 
 from repro import DataType, make_schema
 from repro.errors import StorageError
-from repro.storage import Table
+from repro.storage import Database, Table
 from repro.storage.table import UDIShard, udi_shard_scope
 
 
@@ -228,11 +228,13 @@ def test_unpinned_generation_is_actually_freed():
 
 def test_trimmed_generations_die_without_the_cyclic_gc():
     """Retention is bounded by reference counting alone: a generation
-    that was read through its (lazy) indexes and then trimmed is freed at
-    once, not whenever a gen-2 collection breaks an index back-reference
-    cycle — until then its concat and index arrays would stay resident."""
-    declared = [("hash", "id"), ("sorted", "pay"), ("hash", "name")]
+    that was read through its indexes and then trimmed is freed at once,
+    not whenever a gen-2 collection breaks a back-reference cycle —
+    until then its concat and index arrays would stay resident."""
     t = make_table(chunk_rows=4, snapshot_retention=3)
+    t.create_index("hash", "id")
+    t.create_index("sorted", "pay")
+    t.create_index("hash", "name")
     fill(t, 16)
     tables, columns = [], []
     gc.collect()
@@ -243,15 +245,15 @@ def test_trimmed_generations_die_without_the_cyclic_gc():
             # built on it) is shared by every generation.
             t.update_rows(np.arange(16), {"pay": float(i), "name": f"r{i}"})
             snap = t.pin_current()
-            indexes = snap.index_view(declared)
-            assert list(indexes.hash_on("id").lookup(3)) == [3]
-            assert len(indexes.sorted_on("pay").range_lookup(i, i)) == 16
-            # The optimizer's existence check: asked for, never built.
-            assert indexes.hash_on("name") is not None
+            assert list(snap.hash_on("id").lookup(3)) == [3]
+            assert len(snap.sorted_on("pay").range_lookup(i, i)) == 16
+            # The optimizer's existence check: asked, never built.
+            assert ("hash", "name") in snap.indexes
+            assert snap.column("name")._indexes == {}
             tables.append(weakref.ref(snap))
             columns.extend(weakref.ref(c) for c in snap.columns.values())
             snap.release()
-            del snap, indexes
+            del snap
         retained = t.snapshots()
         assert len(retained) == t.snapshot_retention
         reachable = {id(c) for s in retained for c in s.columns.values()}
@@ -265,16 +267,38 @@ def test_trimmed_generations_die_without_the_cyclic_gc():
         gc.enable()
 
 
-def test_index_view_follows_the_live_set_until_the_table_is_gone():
-    t = make_table()
-    fill(t, 4)
-    snap = t.pin_current()
-    assert snap.index_view([("hash", "id")]).sorted_on("pay") is None
-    both = snap.index_view([("hash", "id"), ("sorted", "pay")])
-    assert both.sorted_on("pay") is not None
-    # None: the live table was dropped; the generation keeps its indexes.
-    assert snap.index_view(None) is both
+def test_a_generation_serves_its_own_tables_declared_indexes():
+    """An index declared after the pin serves the pinned generation; a
+    generation pinned across DROP TABLE + CREATE TABLE keeps its own
+    table's set, not the new table's."""
+    db = Database()
+    db.create_table(make_table().schema)
+    fill(db.table("emp"), 4)
+    snap = db.live_table("emp").pin_current()
+    assert snap.sorted_on("pay") is None
+    db.create_sorted_index("emp", "pay")
+    assert snap.sorted_on("pay").range_lookup(0.0, 1.5).tolist() == [0, 1]
+    db.drop_table("emp")
+    db.create_table(make_table().schema)
+    db.create_hash_index("emp", "name")
+    assert snap.indexes == {("hash", "id"), ("sorted", "pay")}
+    assert snap.hash_on("name") is None
+    assert list(snap.hash_on("id").lookup(2)) == [2]
     snap.release()
+
+
+def test_key_update_makes_a_new_index_other_updates_share_it():
+    t = make_table(chunk_rows=4)
+    t.create_index("hash", "id")
+    fill(t, 16)
+    first = t.current_snapshot.hash_on("id")
+    t.update_rows(np.array([5]), {"pay": -1.0})
+    assert t.current_snapshot.hash_on("id") is first
+    t.update_rows(np.array([5]), {"id": 99})
+    moved = t.current_snapshot.hash_on("id")
+    assert moved is not first
+    assert list(moved.lookup(99)) == [5] and len(moved.lookup(5)) == 0
+    assert list(first.lookup(5)) == [5]
 
 
 def test_double_pin_needs_double_release():
