@@ -28,6 +28,7 @@ from .errors import (
     CatalogError,
     ConfigError,
     ExecutionError,
+    InvalidValueError,
     PlanningError,
     ReproError,
     SqlSyntaxError,
@@ -64,6 +65,7 @@ __all__ = [
     "CatalogError",
     "BindingError",
     "StorageError",
+    "InvalidValueError",
     "PlanningError",
     "ExecutionError",
     "StatisticsError",

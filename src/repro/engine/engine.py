@@ -32,7 +32,13 @@ from ..catalog import (
     collect_workload_statistics,
     run_runstats,
 )
-from ..errors import BindingError, ConfigError, ExecutionError, ReproError
+from ..errors import (
+    BindingError,
+    ConfigError,
+    ExecutionError,
+    InvalidValueError,
+    ReproError,
+)
 from ..executor import PlanExecutor, collect_feedback
 from ..executor.executor import matching_rows
 from ..executor.expr import eval_expr
@@ -254,8 +260,6 @@ class Engine:
             self.jits.drop_table(statement.table)
             if self.plan_cache is not None:
                 self.plan_cache.drop_table(statement.table)
-            if self.parallel is not None:
-                self.parallel.release_table(statement.table)
             return QueryResult(
                 statement_type="ddl", timings={PHASE_COMPILE: parse_time}
             )
@@ -576,8 +580,13 @@ class Engine:
                         f"unknown column {column!r} in UPDATE {table.name}"
                     )
                 qualified = _qualify_for_alias(expr, alias, binder_visible)
-                vector = eval_expr(qualified, batch)
-                physical[column] = self._coerce_assignment(table, column, vector)
+                try:
+                    vector = eval_expr(qualified, batch)
+                    physical[column] = self._coerce_assignment(
+                        table, column, vector
+                    )
+                except InvalidValueError as exc:
+                    raise exc.on_column(column) from None
             table.apply_update(rows, physical)
         return QueryResult(
             statement_type="update",
@@ -597,10 +606,7 @@ class Engine:
                 )
             if vector.dictionary is target.dictionary:
                 return vector.values
-            return np.array(
-                [target.dictionary.encode(v) for v in vector.decode()],
-                dtype=np.int64,
-            )
+            return target.encode_many(vector.decode())
         if vector.dtype is DataType.STRING:
             raise ExecutionError(
                 f"assigning string value to numeric column {column!r}"

@@ -6,6 +6,8 @@ base class; the leaf classes mirror the classic DBMS error families.
 
 from __future__ import annotations
 
+from typing import Optional
+
 
 class ReproError(Exception):
     """Base class for every error raised by this library."""
@@ -33,6 +35,28 @@ class BindingError(ReproError):
 
 class StorageError(ReproError):
     """Invalid physical operation on a table (bad row shape, bad type...)."""
+
+
+class InvalidValueError(StorageError, TypeError):
+    """A value a column cannot hold: the wrong type for it (hence also a
+    ``TypeError``, what ``DataType.validate`` raises), an INT past 64
+    bits, or text with a lone surrogate, which UTF-8 and so the wire
+    cannot carry. Writes check every value before storing any.
+    ``column`` names the column when one is known (a string literal
+    outside a column has none)."""
+
+    def __init__(self, reason: str, column: Optional[str] = None):
+        super().__init__(
+            reason if column is None else f"column {column!r}: {reason}"
+        )
+        self.reason = reason
+        self.column = column
+
+    def on_column(self, column: str) -> "InvalidValueError":
+        """This error, naming ``column`` unless it names one already."""
+        if self.column is not None:
+            return self
+        return InvalidValueError(self.reason, column)
 
 
 class PlanningError(ReproError):

@@ -9,11 +9,12 @@ One manager per engine shards three paths across worker processes:
 
 Contracts:
 
-* **Pinned epochs, never live stores.** Workers only ever see a table
-  through an epoch-stamped shared-memory export; the calling statement's
-  table lock keeps the epoch stable while shards are in flight, and RCU
-  statistics snapshots are untouched (workers compute raw row ids,
-  partials and stats; the parent does every store write).
+* **Immutable generations, never live stores.** Workers only ever see
+  a table through the shared-memory segments of one published
+  generation (:mod:`repro.storage.shm`): the caller holds that
+  generation while shards are in flight, and RCU statistics snapshots
+  are untouched (workers compute raw row ids, partials and stats; the
+  parent does every store write).
 * **Transparent fallback.** Any pool, worker or shared-memory failure
   falls back to running the identical kernels in-process — a warning,
   never a wrong answer. A dead pool (spawn failure / repeated crashes)
@@ -56,14 +57,11 @@ class ParallelScanManager:
             if self.workers > 0
             else None
         )
-        # Three locks with disjoint jobs: _lock guards registry mutations
-        # (export / release) and is only ever held for the copy-out, so
-        # DROP TABLE never waits out a stalled pool; _pool_lock
-        # serializes run_tasks, whose queue bookkeeping assumes one
-        # in-flight batch at a time; _stats_lock covers the counters
-        # concurrent session threads bump outside _pool_lock (fallbacks,
-        # inline_calls, fragment_counts).
-        self._lock = threading.Lock()
+        # Two locks with disjoint jobs (the registry has its own, held
+        # only for the copy-out): _pool_lock serializes run_tasks, whose
+        # queue bookkeeping assumes one in-flight batch at a time;
+        # _stats_lock covers the counters concurrent session threads bump
+        # outside _pool_lock (fallbacks, inline_calls, fragment_counts).
         self._pool_lock = threading.Lock()
         self._stats_lock = threading.Lock()
         self.fragment_counts: Dict[str, int] = {}
@@ -89,8 +87,7 @@ class ParallelScanManager:
         check_cancelled()
         if self.pool is not None and not self._disabled:
             try:
-                with self._lock:
-                    payload = self.registry.export(table)
+                payload = self.registry.export(table)
                 tasks = [(kernel, payload, kw) for kw in kwargs_list]
                 with self._pool_lock:
                     out = self.pool.run_tasks(tasks)
@@ -211,11 +208,6 @@ class ParallelScanManager:
     # ------------------------------------------------------------------
     # Lifecycle / introspection
     # ------------------------------------------------------------------
-    def release_table(self, table_name: str) -> None:
-        """Unlink a dropped table's segments."""
-        with self._lock:
-            self.registry.release(table_name)
-
     def stats(self) -> Dict[str, object]:
         return {
             "workers": self.workers,
@@ -224,7 +216,7 @@ class ParallelScanManager:
             "inline_calls": self.inline_calls,
             "fallbacks": self.fallbacks,
             "worker_respawns": self.pool.respawns if self.pool else 0,
-            "tables_exported": self.registry.exports,
+            "segments_exported": self.registry.exports,
             "fragments": dict(sorted(self.fragment_counts.items())),
             "process_path": (
                 "disabled"

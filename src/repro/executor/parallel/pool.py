@@ -5,8 +5,11 @@ Design notes:
 * Workers are spawned from a ``forkserver`` context (falling back to
   ``spawn`` where forkserver is unavailable): children never inherit the
   engine's threads, locks or live stores — a task carries a kernel name
-  from :data:`~repro.executor.parallel.kernels.KERNELS`, a pinned-epoch
-  :class:`~repro.storage.shm.TablePayload` and plain kwargs.
+  from :data:`~repro.executor.parallel.kernels.KERNELS`, a
+  :class:`~repro.storage.shm.TablePayload` naming one table
+  generation's column segments, and plain kwargs. Each worker keeps its
+  attachments across tasks (:class:`~repro.storage.shm.WorkerAttachments`),
+  so a generation already seen costs no attach.
 * Each worker owns a private task queue and result queue. A SIGKILLed
   worker can therefore corrupt at most its own channels: the parent
   detects the death via ``Process.is_alive()`` while collecting results
@@ -57,9 +60,12 @@ def _worker_main(task_q, result_q) -> None:
             return
         task_id, kernel, payload, kwargs = item
         try:
-            arrays = {} if payload is None else attachments.arrays(payload)
-            result = KERNELS[kernel](arrays, **kwargs)
-            result_q.put((task_id, True, result))
+            # No local keeps the arrays past the task, so the next
+            # payload can unmap the segments it no longer lists.
+            result_q.put((task_id, True, KERNELS[kernel](
+                {} if payload is None else attachments.arrays(payload),
+                **kwargs,
+            )))
         except BaseException as exc:  # report, keep serving
             try:
                 result_q.put(

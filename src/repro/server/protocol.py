@@ -64,6 +64,7 @@ from ..errors import (
     CatalogError,
     ConfigError,
     ExecutionError,
+    InvalidValueError,
     PlanningError,
     ReproError,
     SqlSyntaxError,
@@ -130,6 +131,7 @@ _ERROR_CLASSES: Dict[str, Type[ReproError]] = {
         BindingError,
         ConfigError,
         StorageError,
+        InvalidValueError,
         PlanningError,
         ExecutionError,
         StatisticsError,

@@ -12,11 +12,11 @@ reallocating. Published snapshots hold their own chunk copies (see
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..errors import StorageError
+from ..errors import InvalidValueError, StorageError
 from ..types import DataType, Value
 from .dictionary import StringDictionary
 from .snapshot import DEFAULT_CHUNK_ROWS, ColumnSnapshot
@@ -76,12 +76,24 @@ class Column:
         buf[: self._size] = self._buf[: self._size]
         self._buf = buf
 
-    def encode_value(self, value: Value) -> Union[int, float]:
-        """Validate and convert a logical value to its physical form."""
-        value = self.dtype.validate(value)
-        if self.dictionary is not None:
-            return self.dictionary.encode(value)  # type: ignore[arg-type]
-        return value  # type: ignore[return-value]
+    def encode_many(self, values: Sequence[Value]) -> np.ndarray:
+        """Validate logical values and convert them to their physical form.
+
+        Writes nothing, so a caller that encodes every column before it
+        stores any leaves the table untouched when a value is rejected.
+        Raises :class:`InvalidValueError` naming this column.
+        """
+        validate = self.dtype.validate
+        try:
+            if self.dictionary is not None:
+                return self.dictionary.encode_many(validate(v) for v in values)
+            return np.array(
+                [validate(v) for v in values], dtype=self._buf.dtype
+            )
+        except InvalidValueError as exc:
+            raise exc.on_column(self.name) from None
+        except (TypeError, OverflowError) as exc:  # or an INT past int64
+            raise InvalidValueError(str(exc), self.name) from None
 
     def lookup_value(self, value: Value) -> Union[int, float, None]:
         """Physical form of ``value`` without mutating the dictionary.
@@ -94,13 +106,6 @@ class Column:
             code = self.dictionary.find_code(value)  # type: ignore[arg-type]
             return code
         return value  # type: ignore[return-value]
-
-    def decode_value(self, physical: Union[int, float]) -> Value:
-        if self.dictionary is not None:
-            return self.dictionary.decode(int(physical))
-        if self.dtype is DataType.INT:
-            return int(physical)
-        return float(physical)
 
     # ------------------------------------------------------------------
     # Copy-on-write chunk tracking
@@ -120,18 +125,10 @@ class Column:
         self._dirty.update(int(c) for c in touched)
 
     def append(self, value: Value) -> None:
-        self._reserve(1)
-        self._buf[self._size] = self.encode_value(value)
-        self._size += 1
-        self._mark_range(self._size - 1, self._size)
+        self.extend([value])
 
     def extend(self, values: Sequence[Value]) -> None:
-        self._reserve(len(values))
-        start = self._size
-        for value in values:
-            self._buf[self._size] = self.encode_value(value)
-            self._size += 1
-        self._mark_range(start, self._size)
+        self.extend_physical(self.encode_many(values))
 
     def extend_physical(self, physical: np.ndarray) -> None:
         """Bulk-append already-encoded physical values (fast path)."""
@@ -144,7 +141,7 @@ class Column:
 
     def set_at(self, rows: np.ndarray, value: Value) -> None:
         """Overwrite the given row positions with one logical value."""
-        self._buf[: self._size][rows] = self.encode_value(value)
+        self._buf[: self._size][rows] = self.encode_many([value])[0]
         self._mark_rows(rows)
 
     def set_physical(self, rows: np.ndarray, values: np.ndarray) -> None:

@@ -85,7 +85,7 @@ class Database:
         key = name.lower()
         if key not in self._tables:
             raise CatalogError(f"table {name!r} does not exist")
-        del self._tables[key]
+        self._tables.pop(key).drop_generations()
 
     def has_table(self, name: str) -> bool:
         return name.lower() in self._tables

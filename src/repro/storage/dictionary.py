@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from ..errors import StorageError
+from ..errors import InvalidValueError, StorageError
 
 MISSING_CODE = -1  # returned by lookup() for values not in the dictionary
 
@@ -43,6 +43,14 @@ class StringDictionary:
             raise StorageError(f"dictionary values must be str, got {value!r}")
         code = self._codes.get(value)
         if code is None:
+            if not value.isascii():
+                try:
+                    value.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise InvalidValueError(
+                        f"{value!r} holds a lone surrogate, which UTF-8 "
+                        "cannot encode"
+                    ) from None
             code = len(self._values)
             self._values.append(value)
             self._codes[value] = code

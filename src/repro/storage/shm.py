@@ -1,34 +1,40 @@
 """Shared-memory column export for process-parallel scans.
 
-The parent engine exports a table's physical column arrays into
+The parent engine copies column generations into
 ``multiprocessing.shared_memory`` segments; worker processes attach by
-name and wrap the buffers in zero-copy numpy views. Exports are
-epoch-stamped with the snapshot epoch (``version`` — bumped once per
-published MVCC generation), so:
+name and wrap the buffers in zero-copy numpy views. A segment belongs
+to one immutable :class:`~repro.storage.snapshot.ColumnSnapshot`, never
+to a table name or epoch, so:
 
-* the parent re-exports a table only when its data epoch moved — a
-  read-heavy workload pays the copy once, not per scan — and retains a
-  small window of epochs so MVCC readers pinned to different snapshot
-  generations each dispatch against their own epoch's segments;
-* workers cache their attachments per table and re-attach only when a
-  task arrives carrying a different export id — a process-global
-  counter stamped into every :class:`TablePayload`, so a DROP/CREATE
-  cycle that happens to land on the same epoch number still forces a
-  re-attach (:class:`WorkerAttachments`);
-* an in-flight scan always sees the exact rows its statement locked:
-  the statement's table lock keeps the epoch stable for the duration,
-  and workers operate on the pinned copy, never the live buffers.
+* the parent copies a column generation once, chunk by chunk, and every
+  table generation sharing that column object shares its segment: an
+  UPDATE of one column re-exports that column, not the table, and MVCC
+  readers pinned to different generations each dispatch against their
+  own generation's segments;
+* when a column generation is collected, a ``weakref.finalize`` queues
+  its segment and the registry's next export (or its close) unlinks it,
+  so what is exported is bounded by what is retained or pinned, with no
+  LRU and no DROP TABLE hook; a DROP + CREATE under the same name makes
+  new column objects, hence new segment names, so no identity check is
+  needed;
+* workers cache their attachments per segment name and, on each
+  payload, detach the table's segments it no longer lists
+  (:class:`WorkerAttachments`).
+
+An in-flight scan always sees the exact rows its statement read: the
+caller holds the generation it exported (a pinned snapshot, or a live
+table's current one under its write lock), so its segments outlive the
+dispatch, and workers read the copy, never the live buffers.
 
 Lifetime (Linux): segments live under ``/dev/shm`` with the ``rjits``
-prefix. The registry unlinks a table's stale segments when re-exporting
-and unlinks everything on ``close()`` (also registered via ``atexit``);
-an unlinked segment's memory survives until the last worker unmaps it,
-so eviction never races an in-flight task. Workers attach with
-``multiprocessing.resource_tracker`` registration suppressed — on 3.11
-the tracker counts attaches as ownership, and since forkserver children
-share the parent's tracker process, an attach would first shadow and
-then (on unregister) erase the parent's own registration of the
-segment it still owns.
+prefix. The parent unmaps a segment right after the copy and keeps only
+its name for the unlink; an unlinked segment's memory survives until the
+last worker unmaps it, so an unlink never races a worker already
+attached. Workers attach with ``multiprocessing.resource_tracker``
+registration suppressed: on 3.11 the tracker counts attaches as
+ownership, and since forkserver children share the parent's tracker
+process, an attach would first shadow and then (on unregister) erase the
+parent's own registration of the segment it still owns.
 """
 
 from __future__ import annotations
@@ -40,14 +46,14 @@ import os
 import secrets
 import threading
 import weakref
-from collections import OrderedDict
 from dataclasses import dataclass
 from multiprocessing import resource_tracker, shared_memory
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
 from ..errors import StorageError
+from .snapshot import ColumnSnapshot, TableSnapshot
 
 #: Prefix of every segment name this module creates (leak checks key on it).
 SHM_PREFIX = "rjits"
@@ -59,11 +65,6 @@ SHM_PREFIX = "rjits"
 _NAME_TOKEN = secrets.token_hex(4)
 _SEG_SEQ = itertools.count(1)
 
-# Export identity: epoch numbers restart at 0 for a re-created table, so
-# payloads additionally carry a process-global monotone id that changes
-# on every (re-)export; worker caches key on it, never on the epoch.
-_EXPORT_IDS = itertools.count(1)
-
 
 class ShmError(StorageError):
     """Shared-memory export/attach failure (callers fall back in-process)."""
@@ -71,7 +72,7 @@ class ShmError(StorageError):
 
 @dataclass(frozen=True)
 class ColumnSegment:
-    """Picklable descriptor of one exported column."""
+    """Picklable descriptor of one exported column generation."""
 
     column: str  # lower-case column name
     shm_name: str
@@ -81,18 +82,11 @@ class ColumnSegment:
 
 @dataclass(frozen=True)
 class TablePayload:
-    """Picklable descriptor of one table export, pinned to a data epoch.
-
-    ``export_id`` is the cache-validity key: unlike ``epoch`` (which is
-    per-Table and restarts at 0 when a table is dropped and re-created
-    under the same name), it is unique per export within the process.
-    """
+    """Picklable descriptor of one table generation's column segments."""
 
     table: str
-    epoch: int
     n_rows: int
     segments: Tuple[ColumnSegment, ...]
-    export_id: int = 0
 
 
 def list_segments() -> List[str]:
@@ -125,217 +119,163 @@ def _no_tracker_registration():
         resource_tracker.register = original
 
 
-class _TableExport:
-    """Parent-side handles for one exported table epoch."""
-
-    def __init__(self, payload: TablePayload,
-                 handles: List[shared_memory.SharedMemory]):
-        self.payload = payload
-        self.handles = handles
-
-    @property
-    def epoch(self) -> int:
-        return self.payload.epoch
-
-    def close(self) -> None:
-        for shm in self.handles:
-            try:
-                shm.close()
-            except Exception:
-                pass
-            try:
-                shm.unlink()  # also unregisters from the resource tracker
-            except FileNotFoundError:
-                pass
-            except Exception:
-                pass
-        self.handles = []
-
-
-#: How many distinct export epochs the registry keeps live per table.
-#: Under MVCC several readers can be pinned to different snapshot
-#: generations at once; retaining a small window lets each dispatch
-#: against its own epoch's segments without thrashing re-exports.
-EXPORT_EPOCHS_RETAINED = 4
-
-
 class ShmRegistry:
-    """Parent-side registry of table exports, keyed by (table, epoch).
+    """Parent-side segments, one per exported column generation.
 
-    Per table the registry keeps up to :data:`EXPORT_EPOCHS_RETAINED`
-    epochs alive in LRU order — MVCC readers pinned to different snapshot
-    generations each reuse the export matching their pinned epoch. The
-    oldest epoch's segments are unlinked on eviction; workers still
-    mapping them keep the memory until they unmap (Linux semantics), so
-    eviction never corrupts an in-flight task.
+    The map is weak in its :class:`ColumnSnapshot` keys: when a
+    generation is collected, its entry goes and a finalizer queues its
+    segment, which the next export (or :meth:`close`) unlinks.
     """
 
     def __init__(self) -> None:
-        # name -> (weakref to the owning live Table, epoch -> export).
-        # The identity check is what keeps a reader pinned to a dropped
-        # table's generation from being served a re-created table's
-        # arrays when the new table's epoch numbering collides with the
-        # pinned epoch (epochs restart at 0 on CREATE).
-        self._exports: Dict[
-            str,
-            Tuple["weakref.ref", "OrderedDict[int, _TableExport]"],
-        ] = {}
-        self._lock = threading.RLock()
+        # ColumnSnapshot -> (its segment, the finalizer that queues it)
+        self._segments: weakref.WeakKeyDictionary = (
+            weakref.WeakKeyDictionary()
+        )
+        # Segments of collected generations, still to unlink. Most
+        # generations are collected inside a write's publish (trimmed out
+        # of the retention window, under the table's snapshot lock), and
+        # an unlink frees the segment's pages, about 0.3 ms per 5 MB, so
+        # the finalizer only appends here (no lock) and the unlink runs
+        # on the next export instead of on the write path.
+        self._freed: List[shared_memory.SharedMemory] = []
+        self._lock = threading.Lock()
         self._closed = False
-        self.exports = 0  # tables (re-)exported, for stats_snapshot
+        self.exports = 0  # column segments created, for stats_snapshot
         atexit.register(self.close)
 
     def export(self, table) -> TablePayload:
-        """Export ``table`` (or reuse the cached export for its epoch).
+        """The segments of ``table``'s column generations, copying the
+        ones not exported yet.
 
-        ``table`` may be a live Table or a pinned TableSnapshot; either
-        way ``version`` is the snapshot epoch the arrays belong to.
+        ``table`` is a pinned TableSnapshot, or a live Table whose
+        current generation is its content (DML targeting under the
+        table's write lock).
         """
+        if not isinstance(table, TableSnapshot):
+            table = table.current_snapshot
+        name = table.name.lower()
         with self._lock:
             if self._closed:
                 raise ShmError("shared-memory registry is closed")
-            name = table.name.lower()
-            epoch = table.version
-            identity = getattr(table, "storage_identity", table)
-            entry = self._exports.get(name)
-            if entry is not None and entry[0]() is not identity:
-                # Same name, different storage (DROP + CREATE, or a
-                # pinned generation of the dropped table resurfacing):
-                # an epoch-number hit here would serve the wrong arrays.
-                for export in entry[1].values():
-                    export.close()
-                entry = None
-            if entry is None:
-                entry = (weakref.ref(identity), OrderedDict())
-                self._exports[name] = entry
-            per_table = entry[1]
-            current = per_table.get(epoch)
-            if current is not None:
-                per_table.move_to_end(epoch)
-                return current.payload
-            export = self._build(table, name, epoch)
-            per_table[epoch] = export
-            self.exports += 1
-            while len(per_table) > EXPORT_EPOCHS_RETAINED:
-                _, oldest = per_table.popitem(last=False)
-                oldest.close()
-            return export.payload
-
-    def _build(self, table, name: str, epoch: int) -> _TableExport:
-        handles: List[shared_memory.SharedMemory] = []
-        segments: List[ColumnSegment] = []
-        try:
-            for column in table.schema.column_names():
-                column = column.lower()
-                data = table.column_data(column)
-                shm_name = (
-                    f"{SHM_PREFIX}{os.getpid()}x{_NAME_TOKEN}"
-                    f"x{next(_SEG_SEQ)}"
-                )
-                shm = shared_memory.SharedMemory(
-                    create=True, name=shm_name, size=max(1, data.nbytes)
-                )
-                handles.append(shm)
-                view = np.ndarray(data.shape, dtype=data.dtype, buffer=shm.buf)
-                view[:] = data
-                segments.append(
-                    ColumnSegment(
-                        column=column,
-                        shm_name=shm_name,
-                        dtype=data.dtype.str,
-                        length=len(data),
-                    )
-                )
-        except Exception as exc:
-            for shm in handles:
-                try:
-                    shm.close()
-                    shm.unlink()
-                except Exception:
-                    pass
-            raise ShmError(f"exporting table {name!r} failed: {exc}") from exc
-        payload = TablePayload(
-            table=name,
-            epoch=epoch,
-            n_rows=table.row_count,
-            segments=tuple(segments),
-            export_id=next(_EXPORT_IDS),
+            self._unlink_freed()
+            segments = tuple(
+                self._segment(name, column.lower(), table.column(column))
+                for column in table.schema.column_names()
+            )
+        return TablePayload(
+            table=name, n_rows=table.row_count, segments=segments
         )
-        return _TableExport(payload, handles)
 
-    def release(self, table_name: str) -> None:
-        """Unlink one table's segments, all epochs (e.g. after DROP TABLE).
-
-        Dropping the whole per-table map matters for correctness, not
-        just hygiene: a re-created table restarts its epoch numbering, so
-        a stale entry could otherwise satisfy the new table's export from
-        the old table's arrays.
-        """
-        with self._lock:
-            entry = self._exports.pop(table_name.lower(), None)
+    def _segment(
+        self, table: str, column: str, snapshot: ColumnSnapshot
+    ) -> ColumnSegment:
+        entry = self._segments.get(snapshot)
         if entry is not None:
-            for export in entry[1].values():
-                export.close()
+            return entry[0]
+        dtype = snapshot._np_dtype
+        shm_name = (
+            f"{SHM_PREFIX}{os.getpid()}x{_NAME_TOKEN}x{next(_SEG_SEQ)}"
+        )
+        try:
+            shm = shared_memory.SharedMemory(
+                create=True,
+                name=shm_name,
+                size=max(1, snapshot.size * dtype.itemsize),
+            )
+        except OSError as exc:
+            raise ShmError(
+                f"exporting {table}.{column} failed: {exc}"
+            ) from exc
+        try:
+            if snapshot.chunks:
+                # The output view is a temporary: none is left to keep
+                # the buffer from unmapping.
+                np.concatenate(
+                    snapshot.chunks,
+                    out=np.ndarray(
+                        (snapshot.size,), dtype=dtype, buffer=shm.buf
+                    ),
+                )
+        finally:
+            shm.close()
+        segment = ColumnSegment(
+            column=column, shm_name=shm_name, dtype=dtype.str,
+            length=snapshot.size,
+        )
+        finalizer = weakref.finalize(snapshot, self._freed.append, shm)
+        finalizer.atexit = False  # close() runs at exit and unlinks all
+        self._segments[snapshot] = (segment, finalizer)
+        self.exports += 1
+        return segment
+
+    def _unlink_freed(self) -> None:
+        while self._freed:
+            with contextlib.suppress(FileNotFoundError):
+                self._freed.pop().unlink()  # also leaves the tracker
 
     def close(self) -> None:
-        """Unlink every segment; idempotent, also runs at interpreter exit."""
+        """Unlink every segment; idempotent, also runs at interpreter
+        exit."""
         with self._lock:
             self._closed = True
-            entries, self._exports = list(self._exports.values()), {}
-        for _, per_table in entries:
-            for export in per_table.values():
-                export.close()
+            entries = list(self._segments.values())
+            self._segments.clear()
+            for _, finalizer in entries:
+                finalizer()
+            self._unlink_freed()
 
 
 class WorkerAttachments:
-    """Worker-side attachment cache: one entry per table, evicted when a
-    task's payload carries a different export id (a new epoch, or the
-    same table name re-created and re-exported)."""
+    """Worker-side attachments, one per segment name. A payload detaches
+    the segments of its table that it no longer lists, so a worker holds
+    at most one payload's worth per table."""
 
     def __init__(self) -> None:
-        self._tables: Dict[
-            str,
-            Tuple[int, List[shared_memory.SharedMemory], Dict[str, np.ndarray]],
+        self._attached: Dict[
+            str, Tuple[shared_memory.SharedMemory, np.ndarray]
         ] = {}
+        self._by_table: Dict[str, Set[str]] = {}
 
     def arrays(self, payload: TablePayload) -> Dict[str, np.ndarray]:
-        cached = self._tables.get(payload.table)
-        if cached is not None:
-            export_id, handles, arrays = cached
-            if export_id == payload.export_id:
-                return arrays
-            self._detach(handles)
-            del self._tables[payload.table]
-        handles = []
+        names = {segment.shm_name for segment in payload.segments}
+        for stale in self._by_table.get(payload.table, set()) - names:
+            self._detach(stale)
+        self._by_table[payload.table] = names
         arrays: Dict[str, np.ndarray] = {}
-        try:
-            for segment in payload.segments:
-                with _no_tracker_registration():
-                    shm = shared_memory.SharedMemory(name=segment.shm_name)
-                handles.append(shm)
-                arrays[segment.column] = np.ndarray(
-                    (segment.length,),
-                    dtype=np.dtype(segment.dtype),
-                    buffer=shm.buf,
+        for segment in payload.segments:
+            entry = self._attached.get(segment.shm_name)
+            if entry is None:
+                try:
+                    with _no_tracker_registration():
+                        shm = shared_memory.SharedMemory(name=segment.shm_name)
+                except OSError as exc:
+                    raise ShmError(
+                        f"attaching to {payload.table}.{segment.column} "
+                        f"failed: {exc}"
+                    ) from exc
+                entry = (
+                    shm,
+                    np.ndarray(
+                        (segment.length,),
+                        dtype=np.dtype(segment.dtype),
+                        buffer=shm.buf,
+                    ),
                 )
-        except Exception as exc:
-            self._detach(handles)
-            raise ShmError(
-                f"attaching to table {payload.table!r} "
-                f"(epoch {payload.epoch}) failed: {exc}"
-            ) from exc
-        self._tables[payload.table] = (payload.export_id, handles, arrays)
+                self._attached[segment.shm_name] = entry
+            arrays[segment.column] = entry[1]
         return arrays
 
-    @staticmethod
-    def _detach(handles: List[shared_memory.SharedMemory]) -> None:
-        for shm in handles:
-            try:
-                shm.close()
-            except Exception:
-                pass
+    def _detach(self, shm_name: str) -> None:
+        if shm_name not in self._attached:
+            return
+        shm = self._attached.pop(shm_name)[0]  # drops our view with it
+        try:
+            shm.close()
+        except BufferError:
+            pass  # a view still alive: the mapping goes with the object
 
     def close(self) -> None:
-        for _, handles, _ in self._tables.values():
-            self._detach(handles)
-        self._tables = {}
+        for shm_name in list(self._attached):
+            self._detach(shm_name)
+        self._by_table = {}

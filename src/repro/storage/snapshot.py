@@ -144,13 +144,6 @@ class ColumnSnapshot:
             return self.dictionary.find_code(value)  # type: ignore[arg-type]
         return value  # type: ignore[return-value]
 
-    def decode_value(self, physical: Union[int, float]) -> Value:
-        if self.dictionary is not None:
-            return self.dictionary.decode(int(physical))
-        if self.dtype is DataType.INT:
-            return int(physical)
-        return float(physical)
-
     def logical_values(self, rows: Optional[np.ndarray] = None) -> List[Value]:
         phys = self.data if rows is None else self.data[rows]
         if self.dictionary is not None:
@@ -180,7 +173,7 @@ class TableSnapshot:
         udi_total: int,
         row_count: int,
     ):
-        self._source = source  # the live Table (storage identity)
+        self._source = source  # the live Table
         self.schema = source.schema
         self.columns = columns
         self.version = version
@@ -200,13 +193,6 @@ class TableSnapshot:
 
     def __len__(self) -> int:
         return self._row_count
-
-    @property
-    def storage_identity(self):
-        """The live :class:`Table` this generation belongs to. The shm
-        export cache keys on it so a DROP+CREATE under the same name
-        never validates against the old table's arrays."""
-        return self._source
 
     @property
     def chunk_rows(self) -> int:

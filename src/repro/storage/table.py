@@ -130,13 +130,6 @@ class Table:
         return self.schema.name
 
     @property
-    def storage_identity(self) -> "Table":
-        """Self — the common identity anchor with :class:`TableSnapshot`,
-        so caches validate `presented.storage_identity` uniformly whether
-        they were handed the live table or a pinned generation."""
-        return self
-
-    @property
     def row_count(self) -> int:
         first = next(iter(self.columns.values()))
         return len(first)
@@ -183,14 +176,20 @@ class Table:
                     f"row has {len(row)} values, table {self.name!r} "
                     f"has {len(names)} columns"
                 )
+        encoded = []
         for name in names:
             col = self.column(name)
             try:
-                col.extend([_row_get(row, name) for row in rows])
+                values = [_row_get(row, name) for row in rows]
             except KeyError:
                 raise StorageError(
                     f"row is missing column {name!r} of table {self.name!r}"
                 ) from None
+            encoded.append((col, col.encode_many(values)))
+        # Every value checked before any is stored: a rejected row leaves
+        # the columns as they were, all of one length.
+        for col, physical in encoded:
+            col.extend_physical(physical)
         self._record_mutation(len(rows))
 
     def insert_columns(self, data: Mapping[str, Sequence[Value]]) -> None:
@@ -208,12 +207,14 @@ class Table:
         n = lengths.pop() if lengths else 0
         if n == 0:
             return
+        encoded = []
         for name, values in data.items():
             col = self.column(name)
-            if isinstance(values, np.ndarray) and col.dictionary is None:
-                col.extend_physical(np.asarray(values))
-            else:
-                col.extend(list(values))
+            if not (isinstance(values, np.ndarray) and col.dictionary is None):
+                values = col.encode_many(list(values))
+            encoded.append((col, values))
+        for col, physical in encoded:
+            col.extend_physical(physical)
         self._record_mutation(n)
 
     def update_rows(self, rows: np.ndarray, assignments: Mapping[str, Value]) -> None:
@@ -349,6 +350,17 @@ class Table:
                 continue
             kept.append(snap)
         self._history = kept
+
+    def drop_generations(self) -> None:
+        """Forget every unpinned generation, the current one included
+        (DROP TABLE). A generation refers back to its table, so without
+        this a dropped table and its arrays (and their shared-memory
+        segments) would wait for the cyclic collector; with it, the last
+        reference frees them. A pinned generation stays until released.
+        """
+        with self._snap_lock:
+            self._history = [snap for snap in self._history if snap.pins]
+            self._current = None
 
     @property
     def current_snapshot(self) -> TableSnapshot:

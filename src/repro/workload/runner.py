@@ -97,18 +97,12 @@ def make_engine_for_setting(
     data_seed: int = 0,
     workload: Optional[GeneratedWorkload] = None,
     s_max: float = 0.5,
-    sample_size: int = 2000,
     engine_seed: int = 1,
-    migration_interval: int = 50,
 ) -> Engine:
     """Fresh database + engine prepared for one experiment setting."""
     database, _ = build_car_database(scale=scale, seed=data_seed)
     if setting is Setting.JITS:
-        config = EngineConfig.with_jits(
-            s_max=s_max,
-            sample_size=sample_size,
-            migration_interval=migration_interval,
-        )
+        config = EngineConfig.with_jits(s_max=s_max)
     else:
         config = EngineConfig.traditional()
     config.seed = engine_seed
@@ -187,7 +181,6 @@ def run_setting(
     scale: float = DEFAULT_SCALE,
     data_seed: int = 0,
     s_max: float = 0.5,
-    sample_size: int = 2000,
     workers: int = 1,
 ) -> WorkloadRunReport:
     """Build the engine for a setting, time the setup, run the workload."""
@@ -198,7 +191,6 @@ def run_setting(
         data_seed=data_seed,
         workload=workload,
         s_max=s_max,
-        sample_size=sample_size,
     )
     setup = time.perf_counter() - setup_started
     report = run_workload(

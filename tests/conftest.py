@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro import Database, DataType, Engine, EngineConfig, make_schema
 from repro.catalog import SystemCatalog, run_runstats
 from repro.storage import DEFAULT_CHUNK_ROWS
+
+# Property tests draw the same examples on every run, whatever ran before
+# them and whatever an earlier run left in a .hypothesis/ directory; each
+# test's own example count still applies.
+settings.register_profile("repro", derandomize=True, database=None)
+settings.load_profile("repro")
 
 
 MAKES_MODELS = {

@@ -109,7 +109,6 @@ def test_attach_failure_falls_back_with_warning(engine_factory):
     table = par.database.table("car")
     bogus = TablePayload(
         table="car",
-        epoch=table.version,
         n_rows=table.row_count,
         segments=tuple(
             ColumnSegment(
@@ -192,8 +191,8 @@ def test_worker_kernel_error_is_not_fatal():
 
 def test_sigkill_mid_scan_of_old_snapshot_reattaches_same_epoch():
     """SIGKILL a worker while a batch over an *old* pinned generation is
-    in flight: the respawned worker must re-attach the same epoch export
-    and the scan must still see the old generation's values."""
+    in flight: the respawned worker must re-attach that generation's
+    segments and the scan must still see the old generation's values."""
     from repro.storage.shm import ShmRegistry
 
     db = build_mini_db(60, 200, seed=11)
@@ -235,13 +234,13 @@ def test_sigkill_mid_scan_of_old_snapshot_reattaches_same_epoch():
         finally:
             killer.join()
         assert pool.respawns >= 1
-        # The retried stats task attached the pinned epoch's segments:
-        # it reports the OLD maximum, not the live table's.
+        # The retried stats task attached the pinned generation's
+        # segments: it reports the OLD maximum, not the live table's.
         assert results[-1]["max_value"] == pytest.approx(old_max)
         assert float(np.max(table.column_data("price"))) > old_max
-        # Same epoch export, no re-export happened.
-        assert registry.export(pinned) is payload
-        assert registry.exports == 1
+        # The same segments, no re-export happened.
+        assert registry.export(pinned) == payload
+        assert registry.exports == len(pinned.schema.column_names())
     finally:
         pool.close()
         registry.close()
@@ -249,9 +248,9 @@ def test_sigkill_mid_scan_of_old_snapshot_reattaches_same_epoch():
 
 
 def test_as_of_scan_after_worker_death_reuses_epoch_export(engine_factory):
-    """Engine-level: an AS OF statement pinned to a historical epoch
+    """Engine-level: an AS OF statement pinned to a historical generation
     survives a worker SIGKILL — respawn, re-attach, same rows, and no
-    extra export of the old epoch."""
+    extra export of the old generation."""
     par = _engine(engine_factory)
     seq = engine_factory(
         build_mini_db(200, 600, seed=7),
@@ -269,16 +268,16 @@ def test_as_of_scan_after_worker_death_reuses_epoch_export(engine_factory):
     assert sorted(par.execute(as_of).rows) == want_old
     snap = par.stats_snapshot()["parallel"]
     assert snap["worker_respawns"] >= 1
-    assert snap["tables_exported"] == exports_before
+    assert snap["segments_exported"] == exports_before
     assert snap["fallbacks"] == 0
 
 
 def test_drop_create_pinned_read_never_serves_new_tables_arrays():
     """DROP + CREATE while a reader stays pinned to the old generation:
     even when the re-created table's epoch numbering collides with the
-    pinned epoch, the registry must never satisfy the pinned reader's
-    export from the new table's arrays (identity check, the export-id
-    regression pattern)."""
+    pinned epoch, the pinned reader's export is its own generation's
+    segments, never the new table's (segments belong to column
+    generations, not to a table name and epoch)."""
     from repro.storage.shm import ShmRegistry, WorkerAttachments
 
     db = build_mini_db(60, 200, seed=13)
@@ -292,7 +291,6 @@ def test_drop_create_pinned_read_never_serves_new_tables_arrays():
         old_payload = registry.export(pinned)
         schema = old.schema
         db.drop_table("car")
-        registry.release("car")
 
         new = db.create_table(schema)
         new.insert_rows(
@@ -315,11 +313,17 @@ def test_drop_create_pinned_read_never_serves_new_tables_arrays():
         assert new.version == pinned.version
 
         new_payload = registry.export(new)
-        assert new_payload.export_id != old_payload.export_id
-        # The pinned reader exporting *after* the new table must get its
-        # own generation back, not the colliding-epoch new export.
+        old_names = {seg.shm_name for seg in old_payload.segments}
+        assert old_names.isdisjoint(
+            seg.shm_name for seg in new_payload.segments
+        )
+        np.testing.assert_array_equal(
+            attachments.arrays(new_payload)["price"], -1.0
+        )
+        # The pinned reader exporting *after* the new table gets its own
+        # generation back, not the colliding-epoch new export.
         again = registry.export(pinned)
-        assert again.export_id != new_payload.export_id
+        assert again == old_payload
         assert again.n_rows == pinned.row_count != new.row_count
         arrays = attachments.arrays(again)
         np.testing.assert_array_equal(arrays["price"], old_prices)

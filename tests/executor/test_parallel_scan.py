@@ -130,8 +130,8 @@ def test_export_reused_until_epoch_changes(engine_factory):
 def test_drop_create_same_epoch_workers_see_new_data(engine_factory):
     """DROP + CREATE under the same name restarts the epoch counter, so
     both table generations can reach the same epoch number; workers must
-    re-attach to the new export (keyed by export id), not serve the
-    dropped table's cached arrays."""
+    attach the new table's segments (new column generations, new names),
+    not serve the dropped table's cached arrays."""
     engine = _parallel_engine(engine_factory, scan_workers=2)
 
     def build(value: float):
@@ -230,7 +230,7 @@ def test_below_threshold_stays_inline(engine_factory):
     engine.execute("SELECT id FROM car WHERE price > 20000")
     snap = engine.stats_snapshot()["parallel"]
     assert snap["parallel_calls"] == 0
-    assert snap["tables_exported"] == 0
+    assert snap["segments_exported"] == 0
 
 
 _CAR_PREDICATES = [

@@ -110,17 +110,16 @@ class Schedule:
                 )
             except StorageError:
                 return  # older than the retention window
-            self.pins.append(snap)
+            self.pins.append((snap, table))
         elif kind == "release":
             if self.pins:
-                self.pins.pop(args[0] % len(self.pins)).release()
+                self.pins.pop(args[0] % len(self.pins))[0].release()
         else:
             self.db.drop_table("t")
             self.create()
 
     def check(self):
-        for snap in self.pins:
-            table = snap.storage_identity
+        for snap, table in self.pins:
             assert snap.indexes == self.declared[table]
             for kind in ("hash", "sorted"):
                 for column in ("i", "f", "s"):
@@ -189,5 +188,5 @@ def test_every_pinned_generation_sees_every_declared_index(steps):
             schedule.step(step)
             schedule.check()
     finally:
-        for snap in schedule.pins:
+        for snap, _ in schedule.pins:
             snap.release()
