@@ -336,9 +336,9 @@ class Engine:
                 "invalidations": jits.sample_cache.invalidations,
             },
             "mask_cache": {
-                "hits": jits.mask_cache.hits,
-                "misses": jits.mask_cache.misses,
-                "entries": len(jits.mask_cache),
+                "hits": jits.sample_cache.mask_hits,
+                "misses": jits.sample_cache.mask_misses,
+                "entries": jits.sample_cache.mask_entries,
             },
         }
         if self.plan_cache is not None:

@@ -2,9 +2,9 @@
 
 The last stage of the compilation fast path: when the same query template
 arrives again and no statistics the original plan was costed with have
-moved — per-table UDI epochs, the table's sample epoch, the QSS archive
-version (new QSS landing invalidates), the catalog version (RUNSTATS or
-migration landing invalidates) — the whole parse-bind-JITS-optimize
+moved — per-table UDI epochs, the QSS archive version (new QSS landing
+invalidates), the catalog version (RUNSTATS or migration landing
+invalidates) — the whole parse-bind-JITS-optimize
 pipeline after parsing is skipped and the previously optimized plan is
 re-executed. Plans hold no row positions, only logical operators over
 current table state, so re-execution against mutated data stays correct;

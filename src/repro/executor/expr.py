@@ -11,7 +11,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, InvalidValueError
 from ..sql import ast
 from ..types import DataType
 from .vector import Batch, ColumnVector, translate_codes
@@ -58,7 +58,10 @@ def _literal_vector(literal: ast.Literal, length: int) -> ColumnVector:
         )
     if isinstance(value, float):
         return ColumnVector(np.full(length, value, dtype=np.float64), DataType.FLOAT)
-    return ColumnVector(np.full(length, value, dtype=np.int64), DataType.INT)
+    try:
+        return ColumnVector(np.full(length, value, dtype=np.int64), DataType.INT)
+    except OverflowError:
+        raise InvalidValueError(f"INT literal {value} does not fit in 64 bits") from None
 
 
 def _require_numeric(vector: ColumnVector, what: str) -> None:

@@ -7,7 +7,7 @@ from .controller import CompilationReport, JITSConfig, JustInTimeStatistics
 from .history import HistoryEntry, StatHistory, canonical_colgroup
 from .migration import migrate_archive_to_catalog
 from .residuals import ResidualStatisticsStore, residual_key
-from .samplecache import MaskCache, SampleCache
+from .samplecache import Sample, SampleCache
 from .sensitivity import SensitivityAnalyzer, TableDecision, table_stats_epoch
 
 __all__ = [
@@ -30,7 +30,7 @@ __all__ = [
     "migrate_archive_to_catalog",
     "ResidualStatisticsStore",
     "residual_key",
+    "Sample",
     "SampleCache",
-    "MaskCache",
     "table_stats_epoch",
 ]

@@ -113,10 +113,6 @@ class QSSArchive:
         """Statistics epoch: bumps exactly when a new snapshot publishes."""
         return self._snapshot.version
 
-    def snapshot(self) -> ArchiveSnapshot:
-        """The current immutable view (pin it for one compilation)."""
-        return self._snapshot
-
     def _publish(self) -> None:
         """Swap in a new snapshot reflecting the master entries.
 

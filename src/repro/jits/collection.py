@@ -1,11 +1,13 @@
 """Statistics collection: sampling marked tables, computing QSS.
 
 Once the sensitivity analysis marks a table, JITS takes the table's
-fixed-size sample from the :class:`SampleCache` (redrawn only once UDI
-activity makes it stale) and evaluates *every* candidate predicate group
-on it ("once a table is sampled, it is relatively cheap to collect the
-selectivities of all predicate groups that belong to this table",
-Section 3.3), reusing cached predicate masks for the same sample. The exact
+:class:`~repro.jits.samplecache.Sample` from the :class:`SampleCache`
+(redrawn only once UDI activity since the draw makes it stale) and
+evaluates *every* candidate predicate group on it ("once a table is
+sampled, it is relatively cheap to collect the selectivities of all
+predicate groups that belong to this table", Section 3.3). Predicate masks
+are memoized on the sample itself, so every group of one collection reads
+masks of the one generation the sample was drawn from. The exact
 selectivities go into the per-query :class:`QSSProfile`; groups marked for
 materialization are folded into the archive, together with their marginal
 sub-group counts taken from the same sample (the Figure 2 update).
@@ -17,10 +19,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..optimizer.context import QSSProfile
-from ..predicates import PredicateGroup, group_region, masks_for_predicates
+from ..predicates import PredicateGroup, group_region
 from ..storage import Database
 from .archive import QSSArchive
-from .samplecache import MaskCache, SampleCache
+from .samplecache import Sample, SampleCache
 from .sensitivity import TableDecision
 
 
@@ -45,12 +47,10 @@ class StatisticsCollector:
         database: Database,
         archive: QSSArchive,
         sample_cache: SampleCache,
-        mask_cache: MaskCache,
     ):
         self.database = database
         self.archive = archive
         self.sample_cache = sample_cache
-        self.mask_cache = mask_cache
 
     def collect(
         self,
@@ -104,29 +104,24 @@ class StatisticsCollector:
         table = self.database.table(table_name)
         cardinality = table.row_count
         profile.table_cardinalities[table_name.lower()] = float(cardinality)
-        rows, sample_epoch, cache_hit = self.sample_cache.get(table_name)
+        sample, cache_hit = self.sample_cache.get(table)
         if cache_hit:
             report.sample_cache_hits += 1
         else:
             report.sample_cache_misses += 1
-        sample_size = len(rows)
+        sample_size = sample.size
         report.tables_sampled.append(table_name.lower())
         report.sample_rows += sample_size
 
-        # One mask per distinct predicate; groups AND them together. The
-        # mask cache keys on the sample epoch so a reused mask is always
-        # aligned with the exact rows of the current sample.
-        predicate_masks, hits, misses = masks_for_predicates(
-            table,
-            (p for group in groups for p in group.predicates),
-            rows,
-            cache_get=lambda p: self.mask_cache.lookup(
-                table_name, p, sample_epoch
-            ),
-            cache_put=lambda p, m: self.mask_cache.store(
-                table_name, p, sample_epoch, m
-            ),
-        )
+        # One mask per distinct predicate; groups AND them together.
+        predicate_masks = {}
+        hits = 0
+        for predicate in (p for group in groups for p in group.predicates):
+            if predicate not in predicate_masks:
+                predicate_masks[predicate], hit = sample.mask(table, predicate)
+                hits += hit
+        misses = len(predicate_masks) - hits
+        self.sample_cache.count_masks(hits, misses)
         report.mask_cache_hits += hits
         report.mask_cache_misses += misses
 
@@ -154,26 +149,25 @@ class StatisticsCollector:
         # still get their observed selectivity stored for reuse.
         if residuals and residual_store is not None and sample_size:
             self._collect_residuals(
-                table, rows, residuals, residual_store, now
+                table, sample, residuals, residual_store, now
             )
 
     def _collect_residuals(
-        self, table, rows, residuals, residual_store, now: int
+        self, table, sample: Sample, residuals, residual_store, now: int
     ) -> None:
         from ..executor.expr import eval_bool
-        from ..executor.vector import batch_from_table
         from ..predicates.residualkey import residual_key
 
         batches = {}
         for alias, expr in residuals:
             alias = alias.lower()
             if alias not in batches:
-                batches[alias] = batch_from_table(table, alias, rows)
+                batches[alias] = sample.batch(table, alias)
             try:
                 mask = eval_bool(expr, batches[alias])
             except Exception:
                 continue  # shapes the vectorized evaluator cannot handle
-            selectivity = float(mask.sum()) / len(rows)
+            selectivity = float(mask.sum()) / sample.size
             residual_store.record(
                 table.name, residual_key(expr, alias), selectivity, now
             )

@@ -32,7 +32,7 @@ from .collection import CollectionReport, StatisticsCollector
 from .history import StatHistory
 from .migration import migrate_archive_to_catalog
 from .residuals import ResidualStatisticsStore
-from .samplecache import MaskCache, SampleCache
+from .samplecache import SampleCache
 from .sensitivity import SensitivityAnalyzer, TableDecision
 
 
@@ -94,13 +94,11 @@ class JustInTimeStatistics:
         self.history = StatHistory()
         self.archive = QSSArchive(database)
         self.residual_store = ResidualStatisticsStore()
-        # Both caches are empty until JITS first collects.
+        # Empty until JITS first collects; holds one sample per live table.
         self.sample_cache = SampleCache(
-            database,
             self.config.sample_size,
             rng if rng is not None else np.random.default_rng(0),
         )
-        self.mask_cache = MaskCache()
         self.last_collection_udi: Dict[str, int] = {}
         self._last_migration = 0
         self.total_collections = 0
@@ -165,7 +163,7 @@ class JustInTimeStatistics:
                     (candidate.alias, expr) for expr in candidate.residuals
                 )
         collector = StatisticsCollector(
-            self.database, self.archive, self.sample_cache, self.mask_cache
+            self.database, self.archive, self.sample_cache
         )
         profile, report.collection = collector.collect(
             report.decisions,
@@ -256,9 +254,8 @@ class JustInTimeStatistics:
     # DDL
     # ------------------------------------------------------------------
     def drop_table(self, table_name: str) -> None:
-        """Forget every statistic derived from a dropped table."""
+        """Forget every statistic derived from a dropped table. (Its
+        sample goes with the table object itself.)"""
         self.archive.drop_table(table_name)
         self.residual_store.drop_table(table_name)
-        self.sample_cache.drop_table(table_name)
-        self.mask_cache.drop_table(table_name)
         self.last_collection_udi.pop(table_name.lower(), None)

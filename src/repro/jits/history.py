@@ -88,10 +88,6 @@ class StatHistory:
         """Statistics epoch: bumps exactly when a new snapshot publishes."""
         return self._snapshot.version
 
-    def snapshot(self) -> HistorySnapshot:
-        """The current immutable view (pin it for one compilation)."""
-        return self._snapshot
-
     def __len__(self) -> int:
         return len(self._snapshot.entries)
 

@@ -1,175 +1,151 @@
-"""Cross-query sample and predicate-mask reuse.
+"""Cross-query sample reuse: one immutable sample per table.
 
-The paper's premise is that JIT collection is "relatively cheap" per
-compilation (Section 3.3) — but a fresh ``fixed_size_sample`` plus a full
-set of predicate-mask evaluations on every query would dominate compile
-time under heavy repeated-template traffic. Sampling-based re-optimization
-systems make per-query statistics affordable by *reusing* samples across
-optimizations; JITS collects only through this module, keyed by the UDI
-counters the sensitivity analysis already maintains:
+The paper draws one fixed-size sample per table and computes every
+predicate group from it (Section 3.3); sampling-based re-optimization
+systems likewise reuse a sample across optimizations. JITS collects only
+through this module:
 
-* :class:`SampleCache` keeps one fixed-size sample per table and reuses it
-  until the table's UDI activity since the draw crosses a staleness
-  threshold (a fraction of the table's cardinality). Each fresh draw bumps
-  the table's *sample epoch*.
-* :class:`MaskCache` memoizes predicate masks fingerprinted by
-  ``(table, predicate, sample_epoch)``, so repeated workload templates
-  skip :func:`~repro.predicates.predicate_mask` entirely while the sample
-  they were evaluated on is still live.
-
-A sample drawn here is the same ``fixed_size_sample`` a per-query draw
-would take; reuse only changes *when* a table is redrawn.
+* A :class:`Sample` is the values one published table generation holds at
+  the positions :func:`~repro.storage.fixed_size_sample` drew, gathered
+  chunk by chunk, plus the predicate masks evaluated on those values.
+  Nothing in it depends on the table after the draw: later writes, a
+  DELETE included, cannot shift it, and its masks all describe the one
+  generation it was drawn from.
+* :class:`SampleCache` keeps one sample per live table and redraws it on
+  the paper's rule alone: once UDI activity since the draw reaches
+  ``max(1, int(SAMPLE_STALENESS * rows at draw))``. It holds the table
+  weakly, so DROP TABLE frees the sample with the table, and a table
+  created under the same name starts without one.
 """
 
 from __future__ import annotations
 
 import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+import weakref
+from typing import Dict, Tuple
 
 import numpy as np
 
-from ..predicates import LocalPredicate
-from ..storage import Database, fixed_size_sample
+from ..executor.vector import Batch, ColumnVector
+from ..predicates import LocalPredicate, values_mask
+from ..storage import ColumnSnapshot, TableSnapshot, fixed_size_sample
 
-# Resample once UDI activity since the draw exceeds this fraction of the
+# Resample once UDI activity since the draw reaches this fraction of the
 # table's cardinality at draw time.
-DEFAULT_SAMPLE_STALENESS = 0.05
-DEFAULT_MASK_CACHE_SIZE = 4096
+SAMPLE_STALENESS = 0.05
+# Masks one sample memoizes; past it the oldest is forgotten first.
+MAX_SAMPLE_MASKS = 1024
 
 
-@dataclass
-class CachedSample:
-    """One table's live sample plus the state it was drawn against."""
+def _gather(column: ColumnSnapshot, rows: np.ndarray, chunk_rows: int) -> np.ndarray:
+    """``column``'s values at the sorted positions ``rows``, read chunk by
+    chunk without concatenating the column."""
+    if not column.chunks:
+        return column.data  # an empty table: no chunks to read
+    splits = np.searchsorted(rows, np.arange(1, len(column.chunks)) * chunk_rows)
+    return np.concatenate(
+        [
+            chunk[part - i * chunk_rows]
+            for i, (chunk, part) in enumerate(
+                zip(column.chunks, np.split(rows, splits))
+            )
+        ]
+    )
 
-    rows: np.ndarray
-    epoch: int
-    udi_snapshot: int
-    row_count: int
+
+class Sample:
+    """One table generation's values at the drawn positions, and the
+    predicate masks evaluated on them."""
+
+    def __init__(self, generation: TableSnapshot, rows: np.ndarray):
+        self.udi_total = generation.udi_total
+        self.row_count = generation.row_count
+        self.size = len(rows)
+        self.values: Dict[str, np.ndarray] = {
+            name: _gather(column, rows, generation.chunk_rows)
+            for name, column in generation.columns.items()
+        }
+        self.masks: Dict[LocalPredicate, np.ndarray] = {}
+        self._lock = threading.Lock()
+
+    def stale(self, udi_total: int) -> bool:
+        """Whether UDI activity since the draw has reached the threshold."""
+        threshold = max(1, int(SAMPLE_STALENESS * self.row_count))
+        return udi_total - self.udi_total >= threshold
+
+    def mask(self, table, predicate: LocalPredicate) -> Tuple[np.ndarray, bool]:
+        """``(mask, was_memoized)`` of ``predicate`` over the sample.
+
+        ``table`` (any generation of the sampled table) only encodes the
+        predicate's operands: dictionary codes never change meaning.
+        """
+        mask = self.masks.get(predicate)
+        if mask is not None:
+            return mask, True
+        mask = values_mask(table, predicate, self.values[predicate.column.lower()])
+        with self._lock:
+            if len(self.masks) >= MAX_SAMPLE_MASKS:
+                del self.masks[next(iter(self.masks))]
+            self.masks[predicate] = mask
+        return mask, False
+
+    def batch(self, table, alias: str) -> Batch:
+        """The sample as an executor batch, columns keyed under ``alias``."""
+        alias = alias.lower()
+        return Batch(
+            {
+                (alias, name): ColumnVector(
+                    values, table.column(name).dtype, table.column(name).dictionary
+                )
+                for name, values in self.values.items()
+            },
+            self.size,
+        )
 
 
 class SampleCache:
-    """Per-table fixed-size samples reused across compilations."""
+    """One :class:`Sample` per live table, reused across compilations."""
 
-    def __init__(
-        self,
-        database: Database,
-        sample_size: int,
-        rng: np.random.Generator,
-        staleness: float = DEFAULT_SAMPLE_STALENESS,
-    ):
-        self.database = database
+    def __init__(self, sample_size: int, rng: np.random.Generator):
         self.sample_size = sample_size
         self.rng = rng
-        self.staleness = staleness
-        self._samples: Dict[str, CachedSample] = {}
-        self._epochs: Dict[str, int] = {}
+        self._samples: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
         self.hits = 0
         self.misses = 0
         self.invalidations = 0
-        # Serializes cache probes AND the rng draw itself: numpy
-        # Generators are not thread-safe, and two concurrent misses for
-        # one table must not both draw (they would double-bump the epoch
-        # and leave masks keyed against a vanished sample).
+        self.mask_hits = 0
+        self.mask_misses = 0
+        # Covers the probe AND the draw: numpy Generators are not
+        # thread-safe, and two concurrent misses on one table must draw once.
         self._lock = threading.Lock()
 
-    def get(self, table_name: str) -> Tuple[np.ndarray, int, bool]:
-        """``(row positions, sample epoch, was_hit)`` for one table."""
-        name = table_name.lower()
-        table = self.database.table(name)
+    def get(self, table) -> Tuple[Sample, bool]:
+        """``(sample, was_hit)`` for a live table or a pinned generation;
+        a live table is sampled through its current generation."""
+        if isinstance(table, TableSnapshot):
+            generation, table = table, table.source
+        else:
+            generation = table.current_snapshot
         with self._lock:
-            cached = self._samples.get(name)
-            if cached is not None:
-                if self._fresh(table, cached):
+            sample = self._samples.get(table)
+            if sample is not None:
+                if not sample.stale(generation.udi_total):
                     self.hits += 1
-                    return cached.rows, cached.epoch, True
+                    return sample, True
                 self.invalidations += 1
             self.misses += 1
-            rows = fixed_size_sample(table, self.sample_size, self.rng)
-            epoch = self._epochs.get(name, -1) + 1
-            self._epochs[name] = epoch
-            self._samples[name] = CachedSample(
-                rows=rows,
-                epoch=epoch,
-                udi_snapshot=table.udi_total,
-                row_count=table.row_count,
-            )
-            return rows, epoch, False
+            rows = fixed_size_sample(generation, self.sample_size, self.rng)
+            sample = Sample(generation, rows)
+            self._samples[table] = sample
+            return sample, False
 
-    def _fresh(self, table, cached: CachedSample) -> bool:
-        n = table.row_count
-        if n < cached.row_count:
-            # Deletes compact the column arrays, shifting row positions.
-            return False
-        if len(cached.rows) and n <= int(cached.rows[-1]):
-            return False  # positions out of range (rows are sorted)
-        if cached.row_count < self.sample_size and n > cached.row_count:
-            # The "sample" was the whole (small) table; grown tables can
-            # afford a fresh draw that sees the new rows.
-            return False
-        threshold = max(1, int(self.staleness * max(cached.row_count, 1)))
-        return table.udi_since(cached.udi_snapshot) < threshold
-
-    def epoch(self, table_name: str) -> int:
-        """Current sample epoch for a table; -1 before the first draw."""
-        return self._epochs.get(table_name.lower(), -1)
-
-    def drop_table(self, table_name: str) -> None:
+    def count_masks(self, hits: int, misses: int) -> None:
         with self._lock:
-            name = table_name.lower()
-            self._samples.pop(name, None)
-            self._epochs.pop(name, None)
+            self.mask_hits += hits
+            self.mask_misses += misses
 
-
-MaskKey = Tuple[str, LocalPredicate, int]
-
-
-class MaskCache:
-    """Bounded LRU of predicate masks keyed by (table, predicate, epoch).
-
-    Masks are row-aligned with the sample of the given epoch, so a key is
-    automatically dead (and ages out of the LRU) once the sample is
-    redrawn. Cached arrays are treated as immutable by all consumers.
-    """
-
-    def __init__(self, max_entries: int = DEFAULT_MASK_CACHE_SIZE):
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[MaskKey, np.ndarray]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        # LRU reordering mutates the OrderedDict even on pure lookups, so
-        # concurrent readers need the lock on both paths.
-        self._lock = threading.Lock()
-
-    def lookup(
-        self, table: str, predicate: LocalPredicate, epoch: int
-    ) -> Optional[np.ndarray]:
-        key = (table.lower(), predicate, epoch)
+    @property
+    def mask_entries(self) -> int:
+        """Masks held by the samples of live tables."""
         with self._lock:
-            mask = self._entries.get(key)
-            if mask is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return mask
-
-    def store(
-        self, table: str, predicate: LocalPredicate, epoch: int, mask: np.ndarray
-    ) -> None:
-        key = (table.lower(), predicate, epoch)
-        with self._lock:
-            self._entries[key] = mask
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-
-    def drop_table(self, table_name: str) -> None:
-        name = table_name.lower()
-        with self._lock:
-            for key in [k for k in self._entries if k[0] == name]:
-                del self._entries[key]
-
-    def __len__(self) -> int:
-        return len(self._entries)
+            return sum(len(sample.masks) for sample in self._samples.values())

@@ -3,8 +3,8 @@
 from .evaluate import (
     count_matches,
     group_mask,
-    masks_for_predicates,
     predicate_mask,
+    values_mask,
 )
 from .predicate import JoinPredicate, LocalPredicate, PredOp, PredicateGroup
 from .regions import (
@@ -22,7 +22,7 @@ __all__ = [
     "PredicateGroup",
     "predicate_mask",
     "group_mask",
-    "masks_for_predicates",
+    "values_mask",
     "count_matches",
     "predicate_interval",
     "group_region",

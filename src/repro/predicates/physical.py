@@ -91,8 +91,12 @@ def physical_mask(data: np.ndarray, pred: PhysPredicate) -> np.ndarray:
     if op == "IN":
         if pred.empty:
             return np.zeros(len(data), dtype=bool)
+        values = np.asarray(pred.values)
+        if data.dtype.kind == "i":
+            # A value past int64 matches no row (and has no int64 form).
+            values = values[(values >= -(2.0**63)) & (values < 2.0**63)]
         # One vectorized membership pass, not one equality scan per value.
-        return np.isin(data, np.asarray(pred.values, dtype=data.dtype))
+        return np.isin(data, values.astype(data.dtype))
     lo = pred.values[0]
     if op == "BETWEEN":
         return (data >= lo) & (data <= pred.values[1])

@@ -9,12 +9,7 @@ from .column import Column
 from .database import Database
 from .dictionary import MISSING_CODE, StringDictionary
 from .index import HashIndex, SortedIndex
-from .sampling import (
-    DEFAULT_SAMPLE_SIZE,
-    SampleView,
-    bernoulli_sample,
-    fixed_size_sample,
-)
+from .sampling import DEFAULT_SAMPLE_SIZE, fixed_size_sample
 from .snapshot import (
     DEFAULT_CHUNK_ROWS,
     DEFAULT_SNAPSHOT_RETENTION,
@@ -47,9 +42,7 @@ __all__ = [
     "UDIShard",
     "active_udi_shard",
     "udi_shard_scope",
-    "SampleView",
     "fixed_size_sample",
-    "bernoulli_sample",
     "DEFAULT_SAMPLE_SIZE",
     "SHM_PREFIX",
     "ColumnSegment",

@@ -2,8 +2,7 @@
 
 The paper (Section 4, citing [1, 8, 12]) relies on the result that a fixed
 sample size — independent of table size — suffices for accurate statistics,
-so :func:`fixed_size_sample` is the primary entry point. A Bernoulli sampler
-is provided for rate-based sampling.
+so :func:`fixed_size_sample` is the one sampler.
 """
 
 from __future__ import annotations
@@ -43,48 +42,3 @@ def fixed_size_sample(
         return rows  # np.unique already sorts
     rows = rng.choice(n, size=size, replace=False).astype(np.int64)
     return np.sort(rows)
-
-
-def bernoulli_sample(
-    table: Table, rate: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Include each row independently with probability ``rate``."""
-    n = table.row_count
-    if rate <= 0.0 or n == 0:
-        return np.empty(0, dtype=np.int64)
-    if rate >= 1.0:
-        return np.arange(n, dtype=np.int64)
-    mask = rng.random(n) < rate
-    return np.flatnonzero(mask).astype(np.int64)
-
-
-class SampleView:
-    """A sampled subset of a table, presented column-by-column.
-
-    Keeps the scale factor around so observed counts can be extrapolated to
-    the full table (``estimate_count``).
-    """
-
-    def __init__(self, table: Table, rows: np.ndarray):
-        self.table = table
-        self.rows = rows
-        self.sample_size = len(rows)
-        self.population_size = table.row_count
-
-    @property
-    def scale(self) -> float:
-        if self.sample_size == 0:
-            return 0.0
-        return self.population_size / self.sample_size
-
-    def column_data(self, name: str) -> np.ndarray:
-        return self.table.column_data(name)[self.rows]
-
-    def estimate_count(self, sample_matches: int) -> float:
-        """Extrapolate a count observed on the sample to the full table."""
-        return sample_matches * self.scale
-
-    def estimate_selectivity(self, sample_matches: int) -> float:
-        if self.sample_size == 0:
-            return 0.0
-        return sample_matches / self.sample_size

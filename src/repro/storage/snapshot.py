@@ -188,6 +188,11 @@ class TableSnapshot:
         return self.schema.name
 
     @property
+    def source(self):
+        """The live table this generation was published from."""
+        return self._source
+
+    @property
     def row_count(self) -> int:
         return self._row_count
 

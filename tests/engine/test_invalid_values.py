@@ -84,3 +84,54 @@ def test_invalid_values_are_typed_errors_over_the_wire():
             ]
     finally:
         server.stop_from_thread()
+
+
+HUGE = "99999999999999999999"  # past int64
+HUGE_LITERALS = [
+    (f"UPDATE t SET i = {HUGE}", "i"),
+    (f"SELECT {HUGE} FROM t", None),
+    (f"SELECT i FROM t WHERE i + 0 = {HUGE}", None),
+    (f"SELECT i FROM t WHERE i + 0 IN ({HUGE})", None),
+]
+
+
+@pytest.mark.parametrize("sql, column", HUGE_LITERALS)
+def test_int_literal_past_int64_is_a_typed_error(sql, column):
+    engine = _engine()
+    with pytest.raises(InvalidValueError, match="64 bits") as excinfo:
+        engine.execute(sql)
+    assert excinfo.value.column == column
+    assert engine.execute("SELECT s, i FROM t ORDER BY i").rows == [
+        ("a", 1),
+        ("b", 2),
+    ]
+
+
+def test_int_literal_past_int64_matches_no_stored_row():
+    engine = _engine()
+    for sql in (
+        f"SELECT i FROM t WHERE i = {HUGE}",
+        f"SELECT i FROM t WHERE i IN ({HUGE})",
+        f"SELECT i FROM t WHERE i IN (-{HUGE})",
+    ):
+        assert engine.execute(sql).rows == []
+    assert engine.execute(f"SELECT i FROM t WHERE i IN ({HUGE}, 2)").rows == [
+        (2,)
+    ]
+
+
+def test_int_literal_past_int64_is_a_typed_error_over_the_wire():
+    server = ReproServer(_engine(), port=0).start_in_thread()
+    try:
+        with connect(port=server.port) as client:
+            for sql, _ in HUGE_LITERALS:
+                with pytest.raises(InvalidValueError, match="64 bits"):
+                    client.execute(sql)
+            with pytest.raises(InvalidValueError, match="column 'i'"):
+                client.execute(f"UPDATE t SET i = {HUGE} WHERE i = 2")
+            assert client.execute("SELECT s, i FROM t ORDER BY i").rows == [
+                ("a", 1),
+                ("b", 2),
+            ]
+    finally:
+        server.stop_from_thread()

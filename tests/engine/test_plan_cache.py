@@ -1,6 +1,8 @@
 """Engine plan cache + compilation fast path end-to-end behavior."""
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 
@@ -72,9 +74,22 @@ def test_ddl_invalidates_plans():
 def test_drop_table_clears_jits_state():
     engine = fastpath_engine()
     engine.execute(SQL)
-    engine.execute("DROP TABLE car")
-    assert engine.jits.sample_cache.epoch("car") == -1
+    sample, hit = engine.jits.sample_cache.get(engine.database.table("car"))
+    assert hit
+    ref = weakref.ref(sample)
+    del sample
+    gc.disable()
+    try:
+        engine.execute("DROP TABLE car")
+        assert ref() is None  # the sample went with the table object
+    finally:
+        gc.enable()
     assert not engine.jits.archive.has("car", ["price", "year"])
+    # A table created under the same name starts without a sample.
+    engine.execute("CREATE TABLE car (id INT, price FLOAT, year INT)")
+    engine.execute("INSERT INTO car VALUES (1, 10000.0, 2001)")
+    _, hit = engine.jits.sample_cache.get(engine.database.table("car"))
+    assert not hit
 
 
 def test_plan_cache_off_by_default():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.jits import (
-    MaskCache,
     QSSArchive,
     SampleCache,
     StatisticsCollector,
@@ -24,8 +23,8 @@ def pred(column, op, *values):
 
 
 def make_collector(db, archive, sample_size, seed):
-    sample_cache = SampleCache(db, sample_size, np.random.default_rng(seed))
-    return StatisticsCollector(db, archive, sample_cache, MaskCache())
+    sample_cache = SampleCache(sample_size, np.random.default_rng(seed))
+    return StatisticsCollector(db, archive, sample_cache)
 
 
 def collect(db, groups, materialize=(), sample_size=400, table="car"):

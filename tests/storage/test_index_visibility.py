@@ -7,6 +7,10 @@ its table declares *now*: ``lookup``, ``probe`` and ``range_lookup`` must
 equal a mask over that generation's ``column_data``. An index declared
 after a pin therefore has to serve the pin, and a generation pinned
 across DROP TABLE keeps the set its own table had.
+
+The same schedules, with JITS sample draws mixed in, check that a
+sample's masks, first evaluated after the later steps, equal a mask over
+the generation the sample was drawn from at the rows it drew.
 """
 
 import numpy as np
@@ -15,7 +19,9 @@ from hypothesis import strategies as st
 
 from repro import DataType, make_schema
 from repro.errors import StorageError
-from repro.storage import Database
+from repro.jits import SampleCache
+from repro.predicates import LocalPredicate, PredOp, predicate_mask
+from repro.storage import Database, fixed_size_sample
 from repro.storage.table import UDIShard, udi_shard_scope
 
 SCHEMA = make_schema(
@@ -52,6 +58,17 @@ step_st = st.one_of(
     st.tuples(st.just("release"), st.integers(0, 7)),
     st.tuples(st.just("recreate")),
 )
+sample_step_st = st.one_of(step_st, st.tuples(st.just("sample")))
+SAMPLE_SIZE = 4
+PREDICATES = [
+    LocalPredicate("t", "i", PredOp.EQ, (1,)),
+    LocalPredicate("t", "i", PredOp.LT, (0,)),
+    LocalPredicate("t", "i", PredOp.IN, (-4, 2, 3)),
+    LocalPredicate("t", "f", PredOp.GE, (0.0,)),
+    LocalPredicate("t", "f", PredOp.NE, (1.5,)),
+    LocalPredicate("t", "s", PredOp.EQ, ("b",)),
+    LocalPredicate("t", "s", PredOp.IN, ("a", "d", "zz")),
+]
 
 
 class Schedule:
@@ -63,6 +80,8 @@ class Schedule:
         self.clock = 0
         self.pins = []
         self.declared = {}
+        self.samples = SampleCache(SAMPLE_SIZE, np.random.default_rng(0))
+        self.drawn = []  # (sample, its table, generation, rng before draw)
         self.create()
 
     def create(self):
@@ -114,6 +133,13 @@ class Schedule:
         elif kind == "release":
             if self.pins:
                 self.pins.pop(args[0] % len(self.pins))[0].release()
+        elif kind == "sample":
+            rng = np.random.default_rng()
+            rng.bit_generator.state = self.samples.rng.bit_generator.state
+            generation = table.current_snapshot
+            sample, hit = self.samples.get(table)
+            if not hit:
+                self.drawn.append((sample, table, generation, rng))
         else:
             self.db.drop_table("t")
             self.create()
@@ -133,6 +159,15 @@ class Schedule:
                         check_hash(snap, column, index)
                     else:
                         check_sorted(snap, column, index)
+
+
+    def check_samples(self):
+        for sample, table, generation, rng in self.drawn:
+            rows = fixed_size_sample(generation, SAMPLE_SIZE, rng)
+            for predicate in PREDICATES:
+                mask, _ = sample.mask(table, predicate)
+                want = predicate_mask(generation, predicate, rows)
+                assert mask.tolist() == want.tolist(), predicate
 
 
 def physical_keys(snap, column):
@@ -187,6 +222,23 @@ def test_every_pinned_generation_sees_every_declared_index(steps):
         for step in steps:
             schedule.step(step)
             schedule.check()
+    finally:
+        for snap, _ in schedule.pins:
+            snap.release()
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(st.lists(sample_step_st, min_size=1, max_size=25))
+def test_sample_masks_describe_the_generation_they_were_drawn_from(steps):
+    schedule = Schedule()
+    try:
+        for step in steps:
+            schedule.step(step)
+        schedule.check_samples()
     finally:
         for snap, _ in schedule.pins:
             snap.release()

@@ -1,14 +1,11 @@
-"""Sampling: fixed-size and Bernoulli samples, extrapolation."""
+"""Sampling: fixed-size samples and the selectivity they estimate."""
 
 import numpy as np
 
 from repro import DataType, make_schema
-from repro.storage import (
-    SampleView,
-    Table,
-    bernoulli_sample,
-    fixed_size_sample,
-)
+from repro.jits import SampleCache
+from repro.predicates import LocalPredicate, PredOp
+from repro.storage import Table, fixed_size_sample
 
 
 def make_table(n: int) -> Table:
@@ -71,37 +68,10 @@ def test_fixed_size_deterministic_with_seed():
     assert np.array_equal(a, b)
 
 
-def test_bernoulli_rate_bounds():
-    t = make_table(1000)
-    assert len(bernoulli_sample(t, 0.0, np.random.default_rng(0))) == 0
-    assert len(bernoulli_sample(t, 1.0, np.random.default_rng(0))) == 1000
-
-
-def test_bernoulli_rate_expectation():
-    t = make_table(20_000)
-    rows = bernoulli_sample(t, 0.1, np.random.default_rng(0))
-    assert 1_500 < len(rows) < 2_500
-
-
-def test_sample_view_scale_and_estimates():
-    t = make_table(10_000)
-    rows = fixed_size_sample(t, 1_000, np.random.default_rng(1))
-    view = SampleView(t, rows)
-    assert view.scale == 10.0
-    assert view.estimate_count(100) == 1_000.0
-    assert view.estimate_selectivity(250) == 0.25
-
-
-def test_sample_view_column_access():
-    t = make_table(100)
-    view = SampleView(t, np.array([0, 50, 99]))
-    assert view.column_data("x").tolist() == [0, 50, 99]
-
-
 def test_sample_selectivity_accuracy():
     # A 2000-row sample estimates a 30% predicate within a few points.
     t = make_table(50_000)
-    rows = fixed_size_sample(t, 2_000, np.random.default_rng(5))
-    view = SampleView(t, rows)
-    matches = int((view.column_data("x") < 15_000).sum())
-    assert abs(view.estimate_selectivity(matches) - 0.3) < 0.05
+    sample, _ = SampleCache(2_000, np.random.default_rng(5)).get(t)
+    mask, _ = sample.mask(t, LocalPredicate("t", "x", PredOp.LT, (15_000,)))
+    assert sample.size == 2_000
+    assert abs(mask.sum() / sample.size - 0.3) < 0.05
