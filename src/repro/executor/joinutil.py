@@ -12,7 +12,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..storage.buckets import dense_buckets, dense_span, expand_runs, probe_dense
+from ..storage.buckets import dense_buckets, dense_span, probe_dense, probe_sorted
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -39,23 +39,44 @@ def factorize(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
     along axis 0 with ``return_index`` and ``return_inverse``: groups in
     lexicographic key order, each group's first occurrence as its
     representative. Each column is folded into the running group id as
-    ``gids * card + codes`` and re-compressed at once with a 1-D
-    ``np.unique``, so the combined code stays below n² and cannot
+    ``gids * card + codes`` and re-compressed at once with
+    :func:`group_ids`, so the combined code stays below n² and cannot
     overflow.
     """
     first, *rest = columns
-    _, first_idx, gids = np.unique(
-        first, return_index=True, return_inverse=True
-    )
+    gids, first_idx = group_ids(first)
     for column in rest:
-        values, codes = np.unique(column, return_inverse=True)
-        _, first_idx, gids = np.unique(
-            gids * len(values) + codes, return_index=True, return_inverse=True
+        codes, distinct = group_ids(column)
+        gids, first_idx = group_ids(gids * len(distinct) + codes)
+    return gids, first_idx
+
+
+def group_ids(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(inverse, first_idx)`` of one key array, as ``np.unique(keys,
+    return_index=True, return_inverse=True)`` gives them, as int64.
+
+    Integer keys of a dense span (see ``dense_limit``) take a counting
+    path: the first row of each key by ``np.minimum.at``, the keys'
+    ranks by a running count of the keys present, and one gather; O(n +
+    span) instead of a stable sort.
+    """
+    dense = dense_span(keys)
+    if dense is None:
+        _, first_idx, inverse = np.unique(
+            keys, return_index=True, return_inverse=True
         )
-    return (
-        gids.astype(np.int64, copy=False),
-        first_idx.astype(np.int64, copy=False),
-    )
+        return (
+            inverse.astype(np.int64, copy=False),
+            first_idx.astype(np.int64, copy=False),
+        )
+    kmin, span = dense
+    n = len(keys)
+    slots = keys.astype(np.int64, copy=False) - kmin
+    first = np.full(span, n, dtype=np.int64)
+    np.minimum.at(first, slots, np.arange(n, dtype=np.int64))
+    present = first < n
+    ranks = np.cumsum(present) - 1
+    return ranks[slots], first[present]
 
 
 def _dense_join(
@@ -71,8 +92,4 @@ def _sorted_join(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Sort + binary-search join (general keys, duplicate-safe)."""
     order = np.argsort(right, kind="stable")
-    sorted_right = right[order]
-    lo = np.searchsorted(sorted_right, left, side="left")
-    hi = np.searchsorted(sorted_right, left, side="right")
-    left_idx, positions = expand_runs(lo, hi - lo)
-    return left_idx, order[positions]
+    return probe_sorted(order, right[order], left)

@@ -140,7 +140,8 @@ def _plan_aggregates(node: Aggregate, scan: _Scan):
         except ExecutionError:
             return None  # the in-process path raises it
         if agg.distinct or (
-            kind == "fsum" and not np.isfinite(scan.table.column_data(column)).all()
+            kind == "fsum"
+            and not all(np.isfinite(p).all() for p in scan.table.column(column).pieces)
         ):
             # A group holding inf/NaN sums in row order, which shard
             # partials cannot reproduce.

@@ -122,7 +122,7 @@ def batch_from_table(
     length = table.row_count if rows is None else len(rows)
     for name in names:
         column = table.column(name)
-        data = column.data if rows is None else column.data[rows]
+        data = column.data if rows is None else column.take(rows)
         out[(alias.lower(), name.lower())] = ColumnVector(
             data, column.dtype, column.dictionary
         )

@@ -6,11 +6,11 @@ systems likewise reuse a sample across optimizations. JITS collects only
 through this module:
 
 * A :class:`Sample` is the values one published table generation holds at
-  the positions :func:`~repro.storage.fixed_size_sample` drew, gathered
-  chunk by chunk, plus the predicate masks evaluated on those values.
-  Nothing in it depends on the table after the draw: later writes, a
-  DELETE included, cannot shift it, and its masks all describe the one
-  generation it was drawn from.
+  the positions :func:`~repro.storage.fixed_size_sample` drew, plus the
+  predicate masks evaluated on those values. Nothing in it depends on
+  the table after the draw: later writes, a DELETE included, cannot
+  shift it, and its masks all describe the one generation it was drawn
+  from.
 * :class:`SampleCache` keeps one sample per live table and redraws it on
   the paper's rule alone: once UDI activity since the draw reaches
   ``max(1, int(SAMPLE_STALENESS * rows at draw))``. It holds the table
@@ -28,29 +28,13 @@ import numpy as np
 
 from ..executor.vector import Batch, ColumnVector
 from ..predicates import LocalPredicate, values_mask
-from ..storage import ColumnSnapshot, TableSnapshot, fixed_size_sample
+from ..storage import TableSnapshot, fixed_size_sample
 
 # Resample once UDI activity since the draw reaches this fraction of the
 # table's cardinality at draw time.
 SAMPLE_STALENESS = 0.05
 # Masks one sample memoizes; past it the oldest is forgotten first.
 MAX_SAMPLE_MASKS = 1024
-
-
-def _gather(column: ColumnSnapshot, rows: np.ndarray, chunk_rows: int) -> np.ndarray:
-    """``column``'s values at the sorted positions ``rows``, read chunk by
-    chunk without concatenating the column."""
-    if not column.chunks:
-        return column.data  # an empty table: no chunks to read
-    splits = np.searchsorted(rows, np.arange(1, len(column.chunks)) * chunk_rows)
-    return np.concatenate(
-        [
-            chunk[part - i * chunk_rows]
-            for i, (chunk, part) in enumerate(
-                zip(column.chunks, np.split(rows, splits))
-            )
-        ]
-    )
 
 
 class Sample:
@@ -62,7 +46,7 @@ class Sample:
         self.row_count = generation.row_count
         self.size = len(rows)
         self.values: Dict[str, np.ndarray] = {
-            name: _gather(column, rows, generation.chunk_rows)
+            name: column.take(rows)
             for name, column in generation.columns.items()
         }
         self.masks: Dict[LocalPredicate, np.ndarray] = {}

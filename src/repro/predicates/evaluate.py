@@ -7,7 +7,7 @@ reference executor in the tests.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -21,8 +21,7 @@ def predicate_mask(
     table: Table, predicate: LocalPredicate, rows: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Boolean mask of rows satisfying the predicate."""
-    data = table.column_data(predicate.column)
-    return values_mask(table, predicate, data if rows is None else data[rows])
+    return group_mask(table, (predicate,), rows)
 
 
 def values_mask(
@@ -30,6 +29,10 @@ def values_mask(
 ) -> np.ndarray:
     """Boolean mask of ``values``, physical values of the predicate's
     column of ``table``, satisfying the predicate."""
+    return physical_mask(values, _encoded(table, predicate))
+
+
+def _encoded(table: Table, predicate: LocalPredicate):
     phys = encode_predicate(table, predicate)
     if phys is None:
         # Dictionary codes do not follow string order, so range predicates
@@ -38,7 +41,7 @@ def values_mask(
             f"range predicate on string column "
             f"{predicate.alias}.{predicate.column} is not supported"
         )
-    return physical_mask(values, phys)
+    return phys
 
 
 def group_mask(
@@ -46,15 +49,28 @@ def group_mask(
     predicates: Iterable[LocalPredicate],
     rows: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Conjunction of predicate masks."""
-    mask: Optional[np.ndarray] = None
+    """Conjunction of predicate masks.
+
+    Over the whole table each column is read piece by piece (a
+    generation's body and last chunk; every column of one generation is
+    cut at the same rows) and the pieces' masks are joined once at the
+    end, so no column is concatenated.
+    """
+    masks: Optional[List[np.ndarray]] = None
     for predicate in predicates:
-        m = predicate_mask(table, predicate, rows)
-        mask = m if mask is None else (mask & m)
-    if mask is None:
+        column = table.column(predicate.column)
+        phys = _encoded(table, predicate)
+        pieces = column.pieces if rows is None else (column.take(rows),)
+        found = [physical_mask(piece, phys) for piece in pieces]
+        if masks is None:
+            masks = found
+        else:
+            for mask, more in zip(masks, found):
+                mask &= more
+    if masks is None:
         n = table.row_count if rows is None else len(rows)
         return np.ones(n, dtype=bool)
-    return mask
+    return masks[0] if len(masks) == 1 else np.concatenate(masks)
 
 
 def count_matches(

@@ -33,8 +33,9 @@ Dtype codes:
     ====  ==========  =============================================
 
 String columns are dictionary-encoded with a *result-local* dictionary:
-the table's (append-only, unbounded) dictionary codes are compacted with
-``np.unique(..., return_inverse=True)`` so the wire carries only the
+the table's (append-only, unbounded) dictionary codes are compacted in
+code order (:func:`~repro.executor.joinutil.group_ids`, which gives what
+``np.unique(..., return_inverse=True)`` would) so the wire carries only the
 distinct strings that actually appear in the result, once, plus int32
 codes per row. Numeric columns are sliced straight out of the result's
 vectors, which are immutable snapshot arrays or private gathers.
@@ -47,6 +48,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..executor.joinutil import group_ids
 from ..types import DataType, Value
 from .protocol import ProtocolError
 
@@ -127,8 +129,8 @@ def _wire_columns(vectors) -> Tuple[List[Tuple[int, np.ndarray]], Dict[int, List
         if vector.dictionary is not None:
             codes = np.asarray(vector.values, dtype=np.int64)
             if len(codes):
-                unique, inverse = np.unique(codes, return_inverse=True)
-                dictionaries[index] = vector.dictionary.decode_many(unique)
+                inverse, first = group_ids(codes)
+                dictionaries[index] = vector.dictionary.decode_many(codes[first])
                 arrays.append((DTYPE_DICT32, inverse.astype("<i4")))
             else:
                 dictionaries[index] = []

@@ -5,8 +5,11 @@ One kernel serves every equi-join in the engine: the hash index probe
 sorted joins (``executor/joinutil.py``). Each finds, per probe key, a *run*
 of matching rows — ``order[lo:lo + count]`` in some bucket layout — and
 :func:`expand_runs` turns the runs into flat ``(probe_idx, position)``
-pairs: probe order first, then position order within a run. Storage owns
-the kernel because indexes use it and storage never imports the executor.
+pairs: probe order first, then position order within a run. There are two
+layouts: the dense one (:func:`dense_buckets`, :func:`probe_dense`) for
+integer keys of a compact span, and a stable sort of any keys
+(:func:`probe_sorted`). Storage owns the kernel because indexes use it and
+storage never imports the executor.
 
 :func:`dense_buckets` builds the layout every dense probe reads, for hash
 index builds and hash-join builds alike. It needs the positions of each
@@ -93,4 +96,17 @@ def probe_dense(
     lo = starts[slot]
     counts = np.where(inside, starts[slot + 1] - lo, 0)
     probe_idx, positions = expand_runs(lo, counts)
+    return probe_idx, order[positions]
+
+
+def probe_sorted(
+    order: np.ndarray, sorted_keys: np.ndarray, keys: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """All ``(i, order[p])`` with ``sorted_keys[p] == keys[i]``, for a
+    stable sort ``order`` of some keys and ``sorted_keys``, those keys in
+    that order. A NaN key finds the sorted NaNs: callers that want NaN to
+    equal nothing leave such keys out."""
+    lo = np.searchsorted(sorted_keys, keys, side="left")
+    hi = np.searchsorted(sorted_keys, keys, side="right")
+    probe_idx, positions = expand_runs(lo, hi - lo)
     return probe_idx, order[positions]

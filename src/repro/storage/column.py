@@ -7,12 +7,16 @@ never shrinks: UPDATE overwrites rows in place and DELETE compacts the
 surviving rows in place from the first hole, so the capacity a table grew
 to survives its deletes and the INSERT after a DELETE fills it without
 reallocating. Published snapshots hold their own chunk copies (see
-:meth:`Column.snapshot`), so in-place writes never reach a reader.
+:meth:`Column.snapshot`), so in-place writes never reach a reader, and a
+generation whose writes stayed in the last chunk shares its predecessor's
+body: every chunk but the last, with the concatenation and indexes built
+over them.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+import operator
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,13 +52,12 @@ class Column:
         )
         # Copy-on-write bookkeeping for MVCC snapshots: which chunk
         # indices were touched since the last published generation, plus
-        # that generation's chunk arrays (clean ones are reused by object
-        # identity when the next generation publishes).
+        # that generation (its clean chunks are reused by object identity
+        # when the next generation publishes).
         if chunk_rows < 1:
             raise StorageError(f"chunk_rows must be >= 1, got {chunk_rows}")
         self.chunk_rows = chunk_rows
         self._dirty: set = set()
-        self._last_chunks: List[np.ndarray] = []
         self._last_snapshot: Optional[ColumnSnapshot] = None
 
     def __len__(self) -> int:
@@ -177,16 +180,18 @@ class Column:
 
         Untouched chunks are carried over from the previous generation by
         object identity; touched ones (and any chunk whose extent changed)
-        are copied out of the live buffer as read-only arrays. When
-        nothing changed at all, the previous :class:`ColumnSnapshot`
-        object itself is returned, so downstream caches (materialized
-        data, index structures) carry across generations for free.
+        are copied out of the live buffer as read-only arrays. When every
+        chunk but the last is carried over, the new generation shares the
+        previous one's body (see :class:`~repro.storage.snapshot.ColumnBody`),
+        and with it the body's concatenation and indexes. When nothing
+        changed at all, the previous :class:`ColumnSnapshot` object itself
+        is returned.
         """
         cr = self.chunk_rows
         n = self._size
         n_chunks = (n + cr - 1) // cr
-        prev = self._last_chunks
         last = self._last_snapshot
+        prev = last.chunks if last is not None else ()
         if (
             last is not None
             and not self._dirty
@@ -208,22 +213,34 @@ class Column:
             arr = self._buf[i * cr : i * cr + expected].copy()
             arr.setflags(write=False)
             chunks.append(arr)
-        self._last_chunks = chunks
         self._dirty.clear()
+        body = None
+        if (
+            last is not None
+            and last.body is not None
+            and len(prev) == n_chunks
+            and all(map(operator.is_, chunks[:-1], prev[:-1]))
+        ):
+            body = last.body
         snap = ColumnSnapshot(
-            self.name,
-            self.dtype,
-            self.dictionary,
-            chunks,
-            n,
-            self._buf.dtype,
+            self.name, self.dtype, self.dictionary, tuple(chunks),
+            self._buf.dtype, body,
         )
         self._last_snapshot = snap
         return snap
 
+    @property
+    def pieces(self) -> Tuple[np.ndarray, ...]:
+        """The live values as consecutive arrays: here, one."""
+        return (self.data,)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The live values at positions ``rows``."""
+        return self.data[rows]
+
     def logical_values(self, rows: Optional[np.ndarray] = None) -> List[Value]:
         """Decode rows back to Python values (for result fetch)."""
-        phys = self.data if rows is None else self.data[rows]
+        phys = self.data if rows is None else self.take(rows)
         if self.dictionary is not None:
             return self.dictionary.decode_many(phys)
         if self.dtype is DataType.INT:

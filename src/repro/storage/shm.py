@@ -173,7 +173,7 @@ class ShmRegistry:
         entry = self._segments.get(snapshot)
         if entry is not None:
             return entry[0]
-        dtype = snapshot._np_dtype
+        dtype = snapshot.tail.dtype
         shm_name = (
             f"{SHM_PREFIX}{os.getpid()}x{_NAME_TOKEN}x{next(_SEG_SEQ)}"
         )

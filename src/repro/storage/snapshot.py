@@ -18,15 +18,28 @@ epoch with a plain attribute read) to the data columns themselves:
   (``column`` / ``column_data`` / ``fetch_rows`` / ``schema`` / ...), so
   the executor, optimizer, JITS sampling, predicate kernels and shared-
   memory exports all run against it unchanged.
+* A multi-chunk :class:`ColumnSnapshot` is a :class:`ColumnBody` — every
+  chunk but the last — plus its own last chunk. Consecutive generations
+  whose leading chunks are the same arrays share the body object, and
+  what is derived from the whole column is built on the body once: its
+  concatenation and each declared index. A generation adds only an index
+  over its last chunk, and reads (:meth:`ColumnSnapshot.take`, predicate
+  masks over :attr:`ColumnSnapshot.pieces`) gather from the two parts
+  without concatenating them. So the common write, an INSERT, UPDATE or
+  DELETE confined to the last chunk, costs the next reader one chunk's
+  index, not the table's. A write to a body chunk, or an INSERT that
+  fills the last chunk and starts a new one, starts a new body.
 * Secondary indexes live here and nowhere else. The live table declares
   only ``(kind, column)`` pairs (``Table.indexes``); a
-  :class:`ColumnSnapshot` builds a declared index from its immutable
-  array on first use and caches it, so a column untouched across ten
-  generations builds its index once and every generation (and every
-  concurrently pinned reader) shares it. A generation answers
-  ``hash_on`` / ``sorted_on`` from its own table's current declared
-  set: an index created after a pin serves the pinned generation too,
-  and a generation of a dropped table keeps the set it had.
+  :class:`ColumnSnapshot` builds a declared index on first use and
+  caches it, so a column untouched across ten generations builds its
+  index once and every generation (and every concurrently pinned reader)
+  shares it. A generation answers ``hash_on`` / ``sorted_on`` from its
+  own table's current declared set: an index created after a pin serves
+  the pinned generation too, and a generation of a dropped table keeps
+  the set it had.
+* Derived arrays are never pickled: a pickled generation holds its
+  chunks, and an unpickled one rebuilds the rest on first use.
 
 Readers *pin* a snapshot for the duration of one statement (see
 ``Table.pin_current`` / ``pin_as_of``); pinning is a refcount under the
@@ -38,7 +51,7 @@ keep their arrays alive for exactly as long as they need them.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -56,14 +69,70 @@ DEFAULT_CHUNK_ROWS = 1 << 16
 DEFAULT_SNAPSHOT_RETENTION = 8
 
 
+def _cached(cache: Dict[str, object], lock, key: str, build):
+    """``cache[key]``, built by ``build()`` on first use. Double-checked
+    under ``lock``: concurrent readers build it once, and the steady state
+    takes no lock."""
+    value = cache.get(key)
+    if value is None:
+        with lock:
+            value = cache.get(key)
+            if value is None:
+                value = cache[key] = build()
+    return value
+
+
+class ColumnBody:
+    """Every chunk of a multi-chunk column generation but the last, and
+    what is derived from them: their concatenation and each index kind,
+    built on first use and shared by every generation holding this body.
+
+    Holds arrays only, no reference back to a column or table, so a
+    dropped generation dies by reference counting alone.
+    """
+
+    __slots__ = ("chunks", "size", "_derived", "_lock", "__weakref__")
+
+    def __init__(self, chunks: Tuple[np.ndarray, ...]):
+        self.chunks = chunks
+        self.size = sum(len(chunk) for chunk in chunks)
+        self._derived: Dict[str, object] = {}
+        # Reentrant: an index build reads the concatenation.
+        self._lock = threading.RLock()
+
+    @property
+    def data(self) -> np.ndarray:
+        """The chunks' values, concatenated once."""
+        return _cached(self._derived, self._lock, "data", self._concatenate)
+
+    def _concatenate(self) -> np.ndarray:
+        out = np.concatenate(self.chunks)
+        out.setflags(write=False)
+        return out
+
+    def index(self, kind: str):
+        """The ``kind`` index over :attr:`data`, built once."""
+        return _cached(
+            self._derived, self._lock, kind, lambda: INDEX_KINDS[kind](self.data)
+        )
+
+    def __getstate__(self):
+        return self.chunks
+
+    def __setstate__(self, chunks) -> None:
+        self.__init__(chunks)
+
+
 class ColumnSnapshot:
     """One immutable generation of one column.
 
     ``chunks`` is the ground truth (read-only numpy arrays; all but the
-    last hold exactly ``chunk_rows`` values). ``data`` materializes a
-    contiguous array lazily and caches it, so the first scan of a
-    generation pays the concatenation and every later scan — including
-    other reader threads pinning the same generation — reuses it.
+    last hold exactly ``chunk_rows`` values). With more than one chunk,
+    ``body`` is the :class:`ColumnBody` of all but the last, possibly
+    shared with other generations, and ``tail`` the last chunk; with one
+    or none, ``body`` is None and ``tail`` holds every value. ``data``
+    concatenates the column lazily and caches it, for the callers that
+    need it whole; scans read :meth:`take` and :attr:`pieces`.
     """
 
     __slots__ = (
@@ -72,7 +141,8 @@ class ColumnSnapshot:
         "dictionary",
         "chunks",
         "size",
-        "_np_dtype",
+        "body",
+        "tail",
         "_data",
         "_indexes",
         "_index_lock",
@@ -84,9 +154,9 @@ class ColumnSnapshot:
         name: str,
         dtype: DataType,
         dictionary,
-        chunks: List[np.ndarray],
-        size: int,
+        chunks: Tuple[np.ndarray, ...],
         np_dtype: np.dtype,
+        body: Optional[ColumnBody] = None,
     ):
         self.name = name
         self.dtype = dtype
@@ -94,14 +164,32 @@ class ColumnSnapshot:
         # (codes never change meaning), so decode stays GIL-safe here.
         self.dictionary = dictionary
         self.chunks = chunks
-        self.size = size
-        self._np_dtype = np_dtype
+        if chunks:
+            self.tail = chunks[-1]
+        else:
+            self.tail = np.empty(0, dtype=np_dtype)
+            self.tail.setflags(write=False)
+        if len(chunks) > 1:
+            self.body = body if body is not None else ColumnBody(chunks[:-1])
+            self.size = self.body.size + len(self.tail)
+        else:
+            self.body = None
+            self.size = len(self.tail)
         self._data: Optional[np.ndarray] = None
         self._indexes: Dict[str, object] = {}
         self._index_lock = threading.Lock()
 
     def __len__(self) -> int:
         return self.size
+
+    def __getstate__(self):
+        return (
+            self.name, self.dtype, self.dictionary, self.chunks,
+            self.tail.dtype, self.body,
+        )
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
     @property
     def data(self) -> np.ndarray:
@@ -112,30 +200,62 @@ class ColumnSnapshot:
         """
         out = self._data
         if out is None:
-            if not self.chunks:
-                out = np.empty(0, dtype=self._np_dtype)
-            elif len(self.chunks) == 1:
-                out = self.chunks[0]
+            if self.body is None:
+                out = self.tail
             else:
                 out = np.concatenate(self.chunks)
-            out.setflags(write=False)
+                out.setflags(write=False)
             self._data = out
         return out
 
+    @property
+    def pieces(self) -> Tuple[np.ndarray, ...]:
+        """The values as consecutive arrays: the body's concatenation and
+        the last chunk, or the one chunk."""
+        if self.body is None:
+            return (self.tail,)
+        return (self.body.data, self.tail)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The values at positions ``rows`` (any order, repeats allowed),
+        gathered from the body and the last chunk without joining them."""
+        body = self.body
+        if body is None:
+            return self.tail[rows]
+        rows = np.asarray(rows, dtype=np.int64)
+        split = body.size
+        # Sorted rows (a scan's, an index's) split at ``cut`` into body
+        # rows and tail rows; unsorted ones that happen to split so take
+        # the same path, any others the masked one below.
+        cut = int(np.searchsorted(rows, split))
+        head, rest = rows[:cut], rows[cut:]
+        if (cut == 0 or head.max() < split) and (
+            cut == len(rows) or rest.min() >= split
+        ):
+            if cut == 0:
+                return self.tail[rest - split]
+            if cut == len(rows):
+                return body.data[head]
+            return np.concatenate((body.data[head], self.tail[rest - split]))
+        in_tail = rows >= split
+        out = np.empty(len(rows), dtype=self.tail.dtype)
+        out[~in_tail] = body.data[rows[~in_tail]]
+        out[in_tail] = self.tail[rows[in_tail] - split]
+        return out
+
     def index(self, kind: str):
-        """This generation's ``kind`` ("hash" or "sorted") index, built
-        from :attr:`data` on first use and cached, so every generation
-        sharing this column object shares it. Double-checked under the
-        build lock: concurrent readers build it once, and the steady
-        state takes no lock."""
-        index = self._indexes.get(kind)
-        if index is None:
-            with self._index_lock:
-                index = self._indexes.get(kind)
-                if index is None:
-                    index = INDEX_KINDS[kind](self.data)
-                    self._indexes[kind] = index
-        return index
+        """This generation's ``kind`` ("hash" or "sorted") index, built on
+        first use and cached, so every generation sharing this column
+        object shares it. Over several chunks it is an index of the last
+        chunk after the body's index, which the body builds once."""
+        return _cached(
+            self._indexes, self._index_lock, kind, lambda: self._build(kind)
+        )
+
+    def _build(self, kind: str):
+        if self.body is None:
+            return INDEX_KINDS[kind](self.tail)
+        return INDEX_KINDS[kind](self.tail, self.body.index(kind))
 
     # -- the read-side surface shared with Column ----------------------
     def lookup_value(self, value: Value) -> Union[int, float, None]:
@@ -145,7 +265,7 @@ class ColumnSnapshot:
         return value  # type: ignore[return-value]
 
     def logical_values(self, rows: Optional[np.ndarray] = None) -> List[Value]:
-        phys = self.data if rows is None else self.data[rows]
+        phys = self.data if rows is None else self.take(rows)
         if self.dictionary is not None:
             return self.dictionary.decode_many(phys)
         if self.dtype is DataType.INT:

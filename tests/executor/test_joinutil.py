@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.executor import equi_join_indices
-from repro.executor.joinutil import _dense_join, _sorted_join, factorize
+from repro.executor.joinutil import _dense_join, _sorted_join, factorize, group_ids
+from repro.storage.buckets import dense_limit, dense_span
 
 
 def brute(left, right):
@@ -178,3 +179,43 @@ def test_factorize_never_overflows(n_columns, seed):
         product *= len(np.unique(column))
     assert product > 2**63
     assert_factorize_matches(columns)
+
+
+@st.composite
+def group_keys(draw):
+    """Integer keys for ``group_ids``: negative ones, one group, a span
+    exactly at the dense limit or one past it, and empty input."""
+    n = draw(st.integers(min_value=0, max_value=50))
+    shape = draw(st.sampled_from(["small", "one", "at_limit", "past_limit"]))
+    base = draw(st.integers(min_value=-(2**20), max_value=2**20))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if shape == "small":
+        keys = rng.integers(-5, 5, n)
+    elif shape == "one":
+        keys = np.zeros(n, dtype=np.int64)
+    else:
+        span = dense_limit(max(n, 2)) + (shape == "past_limit")
+        keys = rng.integers(0, span, n)
+        if n >= 2:
+            keys[rng.permutation(n)[:2]] = (0, span - 1)
+    return (keys + base).astype(draw(st.sampled_from([np.int64, np.int32])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(group_keys())
+def test_group_ids_matches_unique(keys):
+    gids, first_idx = group_ids(keys)
+    _, want_first, want_gids = np.unique(
+        keys, return_index=True, return_inverse=True
+    )
+    assert gids.dtype == first_idx.dtype == np.int64
+    assert gids.tolist() == want_gids.tolist()
+    assert first_idx.tolist() == want_first.tolist()
+
+
+def test_group_ids_takes_the_counting_path_up_to_the_dense_limit():
+    keys = np.array([-7, -7 + dense_limit(3) - 1, -7])
+    assert dense_span(keys) is not None
+    assert [a.tolist() for a in group_ids(keys)] == [[0, 1, 0], [0, 1]]
+    assert dense_span(np.append(keys, -7 + dense_limit(4))) is None

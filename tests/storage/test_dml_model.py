@@ -5,7 +5,10 @@ copy-on-write chunks. After every step the live rows equal the model,
 every snapshot published earlier still reads the rows it was published
 with, and a DELETE keeps each column's buffer (object and capacity), so
 an INSERT that fits after it reuses the buffer too.
+``REPRO_STORAGE_SCHEDULES`` sets how many sequences run (default 60).
 """
+
+import os
 
 import numpy as np
 from hypothesis import given, settings
@@ -50,7 +53,10 @@ ops = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(
+    max_examples=int(os.environ.get("REPRO_STORAGE_SCHEDULES", "60")),
+    deadline=None,
+)
 @given(st.integers(min_value=0, max_value=40), ops)
 def test_random_dml_matches_list_model(initial, steps):
     table = make_table()

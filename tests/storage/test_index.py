@@ -42,8 +42,8 @@ def test_hash_lookup_float_value_on_int_column():
     assert len(idx.lookup(2.5)) == 0
 
 
-def test_hash_sparse_keys_use_dict_fallback():
-    # Key span far larger than table -> dict path.
+def test_hash_sparse_keys_use_sorted_layout():
+    # Key span far larger than table -> the sorted layout.
     idx = HashIndex(ints([10**12, 5, 10**12]))
     assert not idx._dense
     assert np.array_equal(np.sort(idx.lookup(10**12)), np.array([0, 2]))
@@ -165,7 +165,7 @@ float_keys = st.one_of(
     ),
 )
 def test_hash_probe_matches_per_key_loop_int_column(values, sparse, keys):
-    # Far outliers force the dict layout; otherwise the span is dense.
+    # Far outliers force the sorted layout; otherwise the span is dense.
     dense = bool(values) and not sparse
     if sparse:
         values = values + [-(10**12), 10**12]

@@ -8,10 +8,23 @@ equal a mask over that generation's ``column_data``. An index declared
 after a pin therefore has to serve the pin, and a generation pinned
 across DROP TABLE keeps the set its own table had.
 
+The table starts with two full chunks and a row, and steps confined to
+the last chunk (UPDATE, DELETE, and an INSERT that fills it and starts
+the next) keep a generation's body shared with its predecessor's. So the
+current and every pinned generation's reads are also checked against
+its own concatenated data: ``take`` on sorted, unsorted and empty rows,
+``predicate_mask`` over the whole table, and ``probe`` pairs in the
+order a :class:`HashIndex` over the whole column gives them.
+
 The same schedules, with JITS sample draws mixed in, check that a
 sample's masks, first evaluated after the later steps, equal a mask over
 the generation the sample was drawn from at the rows it drew.
+
+``REPRO_STORAGE_SCHEDULES`` sets how many schedules each property runs
+(default 60).
 """
+
+import os
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -20,8 +33,9 @@ from hypothesis import strategies as st
 from repro import DataType, make_schema
 from repro.errors import StorageError
 from repro.jits import SampleCache
-from repro.predicates import LocalPredicate, PredOp, predicate_mask
+from repro.predicates import LocalPredicate, PredOp, predicate_mask, values_mask
 from repro.storage import Database, fixed_size_sample
+from repro.storage.index import HashIndex
 from repro.storage.table import UDIShard, udi_shard_scope
 
 SCHEMA = make_schema(
@@ -33,6 +47,8 @@ INTS = list(range(-4, 5))
 FLOATS = [float("inf"), float("-inf"), float("nan"), 0.0, -0.0, 1.5, -2.0, 3.0]
 STRINGS = ["a", "b", "c", "d"]
 DOMAINS = {"i": INTS, "f": FLOATS, "s": STRINGS}
+CHUNK_ROWS = 4
+SCHEDULES = int(os.environ.get("REPRO_STORAGE_SCHEDULES", "60"))
 
 rows_st = st.lists(
     st.tuples(
@@ -50,6 +66,14 @@ step_st = st.one_of(
         st.integers(0, 7),
     ),
     st.tuples(st.just("delete"), st.integers(0, 2**32 - 1)),
+    st.tuples(
+        st.just("tail_update"),
+        st.sampled_from(["i", "f", "s"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 7),
+    ),
+    st.tuples(st.just("tail_delete"), st.integers(0, 2**32 - 1)),
+    st.tuples(st.just("cross"), rows_st),
     st.tuples(
         st.just("index"), st.sampled_from(["hash", "sorted"]),
         st.sampled_from(["i", "f", "s"]),
@@ -76,7 +100,7 @@ class Schedule:
     table object, the declared set a model says it has."""
 
     def __init__(self):
-        self.db = Database(chunk_rows=4, snapshot_retention=4)
+        self.db = Database(chunk_rows=CHUNK_ROWS, snapshot_retention=4)
         self.clock = 0
         self.pins = []
         self.declared = {}
@@ -85,8 +109,14 @@ class Schedule:
         self.create()
 
     def create(self):
+        """Create ``t`` holding two full chunks and one row: a body from
+        the first step on."""
         table = self.db.create_table(SCHEMA)
         self.declared[table] = {("hash", "i")}
+        self.mutate(lambda t: t.insert_rows([
+            {"i": INTS[k % 9], "f": FLOATS[k % 8], "s": STRINGS[k % 4]}
+            for k in range(2 * CHUNK_ROWS + 1)
+        ]))
 
     def mutate(self, change):
         """Apply ``change(table)`` as one statement: deltas into a shard,
@@ -102,19 +132,31 @@ class Schedule:
     def step(self, step):
         kind, *args = step
         table = self.db.live_table("t")
-        if kind == "insert":
+        n = table.row_count
+        # The first row of the last chunk: tail_* steps write from there.
+        tail = (n - 1) // CHUNK_ROWS * CHUNK_ROWS if n else 0
+        if kind in ("insert", "cross"):
+            rows = args[0]
+            if kind == "cross":
+                # Fill the last chunk and put one row in the next.
+                count = CHUNK_ROWS - n % CHUNK_ROWS + 1
+                rows = [rows[k % len(rows)] for k in range(count)]
             self.mutate(lambda t: t.insert_rows(
-                [{"i": i, "f": f, "s": s} for i, f, s in args[0]]
+                [{"i": i, "f": f, "s": s} for i, f, s in rows]
             ))
-        elif kind == "update":
+        elif kind in ("update", "tail_update"):
             column, seed, pick = args
             rng = np.random.default_rng(seed)
-            rows = np.flatnonzero(rng.random(table.row_count) < 0.4)
+            rows = np.flatnonzero(rng.random(n) < 0.4)
+            if kind == "tail_update":
+                rows = rows[rows >= tail]
             value = DOMAINS[column][pick % len(DOMAINS[column])]
             self.mutate(lambda t: t.update_rows(rows, {column: value}))
-        elif kind == "delete":
+        elif kind in ("delete", "tail_delete"):
             rng = np.random.default_rng(args[0])
-            rows = np.flatnonzero(rng.random(table.row_count) < 0.3)
+            rows = np.flatnonzero(rng.random(n) < 0.3)
+            if kind == "tail_delete":
+                rows = rows[rows >= tail]
             self.mutate(lambda t: t.delete_rows(rows))
         elif kind == "index":
             index_kind, column = args
@@ -145,7 +187,9 @@ class Schedule:
             self.create()
 
     def check(self):
+        check_reads(self.db.live_table("t").current_snapshot)
         for snap, table in self.pins:
+            check_reads(snap)
             assert snap.indexes == self.declared[table]
             for kind in ("hash", "sorted"):
                 for column in ("i", "f", "s"):
@@ -180,6 +224,28 @@ def physical_keys(snap, column):
     return DOMAINS[column] + ([99] if column == "i" else [0.25])
 
 
+def check_reads(snap):
+    """Reads that split a generation into body and last chunk agree with
+    the same reads over its concatenated data."""
+    n = snap.row_count
+    rng = np.random.default_rng(n)
+    unsorted = rng.integers(0, n, 7) if n else np.empty(0, dtype=np.int64)
+    row_sets = [np.arange(n), np.sort(unsorted), unsorted, unsorted[:0]]
+    for column in ("i", "f", "s"):
+        col = snap.column(column)
+        data = snap.column_data(column)
+        for rows in row_sets:
+            assert col.take(rows).tobytes() == data[rows].tobytes(), column
+        keys = np.asarray(physical_keys(snap, column) * 2)
+        rng.shuffle(keys)
+        got = col.index("hash").probe(keys)
+        want = HashIndex(data).probe(keys)
+        assert [a.tolist() for a in got] == [a.tolist() for a in want], column
+    for predicate in PREDICATES:
+        want = values_mask(snap, predicate, snap.column_data(predicate.column))
+        assert predicate_mask(snap, predicate).tolist() == want.tolist()
+
+
 def check_hash(snap, column, index):
     data = snap.column_data(column)
     keys = physical_keys(snap, column)
@@ -211,7 +277,7 @@ def check_sorted(snap, column, index):
 
 
 @settings(
-    max_examples=60,
+    max_examples=SCHEDULES,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
@@ -228,7 +294,7 @@ def test_every_pinned_generation_sees_every_declared_index(steps):
 
 
 @settings(
-    max_examples=60,
+    max_examples=SCHEDULES,
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )

@@ -13,6 +13,7 @@ Seeded property tests for the copy-on-write guarantees documented in
 """
 
 import gc
+import pickle
 import random
 import weakref
 
@@ -22,6 +23,7 @@ import pytest
 from repro import DataType, make_schema
 from repro.errors import StorageError
 from repro.storage import Database, Table
+from repro.storage.index import INDEX_KINDS, HashIndex
 from repro.storage.table import UDIShard, udi_shard_scope
 
 
@@ -349,3 +351,99 @@ def test_direct_api_publishes_per_mutation():
     t.update_rows(np.array([2]), {"pay": 0.25})
     assert t.version == v + 1
     assert t.current_snapshot.fetch_rows(None, ["pay"])[2] == (0.25,)
+
+
+# ----------------------------------------------------------------------
+# (e) body and last chunk
+# ----------------------------------------------------------------------
+def test_a_tail_write_shares_the_body():
+    """INSERT, UPDATE and DELETE inside the last chunk hand the body (every
+    chunk but the last) on to the next generation; an INSERT that starts a
+    new chunk and a write to a body chunk start a new body."""
+    t = make_table(chunk_rows=4)
+    fill(t, 10)  # chunks: 4, 4, 2
+    body = t.current_snapshot.column("id").body
+    assert body is not None and body.size == 8
+    t.insert_rows([{"id": 10, "name": "x", "pay": 0.5}])
+    t.update_rows(np.array([9]), {"id": 99})
+    t.delete_rows(np.array([8]))
+    assert t.current_snapshot.column("id").body is body
+    assert t.current_snapshot.column("id").tail.tolist() == [99, 10]
+    t.insert_rows([{"id": i, "name": "x", "pay": 0.5} for i in (11, 12, 13)])
+    crossed = t.current_snapshot.column("id").body
+    assert crossed is not body and crossed.size == 12
+    t.update_rows(np.array([0]), {"id": -1})
+    assert t.current_snapshot.column("id").body is not crossed
+
+
+def test_tail_writes_build_the_body_index_once(monkeypatch):
+    built = []
+
+    class CountingHashIndex(HashIndex):
+        def __init__(self, data, head=None):
+            built.append(len(data))
+            super().__init__(data, head)
+
+    monkeypatch.setitem(INDEX_KINDS, "hash", CountingHashIndex)
+    t = make_table(chunk_rows=4)
+    t.create_index("hash", "id")
+    fill(t, 10)
+    for i in range(5):
+        t.update_rows(np.array([9]), {"id": 100 + i})
+        assert t.current_snapshot.hash_on("id").lookup(100 + i).tolist() == [9]
+        assert t.current_snapshot.hash_on("id").lookup(3).tolist() == [3]
+    # The body's 8 rows once; each generation's 2-row last chunk.
+    assert built == [8] + [2] * 5
+
+
+def test_a_pinned_generation_keeps_its_own_body_across_a_body_write():
+    t = make_table(chunk_rows=4)
+    t.create_index("sorted", "pay")
+    fill(t, 10)
+    pinned = t.pin_current()
+    body = pinned.column("pay").body
+    t.update_rows(np.array([1]), {"pay": -5.0})
+    assert t.current_snapshot.column("pay").body is not body
+    assert pinned.column("pay").body is body
+    assert pinned.sorted_on("pay").range_lookup(None, 0.0).tolist() == [0]
+    assert t.current_snapshot.sorted_on("pay").range_lookup(
+        None, 0.0
+    ).tolist() == [0, 1]
+    assert pinned.column("pay").take(np.array([9, 1])).tolist() == [13.5, 1.5]
+    pinned.release()
+
+
+def test_a_dropped_tables_body_dies_without_the_cyclic_gc():
+    db = Database(chunk_rows=4)
+    db.create_table(make_table().schema)
+    db.create_hash_index("emp", "id")
+    fill(db.table("emp"), 10)
+    gc.collect()
+    gc.disable()
+    try:
+        snap = db.live_table("emp").current_snapshot
+        assert snap.hash_on("id").lookup(2).tolist() == [2]
+        assert len(snap.column("pay").body.data) == 8
+        bodies = [weakref.ref(c.body) for c in snap.columns.values()]
+        del snap
+        db.drop_table("emp")
+        assert [b() for b in bodies] == [None] * len(bodies)
+    finally:
+        gc.enable()
+
+
+def test_pickling_keeps_chunks_and_shared_bodies_not_derived_arrays():
+    t = make_table(chunk_rows=4)
+    t.create_index("hash", "id")
+    fill(t, 10)
+    first = t.current_snapshot.column("id")
+    t.insert_rows([{"id": 10, "name": "x", "pay": 0.5}])
+    second = t.current_snapshot
+    assert second.hash_on("id").lookup(10).tolist() == [10]
+    assert len(second.column("id").data) == 11
+    old, new = pickle.loads(pickle.dumps((first, second.column("id"))))
+    assert new.body is old.body and new.body.size == 8
+    assert new._data is None and new._indexes == {}
+    assert new.body._derived == {}
+    assert new.index("hash").lookup(10).tolist() == [10]
+    assert new.take(np.arange(11)).tolist() == list(range(11))
