@@ -35,13 +35,16 @@ DEFAULT_N_FREQUENT = 10
 
 
 def column_domain(table: Table, column: str) -> Interval:
-    """Bounded physical domain of a column from its current data."""
-    data = table.column_data(column)
+    """Bounded physical domain of a column from its current data, read
+    chunk by chunk."""
+    pieces = [p for p in table.column(column).pieces if len(p)]
     dtype = table.schema.column(column).dtype
-    if len(data) == 0:
+    if not pieces:
         return Interval(0.0, 1.0)
     integral = dtype is not DataType.FLOAT
-    return domain_for_values(float(data.min()), float(data.max()), integral)
+    low = np.min([p.min() for p in pieces])
+    high = np.max([p.max() for p in pieces])
+    return domain_for_values(float(low), float(high), integral)
 
 
 def run_runstats(
@@ -177,9 +180,10 @@ def _column_statistics(
     n_frequent: int,
 ) -> ColumnStatistics:
     dtype = table.schema.column(column).dtype
-    data = table.column_data(column)
-    if rows is not None:
-        data = data[rows]
+    data = (
+        table.column_data(column) if rows is None
+        else table.column(column).take(rows)
+    )
     raw = column_stats_raw(
         data,
         integral=dtype is not DataType.FLOAT,

@@ -12,7 +12,13 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..storage.buckets import dense_buckets, dense_span, probe_dense, probe_sorted
+from ..storage.buckets import (
+    dense_buckets,
+    dense_limit,
+    dense_span,
+    probe_dense,
+    probe_sorted,
+)
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
@@ -20,12 +26,25 @@ _EMPTY = np.empty(0, dtype=np.int64)
 def equi_join_indices(
     left: np.ndarray, right: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """All (i, j) with ``left[i] == right[j]`` as two index arrays."""
+    """All (i, j) with ``left[i] == right[j]`` as two index arrays, in
+    probe order, then build position.
+
+    The counting path takes integer build keys whose span the dense-span
+    rule admits for the build side, or that is at most the probe side's
+    length: its two span-sized arrays then take no more memory than the
+    two search bounds per probe key the sorted path allocates, and a
+    small build side with a wide span is still counted, not sorted and
+    searched.
+    """
     left = np.asarray(left)
     right = np.asarray(right)
     if len(left) == 0 or len(right) == 0:
         return _EMPTY, _EMPTY
-    dense = dense_span(right) if np.issubdtype(left.dtype, np.integer) else None
+    dense = (
+        dense_span(right, max(dense_limit(len(right)), len(left)))
+        if np.issubdtype(left.dtype, np.integer)
+        else None
+    )
     if dense is not None:
         return _dense_join(left, right, *dense)
     return _sorted_join(left, right)

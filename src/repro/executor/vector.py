@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import ExecutionError
-from ..storage import StringDictionary, Table
+from ..storage import StringDictionary, Table, take_columns
 from ..types import DataType, Value
 
 Key = Tuple[str, str]  # (alias, column) — alias "" after projection
@@ -118,14 +118,17 @@ def batch_from_table(
 ) -> Batch:
     """Materialize (a subset of) a table as a batch."""
     names = columns if columns is not None else list(table.schema.column_names())
-    out: Dict[Key, ColumnVector] = {}
-    length = table.row_count if rows is None else len(rows)
-    for name in names:
-        column = table.column(name)
-        data = column.data if rows is None else column.take(rows)
-        out[(alias.lower(), name.lower())] = ColumnVector(
+    picked = [table.column(name) for name in names]
+    if rows is None:
+        length, values = table.row_count, [column.data for column in picked]
+    else:
+        length, values = len(rows), take_columns(picked, rows)
+    out: Dict[Key, ColumnVector] = {
+        (alias.lower(), name.lower()): ColumnVector(
             data, column.dtype, column.dictionary
         )
+        for name, column, data in zip(names, picked, values)
+    }
     return Batch(out, length)
 
 

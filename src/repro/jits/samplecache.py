@@ -28,7 +28,7 @@ import numpy as np
 
 from ..executor.vector import Batch, ColumnVector
 from ..predicates import LocalPredicate, values_mask
-from ..storage import TableSnapshot, fixed_size_sample
+from ..storage import TableSnapshot, fixed_size_sample, take_columns
 
 # Resample once UDI activity since the draw reaches this fraction of the
 # table's cardinality at draw time.
@@ -45,10 +45,12 @@ class Sample:
         self.udi_total = generation.udi_total
         self.row_count = generation.row_count
         self.size = len(rows)
-        self.values: Dict[str, np.ndarray] = {
-            name: column.take(rows)
-            for name, column in generation.columns.items()
-        }
+        self.values: Dict[str, np.ndarray] = dict(
+            zip(
+                generation.columns,
+                take_columns(list(generation.columns.values()), rows),
+            )
+        )
         self.masks: Dict[LocalPredicate, np.ndarray] = {}
         self._lock = threading.Lock()
 

@@ -12,7 +12,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from ..errors import ExecutionError
-from ..storage import Table
+from ..storage import Table, take_columns
 from .physical import encode_predicate, physical_mask
 from .predicate import LocalPredicate
 
@@ -51,17 +51,23 @@ def group_mask(
 ) -> np.ndarray:
     """Conjunction of predicate masks.
 
-    Over the whole table each column is read piece by piece (a
-    generation's body and last chunk; every column of one generation is
-    cut at the same rows) and the pieces' masks are joined once at the
-    end, so no column is concatenated.
+    Over the whole table each column is read chunk by chunk (every column
+    of one generation is cut at the same rows) and the chunks' masks are
+    joined once at the end, so no column is concatenated. Over candidate
+    ``rows`` the predicates' columns are gathered together, grouping the
+    rows by chunk once.
     """
+    predicates = list(predicates)
+    if rows is None:
+        pieces = {p.column: table.column(p.column).pieces for p in predicates}
+    else:
+        names = list(dict.fromkeys(p.column for p in predicates))
+        taken = take_columns([table.column(name) for name in names], rows)
+        pieces = {name: (values,) for name, values in zip(names, taken)}
     masks: Optional[List[np.ndarray]] = None
     for predicate in predicates:
-        column = table.column(predicate.column)
         phys = _encoded(table, predicate)
-        pieces = column.pieces if rows is None else (column.take(rows),)
-        found = [physical_mask(piece, phys) for piece in pieces]
+        found = [physical_mask(piece, phys) for piece in pieces[predicate.column]]
         if masks is None:
             masks = found
         else:

@@ -15,6 +15,7 @@ from .snapshot import (
     DEFAULT_SNAPSHOT_RETENTION,
     ColumnSnapshot,
     TableSnapshot,
+    take_columns,
 )
 from .shm import (
     SHM_PREFIX,
@@ -51,4 +52,5 @@ __all__ = [
     "TablePayload",
     "WorkerAttachments",
     "list_segments",
+    "take_columns",
 ]

@@ -42,14 +42,19 @@ def dense_limit(n: int) -> int:
     return max(8 * n, 1 << 16)
 
 
-def dense_span(keys: np.ndarray) -> Optional[Tuple[int, int]]:
-    """``(kmin, span)`` of integer ``keys`` whose span the dense-span rule
-    admits (see :func:`dense_limit`); None for any other keys."""
+def dense_span(
+    keys: np.ndarray, limit: Optional[int] = None
+) -> Optional[Tuple[int, int]]:
+    """``(kmin, span)`` of integer ``keys`` whose span is at most ``limit``
+    (default: the dense-span rule, :func:`dense_limit` of ``len(keys)``);
+    None for any other keys."""
     if len(keys) == 0 or not np.issubdtype(keys.dtype, np.integer):
         return None
     kmin = int(keys.min())
     span = int(keys.max()) - kmin + 1
-    return (kmin, span) if span <= dense_limit(len(keys)) else None
+    if limit is None:
+        limit = dense_limit(len(keys))
+    return (kmin, span) if span <= limit else None
 
 
 def dense_buckets(keys: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -64,8 +69,8 @@ def dense_buckets(keys: np.ndarray, span: int) -> Tuple[np.ndarray, np.ndarray]:
     if n < 2 or bool(np.all(keys[1:] >= keys[:-1])):
         return starts, np.arange(n, dtype=np.int64)
     shift = (n - 1).bit_length()
-    # Every span dense_limit(n) admits keeps this true below about 2**29
-    # rows.
+    # A span within dense_limit(n), or within a join's probe length,
+    # keeps this true below about 2**29 keys and 2**31 probe keys.
     assert (span - 1).bit_length() + shift <= _PACKED_BITS, (span, n)
     packed = keys << shift
     packed |= np.arange(n, dtype=np.int64)

@@ -1,29 +1,51 @@
 """Physical column storage.
 
-A :class:`Column` is a growable numpy array. INT and STRING columns are
-``int64`` (strings hold dictionary codes); FLOAT columns are ``float64``.
-Amortized O(1) appends are implemented with capacity doubling. The buffer
-never shrinks: UPDATE overwrites rows in place and DELETE compacts the
-surviving rows in place from the first hole, so the capacity a table grew
-to survives its deletes and the INSERT after a DELETE fills it without
-reallocating. Published snapshots hold their own chunk copies (see
-:meth:`Column.snapshot`), so in-place writes never reach a reader, and a
-generation whose writes stayed in the last chunk shares its predecessor's
-body: every chunk but the last, with the concatenation and indexes built
-over them.
+A :class:`Column` is its list of chunks: numpy arrays of ``chunk_rows``
+values each, the last one shorter. INT and STRING columns are ``int64``
+(strings hold dictionary codes); FLOAT columns are ``float64``. Every
+value lives once, in its chunk: the live column and the generations it
+published (:class:`~repro.storage.snapshot.ColumnSnapshot`) hold the
+same arrays, and the live column copies a chunk only when it writes to
+one a generation reads (copy-on-write).
+
+* Publishing (:meth:`Column.snapshot`) copies nothing. It freezes each
+  chunk written since the last generation (the array itself, or a
+  read-only view of its used part) and hands the chunks out; from then
+  on every chunk is shared.
+* An UPDATE (:meth:`Column.set_at`, :meth:`Column.set_physical`) groups
+  its rows by chunk and copies each shared chunk it writes to, once per
+  generation.
+* An INSERT appends into the last chunk, which has spare capacity
+  (doubling up to ``chunk_rows``) that no generation reads, so appends
+  write in place even after a publish; a full last chunk starts the
+  next.
+* A DELETE rebuilds the chunks from its first hole onward.
+
+So a generation whose writes stayed in the last chunk shares every other
+chunk with its predecessor, and with them its body (see
+:class:`~repro.storage.snapshot.ColumnBody`) and the indexes built over
+it. Reads (:meth:`Column.take`, :attr:`Column.pieces`) go chunk by chunk,
+as a generation's do.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import List, Optional, Sequence, Tuple, Union
+import pickle
+from typing import List, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from ..errors import InvalidValueError, StorageError
 from ..types import DataType, Value
 from .dictionary import StringDictionary
-from .snapshot import DEFAULT_CHUNK_ROWS, ColumnSnapshot
+from .snapshot import (
+    DEFAULT_CHUNK_ROWS,
+    ColumnSnapshot,
+    chunk_groups,
+    decode_values,
+    gather,
+)
 
 _INITIAL_CAPACITY = 16
 
@@ -35,7 +57,7 @@ def _physical_dtype(dtype: DataType) -> np.dtype:
 
 
 class Column:
-    """One growable typed column."""
+    """One growable typed column, held as copy-on-write chunks."""
 
     def __init__(
         self,
@@ -43,41 +65,75 @@ class Column:
         dtype: DataType,
         chunk_rows: int = DEFAULT_CHUNK_ROWS,
     ):
+        if chunk_rows < 1:
+            raise StorageError(f"chunk_rows must be >= 1, got {chunk_rows}")
         self.name = name
         self.dtype = dtype
-        self._buf = np.empty(_INITIAL_CAPACITY, dtype=_physical_dtype(dtype))
-        self._size = 0
         self.dictionary: Optional[StringDictionary] = (
             StringDictionary() if dtype is DataType.STRING else None
         )
-        # Copy-on-write bookkeeping for MVCC snapshots: which chunk
-        # indices were touched since the last published generation, plus
-        # that generation (its clean chunks are reused by object identity
-        # when the next generation publishes).
-        if chunk_rows < 1:
-            raise StorageError(f"chunk_rows must be >= 1, got {chunk_rows}")
         self.chunk_rows = chunk_rows
-        self._dirty: set = set()
+        self._np_dtype = _physical_dtype(dtype)
+        self._size = 0
+        # Chunk i holds rows [i * chunk_rows, ...); only the last may be
+        # longer than the rows it holds (spare capacity for appends).
+        self._chunks: List[np.ndarray] = []
+        # The chunks written since the last generation: no generation
+        # reads them, so they are written in place. Every other chunk is
+        # (the base of) a chunk of the last generation.
+        self._private: Set[int] = set()
         self._last_snapshot: Optional[ColumnSnapshot] = None
 
     def __len__(self) -> int:
         return self._size
 
+    def __getstate__(self):
+        """The last generation and nothing else: the chunks are its
+        arrays. A column with unpublished writes is not pickled, since
+        publishing belongs to its table."""
+        last = self._last_snapshot
+        if self._private or (0 if last is None else last.size) != self._size:
+            raise pickle.PicklingError(
+                f"column {self.name!r} has unpublished writes"
+            )
+        return (self.name, self.dtype, self.dictionary, self.chunk_rows, last)
+
+    def __setstate__(self, state) -> None:
+        self.name, self.dtype, self.dictionary, self.chunk_rows, snapshot = state
+        self._np_dtype = _physical_dtype(self.dtype)
+        self._size = 0 if snapshot is None else snapshot.size
+        self._chunks = [] if snapshot is None else list(snapshot.chunks)
+        self._private = set()
+        self._last_snapshot = snapshot
+
+    @property
+    def pieces(self) -> Tuple[np.ndarray, ...]:
+        """The live values as consecutive arrays: the chunks, the last cut
+        to the rows it holds (one empty array for an empty column)."""
+        chunks = self._chunks
+        if not chunks:
+            return (np.empty(0, dtype=self._np_dtype),)
+        used = self._size - (len(chunks) - 1) * self.chunk_rows
+        if len(chunks[-1]) == used:
+            return tuple(chunks)
+        return (*chunks[:-1], chunks[-1][:used])
+
     @property
     def data(self) -> np.ndarray:
-        """A view of the live physical values (codes for strings)."""
-        return self._buf[: self._size]
+        """The live physical values (codes for strings), contiguous and
+        read-only: the one chunk, or a fresh concatenation of the chunks."""
+        pieces = self.pieces
+        out = pieces[0][:] if len(pieces) == 1 else np.concatenate(pieces)
+        out.setflags(write=False)
+        return out
 
-    def _reserve(self, extra: int) -> None:
-        need = self._size + extra
-        if need <= len(self._buf):
-            return
-        capacity = max(len(self._buf), _INITIAL_CAPACITY)
-        while capacity < need:
-            capacity *= 2
-        buf = np.empty(capacity, dtype=self._buf.dtype)
-        buf[: self._size] = self._buf[: self._size]
-        self._buf = buf
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The live values at positions ``rows``, gathered chunk by chunk."""
+        return gather(self.pieces, rows, self._np_dtype)
+
+    def logical_values(self, rows: Optional[np.ndarray] = None) -> List[Value]:
+        """Decode rows back to Python values (for result fetch)."""
+        return decode_values(self, rows)
 
     def encode_many(self, values: Sequence[Value]) -> np.ndarray:
         """Validate logical values and convert them to their physical form.
@@ -90,9 +146,7 @@ class Column:
         try:
             if self.dictionary is not None:
                 return self.dictionary.encode_many(validate(v) for v in values)
-            return np.array(
-                [validate(v) for v in values], dtype=self._buf.dtype
-            )
+            return np.array([validate(v) for v in values], dtype=self._np_dtype)
         except InvalidValueError as exc:
             raise exc.on_column(self.name) from None
         except (TypeError, OverflowError) as exc:  # or an INT past int64
@@ -111,21 +165,28 @@ class Column:
         return value  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
-    # Copy-on-write chunk tracking
+    # Copy-on-write writes
     # ------------------------------------------------------------------
-    def _mark_range(self, start: int, stop: int) -> None:
-        """Mark chunks covering rows [start, stop) as touched."""
-        if stop <= start:
-            return
-        cr = self.chunk_rows
-        self._dirty.update(range(start // cr, (stop - 1) // cr + 1))
+    def _capacity(self, rows: int) -> int:
+        """Capacity of a chunk that must hold ``rows``: the next power of
+        two, at least the initial capacity and at most ``chunk_rows``."""
+        return min(
+            self.chunk_rows, max(_INITIAL_CAPACITY, 1 << (rows - 1).bit_length())
+        )
 
-    def _mark_rows(self, rows: np.ndarray) -> None:
-        if len(rows) == 0:
-            return
-        cr = self.chunk_rows
-        touched = np.unique(np.asarray(rows, dtype=np.int64) // cr)
-        self._dirty.update(int(c) for c in touched)
+    def _new_chunk(self, values: np.ndarray, capacity: int) -> np.ndarray:
+        chunk = np.empty(capacity, dtype=self._np_dtype)
+        chunk[: len(values)] = values
+        return chunk
+
+    def _writable(self, i: int) -> np.ndarray:
+        """Chunk ``i``, copied first if a generation reads it."""
+        chunk = self._chunks[i]
+        if i not in self._private:
+            used = min(self.chunk_rows, self._size - i * self.chunk_rows)
+            chunk = self._chunks[i] = self._new_chunk(chunk[:used], len(chunk))
+            self._private.add(i)
+        return chunk
 
     def append(self, value: Value) -> None:
         self.extend([value])
@@ -134,115 +195,136 @@ class Column:
         self.extend_physical(self.encode_many(values))
 
     def extend_physical(self, physical: np.ndarray) -> None:
-        """Bulk-append already-encoded physical values (fast path)."""
-        if physical.dtype != self._buf.dtype:
-            physical = physical.astype(self._buf.dtype)
-        self._reserve(len(physical))
-        self._buf[self._size : self._size + len(physical)] = physical
-        self._mark_range(self._size, self._size + len(physical))
-        self._size += len(physical)
+        """Bulk-append already-encoded physical values (fast path).
+
+        Rows past the last chunk's used part are read by no generation,
+        so they are written in place; a chunk without the room is first
+        reallocated with more.
+        """
+        cr = self.chunk_rows
+        done = 0
+        while done < len(physical):
+            i, used = divmod(self._size, cr)
+            count = min(cr - used, len(physical) - done)
+            if i == len(self._chunks):
+                self._chunks.append(
+                    np.empty(self._capacity(count), dtype=self._np_dtype)
+                )
+                self._private.add(i)
+            elif used + count > len(self._chunks[i]):
+                self._chunks[i] = self._new_chunk(
+                    self._chunks[i][:used], self._capacity(used + count)
+                )
+                self._private.add(i)
+            self._chunks[i][used : used + count] = physical[done : done + count]
+            self._size += count
+            done += count
 
     def set_at(self, rows: np.ndarray, value: Value) -> None:
         """Overwrite the given row positions with one logical value."""
-        self._buf[: self._size][rows] = self.encode_many([value])[0]
-        self._mark_rows(rows)
+        self._assign(rows, self.encode_many([value])[0])
 
     def set_physical(self, rows: np.ndarray, values: np.ndarray) -> None:
         """Overwrite row positions with per-row physical values."""
-        self._buf[: self._size][rows] = values
-        self._mark_rows(rows)
+        self._assign(rows, np.asarray(values))
+
+    def _assign(self, rows: np.ndarray, values) -> None:
+        """Write ``values`` (one per row, or one for all) at ``rows``,
+        chunk by chunk, copying each shared chunk written to."""
+        rows = np.asarray(rows, dtype=np.int64)
+        if len(rows) == 0:
+            return
+        # Refuses a row past the end before any write: it would land in
+        # spare capacity.
+        cr = self.chunk_rows
+        order, bounds, local = chunk_groups(rows, cr, self._size)
+        per_row = np.ndim(values) > 0
+        for i in range(len(bounds) - 1):
+            lo, hi = bounds[i], bounds[i + 1]
+            if lo == hi:
+                continue
+            if order is None:
+                at, where = slice(lo, hi), rows[lo:hi] - i * cr
+            else:
+                at = order[lo:hi]
+                where = local[at]
+            self._writable(i)[where] = values[at] if per_row else values
 
     def delete_rows(self, keep_mask: np.ndarray) -> None:
-        """Compact the column down to the rows where ``keep_mask`` is True.
+        """Keep only the rows where ``keep_mask`` is True.
 
-        Rows before the first hole stay where they are; the kept rows
-        after it move down in place, and the buffer keeps its capacity.
+        Chunks before the first hole stay as they are; the kept rows from
+        there on are copied into new chunks.
         """
         if len(keep_mask) != self._size:
             raise StorageError("delete mask length mismatch")
         keep = np.asarray(keep_mask, dtype=bool)
-        if not keep.all():
-            first = int(np.argmin(keep))
-            live = self._buf[: self._size]
-            tail = live[first:][keep[first:]]
-            live[first : first + len(tail)] = tail
-            self._size = first + len(tail)
-            # Every row from the first deletion onward shifts position, so
-            # the chunks from there to the (new, shorter) end are all dirty.
-            self._mark_range(first, self._size)
-            # A delete shrinking into an earlier chunk still dirties the
-            # chunk the first hole landed in, even when it is now the
-            # (shorter) tail chunk.
-            self._dirty.add(first // self.chunk_rows)
+        hole = int(np.argmin(keep)) if len(keep) else 0
+        if not len(keep) or keep[hole]:
+            return
+        cr = self.chunk_rows
+        first = hole // cr
+        pieces = self.pieces[first:]
+        masks = [keep[(first + j) * cr :][: len(p)] for j, p in enumerate(pieces)]
+        # Rows before the hole are kept as they are: copied, not masked.
+        at = hole - first * cr
+        kept = [pieces[0][:at], pieces[0][at:][masks[0][at:]]]
+        kept += [p[m] for p, m in zip(pieces[1:], masks[1:])]
+        count = sum(map(len, kept))
+        del self._chunks[first:]
+        self._private -= set(range(first, first + len(pieces)))
+        self._size = first * cr
+        if count:
+            self._chunks.append(
+                np.empty(self._capacity(min(cr, count)), dtype=self._np_dtype)
+            )
+            self._private.add(first)
+        for part in kept:
+            self.extend_physical(part)
 
     def snapshot(self) -> ColumnSnapshot:
         """Publish this column's current content as an immutable generation.
 
-        Untouched chunks are carried over from the previous generation by
-        object identity; touched ones (and any chunk whose extent changed)
-        are copied out of the live buffer as read-only arrays. When every
-        chunk but the last is carried over, the new generation shares the
-        previous one's body (see :class:`~repro.storage.snapshot.ColumnBody`),
-        and with it the body's concatenation and indexes. When nothing
-        changed at all, the previous :class:`ColumnSnapshot` object itself
-        is returned.
+        Copies nothing. A chunk written since the last generation is
+        frozen (the array itself when it is full, else a read-only view
+        of the rows it holds) and from then on shared; any other chunk is
+        carried over from the last generation by object identity. When
+        every chunk but the last is carried over, the new generation
+        shares the previous one's body (see
+        :class:`~repro.storage.snapshot.ColumnBody`), and with it the
+        body's indexes. When nothing changed at all, the previous
+        :class:`ColumnSnapshot` object itself is returned.
         """
-        cr = self.chunk_rows
-        n = self._size
-        n_chunks = (n + cr - 1) // cr
         last = self._last_snapshot
-        prev = last.chunks if last is not None else ()
-        if (
-            last is not None
-            and not self._dirty
-            and last.size == n
-            and len(prev) == n_chunks
-        ):
+        if last is not None and not self._private and last.size == self._size:
             return last
+        prev = last.chunks if last is not None else ()
         chunks: List[np.ndarray] = []
-        for i in range(n_chunks):
-            expected = min((i + 1) * cr, n) - i * cr
+        for i, piece in enumerate(self.pieces if self._chunks else ()):
             carried = prev[i] if i < len(prev) else None
             if (
-                i not in self._dirty
+                i not in self._private
                 and carried is not None
-                and len(carried) == expected
+                and len(carried) == len(piece)
             ):
                 chunks.append(carried)
                 continue
-            arr = self._buf[i * cr : i * cr + expected].copy()
-            arr.setflags(write=False)
-            chunks.append(arr)
-        self._dirty.clear()
+            chunk = self._chunks[i]
+            frozen = chunk if len(chunk) == len(piece) else piece
+            frozen.setflags(write=False)
+            chunks.append(frozen)
+        self._private.clear()
         body = None
         if (
             last is not None
             and last.body is not None
-            and len(prev) == n_chunks
+            and len(prev) == len(chunks)
             and all(map(operator.is_, chunks[:-1], prev[:-1]))
         ):
             body = last.body
         snap = ColumnSnapshot(
             self.name, self.dtype, self.dictionary, tuple(chunks),
-            self._buf.dtype, body,
+            self._np_dtype, body,
         )
         self._last_snapshot = snap
         return snap
-
-    @property
-    def pieces(self) -> Tuple[np.ndarray, ...]:
-        """The live values as consecutive arrays: here, one."""
-        return (self.data,)
-
-    def take(self, rows: np.ndarray) -> np.ndarray:
-        """The live values at positions ``rows``."""
-        return self.data[rows]
-
-    def logical_values(self, rows: Optional[np.ndarray] = None) -> List[Value]:
-        """Decode rows back to Python values (for result fetch)."""
-        phys = self.data if rows is None else self.take(rows)
-        if self.dictionary is not None:
-            return self.dictionary.decode_many(phys)
-        if self.dtype is DataType.INT:
-            return [int(v) for v in phys]
-        return [float(v) for v in phys]

@@ -90,12 +90,13 @@ class TablePayload:
 
 
 def list_segments() -> List[str]:
-    """Names of live repro-owned segments in ``/dev/shm`` (leak checks)."""
+    """Names of live segments this process created in ``/dev/shm`` (leak
+    checks). Segments carry their creator's pid, so a concurrent
+    process's segments are never listed."""
+    prefix = f"{SHM_PREFIX}{os.getpid()}x"
     try:
         return sorted(
-            name
-            for name in os.listdir("/dev/shm")
-            if name.startswith(SHM_PREFIX)
+            name for name in os.listdir("/dev/shm") if name.startswith(prefix)
         )
     except OSError:  # non-Linux hosts: no listing, leak checks are no-ops
         return []

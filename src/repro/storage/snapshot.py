@@ -5,10 +5,13 @@ This module extends the RCU pattern the statistics stores already use
 epoch with a plain attribute read) to the data columns themselves:
 
 * A :class:`ColumnSnapshot` is an immutable view of one column at one
-  publication epoch. It is chunked: the column's physical array is cut
-  into fixed-size runs of ``chunk_rows`` rows, and a writer publishing a
-  new generation copies **only the chunks it touched** — untouched chunk
-  arrays are shared *by object identity* across generations, so hot DML
+  publication epoch. It is chunked: the column's values are cut into
+  fixed-size runs of ``chunk_rows`` rows, and each value lives once, in
+  its chunk. The live column holds the same chunk arrays, copy-on-write:
+  a write copies a chunk some generation reads before it writes to it,
+  once per generation, and publishing freezes the chunks written since
+  the last generation and hands them out without copying. Untouched
+  chunks are shared *by object identity* across generations, so hot DML
   on a large table pays per-statement cost proportional to the rows it
   modified, not to the table size.
 * A :class:`TableSnapshot` bundles one generation of every column plus
@@ -18,17 +21,23 @@ epoch with a plain attribute read) to the data columns themselves:
   (``column`` / ``column_data`` / ``fetch_rows`` / ``schema`` / ...), so
   the executor, optimizer, JITS sampling, predicate kernels and shared-
   memory exports all run against it unchanged.
+* Reads go chunk by chunk. :func:`gather` serves every ``take``, live or
+  published: sorted rows fill slices of one output (a chunk they cover
+  whole is copied), other rows are grouped by chunk (:func:`chunk_groups`),
+  gathered per chunk and scattered to their places; :func:`take_columns`
+  groups the rows once for several columns of one table. Predicate masks run over
+  :attr:`ColumnSnapshot.pieces`, the chunks. Only whole-column callers
+  (RUNSTATS, the pool's in-process path) concatenate a column, afresh
+  each time: nothing caches a second copy of the values.
 * A multi-chunk :class:`ColumnSnapshot` is a :class:`ColumnBody` — every
   chunk but the last — plus its own last chunk. Consecutive generations
   whose leading chunks are the same arrays share the body object, and
-  what is derived from the whole column is built on the body once: its
-  concatenation and each declared index. A generation adds only an index
-  over its last chunk, and reads (:meth:`ColumnSnapshot.take`, predicate
-  masks over :attr:`ColumnSnapshot.pieces`) gather from the two parts
-  without concatenating them. So the common write, an INSERT, UPDATE or
-  DELETE confined to the last chunk, costs the next reader one chunk's
-  index, not the table's. A write to a body chunk, or an INSERT that
-  fills the last chunk and starts a new one, starts a new body.
+  each declared index is built on the body once, from a transient
+  concatenation of its chunks. A generation adds only an index over its
+  last chunk. So the common write, an INSERT, UPDATE or DELETE confined
+  to the last chunk, costs the next reader one chunk's index, not the
+  table's. A write to a body chunk, or an INSERT that fills the last
+  chunk and starts a new one, starts a new body.
 * Secondary indexes live here and nowhere else. The live table declares
   only ``(kind, column)`` pairs (``Table.indexes``); a
   :class:`ColumnSnapshot` builds a declared index on first use and
@@ -38,8 +47,8 @@ epoch with a plain attribute read) to the data columns themselves:
   own table's current declared set: an index created after a pin serves
   the pinned generation too, and a generation of a dropped table keeps
   the set it had.
-* Derived arrays are never pickled: a pickled generation holds its
-  chunks, and an unpickled one rebuilds the rest on first use.
+* Indexes are never pickled: a pickled generation holds its chunks,
+  and an unpickled one rebuilds its indexes on first use.
 
 Readers *pin* a snapshot for the duration of one statement (see
 ``Table.pin_current`` / ``pin_as_of``); pinning is a refcount under the
@@ -51,7 +60,7 @@ keep their arrays alive for exactly as long as they need them.
 from __future__ import annotations
 
 import threading
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -82,10 +91,117 @@ def _cached(cache: Dict[str, object], lock, key: str, build):
     return value
 
 
+def chunk_groups(
+    rows: np.ndarray, width: int, size: int
+) -> Tuple[Optional[np.ndarray], List[int], np.ndarray]:
+    """Group int64 row positions by the ``width``-row chunk holding them,
+    for a column of ``size`` rows.
+
+    Returns ``(order, bounds, local)``. When ``rows`` are non-decreasing
+    (a scan's, an index range's) they are grouped already: ``order`` and
+    ``local`` are None, and chunk ``i``'s rows are entries ``bounds[i]``
+    to ``bounds[i + 1]``, found by binary search. Otherwise chunk ``i``'s
+    rows are the entries ``order[bounds[i]:bounds[i + 1]]`` of ``rows``,
+    in their order there, and ``local`` is each row's position within its
+    chunk; ``order`` is a stable ``argsort`` of the chunk ids cast to
+    ``uint8`` or ``uint16``, which numpy sorts by radix in O(n). Raises
+    ``IndexError`` for a position outside the column.
+    """
+    n = len(rows)
+    n_chunks = -(-size // width)
+    if n < 2 or not (rows[1:] < rows[:-1]).any():
+        if n and (rows[0] < 0 or rows[-1] >= size):
+            raise IndexError(f"row positions outside a column of {size} rows")
+        cuts = np.searchsorted(rows, np.arange(width, size, width)).tolist()
+        return None, [0, *cuts, n][: n_chunks + 1], None
+    if rows.min() < 0 or rows.max() >= size:
+        raise IndexError(f"row positions outside a column of {size} rows")
+    shift = width.bit_length() - 1 if width & (width - 1) == 0 else None
+    if n_chunks <= 1 << 8:
+        ids = np.empty(n, dtype=np.uint8)
+    elif n_chunks <= 1 << 16:
+        ids = np.empty(n, dtype=np.uint16)
+    else:
+        ids = np.empty(n, dtype=np.int64)
+    if shift is not None:
+        np.right_shift(rows, shift, out=ids, casting="unsafe")
+    else:
+        np.floor_divide(rows, width, out=ids, casting="unsafe")
+    counts = np.bincount(ids, minlength=n_chunks)
+    order = np.argsort(ids, kind="stable")
+    local = rows & (width - 1) if shift is not None else rows % width
+    return order, [0, *np.cumsum(counts).tolist()], local
+
+
+def gather(
+    chunks: Sequence[np.ndarray],
+    rows: np.ndarray,
+    dtype: np.dtype,
+    groups: Optional[Tuple] = None,
+) -> np.ndarray:
+    """``np.concatenate(chunks)[rows]`` for any row positions (any order,
+    repeats allowed), gathered chunk by chunk into one output without the
+    concatenation. Every chunk but the last holds the same number of
+    values; ``groups`` is :func:`chunk_groups` of ``rows``, when the
+    caller gathers several columns cut at the same rows.
+
+    One chunk is one plain gather. Non-decreasing rows fill slices of the
+    output, and a chunk they cover whole is copied; other rows are
+    gathered per chunk and scattered to their places in the output.
+    """
+    if len(chunks) == 1:
+        return chunks[0][rows]
+    rows = np.asarray(rows, dtype=np.int64)
+    width = len(chunks[0]) if chunks else 1
+    if groups is None:
+        size = width * (len(chunks) - 1) + len(chunks[-1]) if chunks else 0
+        groups = chunk_groups(rows, width, size)
+    order, bounds, local = groups
+    out = np.empty(len(rows), dtype=dtype)
+    distinct = None
+    for i, chunk in enumerate(chunks):
+        lo, hi = bounds[i], bounds[i + 1]
+        if lo == hi:
+            continue
+        if order is not None:
+            at = order[lo:hi]
+            out[at] = chunk[local[at]]
+            continue
+        if hi - lo == len(chunk):
+            # Sorted rows, as many as the chunk holds: all of it, if no
+            # row repeats.
+            if distinct is None:
+                distinct = not (rows[1:] == rows[:-1]).any()
+            if distinct:
+                out[lo:hi] = chunk
+                continue
+        part = rows[lo:hi]
+        out[lo:hi] = chunk[part - i * width if i else part]
+    return out
+
+
+def take_columns(columns: Sequence, rows: np.ndarray) -> List[np.ndarray]:
+    """Each column's values at ``rows``: :meth:`ColumnSnapshot.take` (or
+    a live column's) for columns of one table, which are all cut at the
+    same rows, grouping the rows by chunk once for all of them."""
+    if not columns:
+        return []
+    pieces = [column.pieces for column in columns]
+    if len(pieces[0]) == 1:
+        return [p[0][rows] for p in pieces]
+    rows = np.asarray(rows, dtype=np.int64)
+    width = len(pieces[0][0])
+    groups = chunk_groups(rows, width, len(columns[0]))
+    return [
+        gather(p, rows, p[0].dtype, groups) for p in pieces
+    ]
+
+
 class ColumnBody:
     """Every chunk of a multi-chunk column generation but the last, and
-    what is derived from them: their concatenation and each index kind,
-    built on first use and shared by every generation holding this body.
+    the indexes over them: each kind built on first use, from a transient
+    concatenation of the chunks, and shared by every generation holding
+    this body.
 
     Holds arrays only, no reference back to a column or table, so a
     dropped generation dies by reference counting alone.
@@ -97,23 +213,15 @@ class ColumnBody:
         self.chunks = chunks
         self.size = sum(len(chunk) for chunk in chunks)
         self._derived: Dict[str, object] = {}
-        # Reentrant: an index build reads the concatenation.
-        self._lock = threading.RLock()
-
-    @property
-    def data(self) -> np.ndarray:
-        """The chunks' values, concatenated once."""
-        return _cached(self._derived, self._lock, "data", self._concatenate)
-
-    def _concatenate(self) -> np.ndarray:
-        out = np.concatenate(self.chunks)
-        out.setflags(write=False)
-        return out
+        self._lock = threading.Lock()
 
     def index(self, kind: str):
-        """The ``kind`` index over :attr:`data`, built once."""
+        """The ``kind`` index over the chunks, built once."""
         return _cached(
-            self._derived, self._lock, kind, lambda: INDEX_KINDS[kind](self.data)
+            self._derived,
+            self._lock,
+            kind,
+            lambda: INDEX_KINDS[kind](np.concatenate(self.chunks)),
         )
 
     def __getstate__(self):
@@ -126,13 +234,16 @@ class ColumnBody:
 class ColumnSnapshot:
     """One immutable generation of one column.
 
-    ``chunks`` is the ground truth (read-only numpy arrays; all but the
-    last hold exactly ``chunk_rows`` values). With more than one chunk,
+    ``chunks`` holds its values, once: read-only numpy arrays, all but
+    the last of exactly ``chunk_rows`` values, each shared with the live
+    column until a write there copies it and with every other generation
+    that did not see that chunk change. With more than one chunk,
     ``body`` is the :class:`ColumnBody` of all but the last, possibly
     shared with other generations, and ``tail`` the last chunk; with one
-    or none, ``body`` is None and ``tail`` holds every value. ``data``
-    concatenates the column lazily and caches it, for the callers that
-    need it whole; scans read :meth:`take` and :attr:`pieces`.
+    or none, ``body`` is None and ``tail`` holds every value. Reads go
+    chunk by chunk (:meth:`take`, :attr:`pieces`); :attr:`data`
+    concatenates the column afresh on every call, for the callers that
+    need it whole.
     """
 
     __slots__ = (
@@ -143,7 +254,6 @@ class ColumnSnapshot:
         "size",
         "body",
         "tail",
-        "_data",
         "_indexes",
         "_index_lock",
         "__weakref__",
@@ -175,7 +285,6 @@ class ColumnSnapshot:
         else:
             self.body = None
             self.size = len(self.tail)
-        self._data: Optional[np.ndarray] = None
         self._indexes: Dict[str, object] = {}
         self._index_lock = threading.Lock()
 
@@ -193,55 +302,24 @@ class ColumnSnapshot:
 
     @property
     def data(self) -> np.ndarray:
-        """Contiguous physical values; lazily materialized, then cached.
-
-        A benign race between two readers materializing concurrently
-        costs one redundant copy; the attribute store is atomic.
-        """
-        out = self._data
-        if out is None:
-            if self.body is None:
-                out = self.tail
-            else:
-                out = np.concatenate(self.chunks)
-                out.setflags(write=False)
-            self._data = out
+        """Contiguous physical values: the one chunk, or a fresh read-only
+        concatenation of the chunks (not cached)."""
+        if self.body is None:
+            return self.tail
+        out = np.concatenate(self.chunks)
+        out.setflags(write=False)
         return out
 
     @property
     def pieces(self) -> Tuple[np.ndarray, ...]:
-        """The values as consecutive arrays: the body's concatenation and
-        the last chunk, or the one chunk."""
-        if self.body is None:
-            return (self.tail,)
-        return (self.body.data, self.tail)
+        """The values as consecutive arrays: the chunks (one empty array
+        for an empty column)."""
+        return self.chunks or (self.tail,)
 
     def take(self, rows: np.ndarray) -> np.ndarray:
         """The values at positions ``rows`` (any order, repeats allowed),
-        gathered from the body and the last chunk without joining them."""
-        body = self.body
-        if body is None:
-            return self.tail[rows]
-        rows = np.asarray(rows, dtype=np.int64)
-        split = body.size
-        # Sorted rows (a scan's, an index's) split at ``cut`` into body
-        # rows and tail rows; unsorted ones that happen to split so take
-        # the same path, any others the masked one below.
-        cut = int(np.searchsorted(rows, split))
-        head, rest = rows[:cut], rows[cut:]
-        if (cut == 0 or head.max() < split) and (
-            cut == len(rows) or rest.min() >= split
-        ):
-            if cut == 0:
-                return self.tail[rest - split]
-            if cut == len(rows):
-                return body.data[head]
-            return np.concatenate((body.data[head], self.tail[rest - split]))
-        in_tail = rows >= split
-        out = np.empty(len(rows), dtype=self.tail.dtype)
-        out[~in_tail] = body.data[rows[~in_tail]]
-        out[in_tail] = self.tail[rows[in_tail] - split]
-        return out
+        gathered chunk by chunk (see :func:`gather`)."""
+        return gather(self.pieces, rows, self.tail.dtype)
 
     def index(self, kind: str):
         """This generation's ``kind`` ("hash" or "sorted") index, built on
@@ -265,12 +343,21 @@ class ColumnSnapshot:
         return value  # type: ignore[return-value]
 
     def logical_values(self, rows: Optional[np.ndarray] = None) -> List[Value]:
-        phys = self.data if rows is None else self.take(rows)
-        if self.dictionary is not None:
-            return self.dictionary.decode_many(phys)
-        if self.dtype is DataType.INT:
-            return [int(v) for v in phys]
-        return [float(v) for v in phys]
+        return decode_values(self, rows)
+
+
+def decode_values(column, rows: Optional[np.ndarray]) -> List[Value]:
+    """A live or published column's values at ``rows`` (every row for
+    None) as Python values, decoded chunk by chunk."""
+    pieces = column.pieces if rows is None else (column.take(rows),)
+    kind = int if column.dtype is DataType.INT else float
+    out: List[Value] = []
+    for piece in pieces:
+        if column.dictionary is not None:
+            out.extend(column.dictionary.decode_many(piece))
+        else:
+            out.extend(kind(v) for v in piece)
+    return out
 
 
 class TableSnapshot:

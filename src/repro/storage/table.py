@@ -146,7 +146,8 @@ class Table:
             ) from None
 
     def column_data(self, name: str) -> np.ndarray:
-        """Physical (encoded) values of a column as a numpy view."""
+        """Physical (encoded) values of a column, contiguous and read-only
+        (a fresh concatenation of a multi-chunk column)."""
         return self.column(name).data
 
     def create_index(self, kind: str, column: str) -> None:

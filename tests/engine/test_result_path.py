@@ -37,11 +37,12 @@ def insert_sql(first_id: int, count: int) -> str:
     return f"INSERT INTO car VALUES {values}"
 
 
-#: One INSERT big enough to reallocate ``Column._buf`` (600 rows sit in a
-#: 1024-slot buffer), a range UPDATE of a returned column, and a DELETE
-#: (every delete compacts into a fresh buffer).
+#: An INSERT that fits the spare capacity of the one chunk (600 rows sit
+#: in a 1024-slot chunk), so it writes in place beside the rows a held
+#: result reads; a range UPDATE of a returned column, which must copy
+#: that chunk before writing; and a DELETE, which rebuilds it.
 DML = [
-    insert_sql(10_000, 500),
+    insert_sql(10_000, 100),
     "UPDATE car SET price = price + 1000.0 WHERE id BETWEEN 100 AND 400",
     "DELETE FROM car WHERE id < 50",
 ]
@@ -72,10 +73,12 @@ def test_held_results_survive_dml_embedded():
     alias_want = {key: vec.values.copy() for key, vec in alias.columns.items()}
     assert not any(vec.values.flags.writeable for vec in alias.columns.values())
 
-    live_buffer = car.column("id")._buf
+    # The alias reads the live column's own chunk: a write in place would
+    # reach it.
+    for key, vec in alias.columns.items():
+        assert np.shares_memory(vec.values, car.column(key[1]).pieces[0]), key
     for sql in DML:
         engine.execute(sql)
-    assert car.column("id")._buf is not live_buffer
     assert reference(engine, FULL) != want[FULL]  # the DML was visible
 
     for sql, result in held.items():

@@ -1,9 +1,11 @@
 """Fixtures for the executor test package.
 
 Every test here gets a shared-memory leak check: any ``rjits`` segment
-left in ``/dev/shm`` after a test is a bug (the registry unlinks on
-``close()``/``shutdown()``), and leaked segments would poison later
-tests' leak checks too.
+this process created and left in ``/dev/shm`` after a test is a bug (the
+registry unlinks on ``close()``/``shutdown()``), and leaked segments
+would poison later tests' leak checks too. Segments carry their
+creator's pid (``rjits{pid}x...``), so the check ignores other
+processes' segments, a concurrent test run's included.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from repro.storage.shm import list_segments
 
 @pytest.fixture(autouse=True)
 def no_shm_leaks():
-    """Fail any test that leaves repro-owned /dev/shm segments behind."""
+    """Fail any test that leaves its own /dev/shm segments behind."""
     before = set(list_segments())
     yield
     leaked = sorted(set(list_segments()) - before)

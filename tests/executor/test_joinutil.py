@@ -76,6 +76,59 @@ def test_dense_and_sorted_agree():
 
 @settings(max_examples=80, deadline=None)
 @given(
+    st.lists(st.integers(0, 12), min_size=1, max_size=30),
+    st.lists(st.integers(-2, 14), max_size=60),
+    st.integers(1, 5000),
+)
+def test_counting_and_sorted_paths_give_the_same_pairs_in_order(
+    build, probe, stride
+):
+    """Small, wide (``stride`` spreads the keys) and duplicate-key builds:
+    both paths give every pair in probe order, then build position, and
+    the join gives the same."""
+    right = np.asarray(build, dtype=np.int64) * stride
+    left = np.asarray(probe, dtype=np.int64) * stride
+    rmin = int(right.min())
+    counted = _dense_join(left, right, rmin, int(right.max()) - rmin + 1)
+    searched = _sorted_join(left, right)
+    want = [a.tolist() for a in searched]
+    assert [a.tolist() for a in counted] == want
+    assert [a.tolist() for a in equi_join_indices(left, right)] == want
+
+
+def test_a_small_wide_build_takes_the_counting_path(monkeypatch):
+    """A build span within the probe side's length is counted, not sorted:
+    3 build keys over a span of 100,000, probed by 100,000 keys."""
+    import repro.executor.joinutil as joinutil
+
+    def refuse(left, right):
+        raise AssertionError("took the sorted path")
+
+    monkeypatch.setattr(joinutil, "_sorted_join", refuse)
+    right = np.array([0, 50_000, 99_999])
+    left = np.arange(100_000)
+    li, ri = equi_join_indices(left, right)
+    assert (li.tolist(), ri.tolist()) == ([0, 50_000, 99_999], [0, 1, 2])
+    assert dense_span(right) is None  # the build alone would not admit it
+
+
+def test_a_build_span_past_both_limits_is_sorted(monkeypatch):
+    """A span past the build's dense limit and the probe's length would
+    make the counting arrays outgrow the join's input: it is sorted."""
+    import repro.executor.joinutil as joinutil
+
+    def refuse(left, right, rmin, span):
+        raise AssertionError("took the counting path")
+
+    monkeypatch.setattr(joinutil, "_dense_join", refuse)
+    right = np.array([0, 50_000, 100_000])
+    left = np.arange(0, 100_000, 5)
+    li, ri = equi_join_indices(left, right)
+    assert (li.tolist(), ri.tolist()) == ([0, 10_000], [0, 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
     st.lists(st.integers(min_value=-30, max_value=30), max_size=40),
     st.lists(st.integers(min_value=-30, max_value=30), max_size=40),
 )

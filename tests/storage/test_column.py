@@ -103,3 +103,12 @@ def test_logical_values_subset():
     c = Column("s", DataType.STRING)
     c.extend(["p", "q", "r"])
     assert c.logical_values(np.array([2, 0])) == ["r", "p"]
+
+
+def test_a_write_past_the_end_fails_even_into_spare_capacity():
+    c = Column("x", DataType.INT, chunk_rows=4)
+    c.extend([1, 2, 3, 4, 5, 6])  # the last chunk holds 2 of 4 slots
+    for rows in ([6], [7, 0], [0, 6]):
+        with pytest.raises(IndexError):
+            c.set_physical(np.array(rows), np.zeros(len(rows), dtype=np.int64))
+    assert c.data.tolist() == [1, 2, 3, 4, 5, 6]

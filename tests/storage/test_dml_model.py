@@ -3,8 +3,11 @@
 Random sequences of INSERT, UPDATE and DELETE run on a table with small
 copy-on-write chunks. After every step the live rows equal the model,
 every snapshot published earlier still reads the rows it was published
-with, and a DELETE keeps each column's buffer (object and capacity), so
-an INSERT that fits after it reuses the buffer too.
+with, every value lives once (each live chunk shares memory with the
+current generation's chunk, and no generation holds a second copy), and
+a step left every chunk it did not write where it was: the chunks before
+an INSERT's last one, before a DELETE's first hole, and the chunks an
+UPDATE has no row in.
 ``REPRO_STORAGE_SCHEDULES`` sets how many sequences run (default 60).
 """
 
@@ -16,8 +19,10 @@ from hypothesis import strategies as st
 
 from repro import DataType, make_schema
 from repro.storage import Table
+from tests.storage.values import assert_values_live_once
 
 NAMES = ["id", "tag", "pay"]
+CHUNK_ROWS = 4
 TAGS = ["a", "b", "c", "d"]
 
 
@@ -26,7 +31,7 @@ def make_table() -> Table:
         "emp",
         [("id", DataType.INT), ("tag", DataType.STRING), ("pay", DataType.FLOAT)],
     )
-    return Table(schema, chunk_rows=4, snapshot_retention=2)
+    return Table(schema, chunk_rows=CHUNK_ROWS, snapshot_retention=2)
 
 
 def random_row(rng) -> tuple:
@@ -68,18 +73,12 @@ def test_random_dml_matches_list_model(initial, steps):
     for op, seed in steps:
         rng = np.random.default_rng(seed)
         n = len(model)
+        before = {name: col.pieces for name, col in table.columns.items()}
         if op == "insert":
             rows = [random_row(rng) for _ in range(int(rng.integers(1, 6)))]
-            fits = all(
-                len(col) + len(rows) <= len(col._buf)
-                for col in table.columns.values()
-            )
-            before = {name: col._buf for name, col in table.columns.items()}
             table.insert_rows([dict(zip(NAMES, row)) for row in rows])
             model.extend(rows)
-            if fits:
-                for name, col in table.columns.items():
-                    assert col._buf is before[name], name
+            kept = range(max(0, (n - 1) // CHUNK_ROWS))
         elif op == "update":
             positions = random_positions(rng, n)
             value = float(rng.integers(-8, 8)) / 4
@@ -87,18 +86,18 @@ def test_random_dml_matches_list_model(initial, steps):
             table.update_rows(positions, {"pay": value, "tag": tag})
             for p in positions.tolist():
                 model[p] = (model[p][0], tag, value)
+            written = set((positions // CHUNK_ROWS).tolist())
+            kept = [c for c in range(-(-n // CHUNK_ROWS)) if c not in written]
         else:
             positions = random_positions(rng, n)
-            before = {
-                name: (col._buf, len(col._buf))
-                for name, col in table.columns.items()
-            }
             assert table.delete_rows(positions) == len(positions)
             gone = set(positions.tolist())
             model = [row for i, row in enumerate(model) if i not in gone]
-            for name, col in table.columns.items():
-                buf, capacity = before[name]
-                assert col._buf is buf and len(col._buf) == capacity, name
+            kept = range(min(gone) // CHUNK_ROWS) if gone else ()
+        for name, col in table.columns.items():
+            assert_values_live_once(col, table.current_snapshot.column(name))
+            for c in kept:
+                assert np.shares_memory(col.pieces[c], before[name][c]), (name, c)
         assert table.fetch_rows(None, NAMES) == model
         published.append((table.current_snapshot, list(model)))
         for snapshot, rows in published:

@@ -10,11 +10,17 @@ across DROP TABLE keeps the set its own table had.
 
 The table starts with two full chunks and a row, and steps confined to
 the last chunk (UPDATE, DELETE, and an INSERT that fills it and starts
-the next) keep a generation's body shared with its predecessor's. So the
+the next) keep a generation's body shared with its predecessor's, while
+an UPDATE or DELETE confined to the body chunks starts a new one. So the
 current and every pinned generation's reads are also checked against
 its own concatenated data: ``take`` on sorted, unsorted and empty rows,
 ``predicate_mask`` over the whole table, and ``probe`` pairs in the
 order a :class:`HashIndex` over the whole column gives them.
+
+Every value lives once: after every step each live chunk is, or shares
+memory with, the current generation's chunk, no generation holds a
+second copy of its values (a cached concatenation), and every pinned
+generation still reads the values it read when it was pinned.
 
 The same schedules, with JITS sample draws mixed in, check that a
 sample's masks, first evaluated after the later steps, equal a mask over
@@ -37,6 +43,7 @@ from repro.predicates import LocalPredicate, PredOp, predicate_mask, values_mask
 from repro.storage import Database, fixed_size_sample
 from repro.storage.index import HashIndex
 from repro.storage.table import UDIShard, udi_shard_scope
+from tests.storage.values import assert_values_live_once, value_bytes
 
 SCHEMA = make_schema(
     "t",
@@ -73,6 +80,13 @@ step_st = st.one_of(
         st.integers(0, 7),
     ),
     st.tuples(st.just("tail_delete"), st.integers(0, 2**32 - 1)),
+    st.tuples(
+        st.just("body_update"),
+        st.sampled_from(["i", "f", "s"]),
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 7),
+    ),
+    st.tuples(st.just("body_delete"), st.integers(0, 2**32 - 1)),
     st.tuples(st.just("cross"), rows_st),
     st.tuples(
         st.just("index"), st.sampled_from(["hash", "sorted"]),
@@ -144,19 +158,23 @@ class Schedule:
             self.mutate(lambda t: t.insert_rows(
                 [{"i": i, "f": f, "s": s} for i, f, s in rows]
             ))
-        elif kind in ("update", "tail_update"):
+        elif kind in ("update", "tail_update", "body_update"):
             column, seed, pick = args
             rng = np.random.default_rng(seed)
             rows = np.flatnonzero(rng.random(n) < 0.4)
             if kind == "tail_update":
                 rows = rows[rows >= tail]
+            elif kind == "body_update":
+                rows = rows[rows < tail]
             value = DOMAINS[column][pick % len(DOMAINS[column])]
             self.mutate(lambda t: t.update_rows(rows, {column: value}))
-        elif kind in ("delete", "tail_delete"):
+        elif kind in ("delete", "tail_delete", "body_delete"):
             rng = np.random.default_rng(args[0])
             rows = np.flatnonzero(rng.random(n) < 0.3)
             if kind == "tail_delete":
                 rows = rows[rows >= tail]
+            elif kind == "body_delete":
+                rows = rows[rows < tail]
             self.mutate(lambda t: t.delete_rows(rows))
         elif kind == "index":
             index_kind, column = args
@@ -171,7 +189,8 @@ class Schedule:
                 )
             except StorageError:
                 return  # older than the retention window
-            self.pins.append((snap, table))
+            values = {c: snap.column_data(c).tobytes() for c in DOMAINS}
+            self.pins.append((snap, table, values))
         elif kind == "release":
             if self.pins:
                 self.pins.pop(args[0] % len(self.pins))[0].release()
@@ -187,9 +206,17 @@ class Schedule:
             self.create()
 
     def check(self):
-        check_reads(self.db.live_table("t").current_snapshot)
-        for snap, table in self.pins:
+        live = self.db.live_table("t")
+        current = live.current_snapshot
+        check_reads(current)
+        for column in DOMAINS:
+            assert_values_live_once(live.column(column), current.column(column))
+        for snap, table, values in self.pins:
             check_reads(snap)
+            for column, pinned in values.items():
+                col = snap.column(column)
+                assert value_bytes(col) == col.size * col.tail.itemsize
+                assert snap.column_data(column).tobytes() == pinned, column
             assert snap.indexes == self.declared[table]
             for kind in ("hash", "sorted"):
                 for column in ("i", "f", "s"):
@@ -289,7 +316,7 @@ def test_every_pinned_generation_sees_every_declared_index(steps):
             schedule.step(step)
             schedule.check()
     finally:
-        for snap, _ in schedule.pins:
+        for snap, *_ in schedule.pins:
             snap.release()
 
 
@@ -306,5 +333,5 @@ def test_sample_masks_describe_the_generation_they_were_drawn_from(steps):
             schedule.step(step)
         schedule.check_samples()
     finally:
-        for snap, _ in schedule.pins:
+        for snap, *_ in schedule.pins:
             snap.release()

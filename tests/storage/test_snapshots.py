@@ -13,6 +13,7 @@ Seeded property tests for the copy-on-write guarantees documented in
 """
 
 import gc
+import operator
 import pickle
 import random
 import weakref
@@ -25,6 +26,7 @@ from repro.errors import StorageError
 from repro.storage import Database, Table
 from repro.storage.index import INDEX_KINDS, HashIndex
 from repro.storage.table import UDIShard, udi_shard_scope
+from tests.storage.values import assert_values_live_once, value_bytes
 
 
 def make_table(chunk_rows=4, snapshot_retention=64) -> Table:
@@ -423,11 +425,16 @@ def test_a_dropped_tables_body_dies_without_the_cyclic_gc():
     try:
         snap = db.live_table("emp").current_snapshot
         assert snap.hash_on("id").lookup(2).tolist() == [2]
-        assert len(snap.column("pay").body.data) == 8
+        assert snap.column("pay").take(np.array([9, 1])).tolist() == [13.5, 1.5]
+        # The chunks are the only arrays of values, and they die too.
+        for name, column in snap.columns.items():
+            assert_values_live_once(db.live_table("emp").column(name), column)
         bodies = [weakref.ref(c.body) for c in snap.columns.values()]
-        del snap
+        chunks = [weakref.ref(a) for c in snap.columns.values() for a in c.chunks]
+        del snap, column
         db.drop_table("emp")
         assert [b() for b in bodies] == [None] * len(bodies)
+        assert [a() for a in chunks] == [None] * len(chunks)
     finally:
         gc.enable()
 
@@ -443,7 +450,36 @@ def test_pickling_keeps_chunks_and_shared_bodies_not_derived_arrays():
     assert len(second.column("id").data) == 11
     old, new = pickle.loads(pickle.dumps((first, second.column("id"))))
     assert new.body is old.body and new.body.size == 8
-    assert new._data is None and new._indexes == {}
-    assert new.body._derived == {}
+    assert new._indexes == {} and new.body._derived == {}
+    # The shared body's 8 values once, then each generation's last chunk.
+    assert value_bytes(old, new) == (8 + 2 + 3) * 8
     assert new.index("hash").lookup(10).tolist() == [10]
     assert new.take(np.arange(11)).tolist() == list(range(11))
+
+
+def test_a_pickled_column_shares_its_chunks_with_its_generation():
+    """A column pickles as its last generation; after a round trip its
+    chunks are that generation's arrays, and a write copies only the
+    chunk it writes to. A column with unpublished writes does not pickle,
+    and trying publishes nothing."""
+    t = make_table(chunk_rows=4)
+    fill(t, 10)
+    pay = t.column("pay")
+    published = pay.snapshot()
+    pay.set_physical(np.array([9]), np.array([-1.0]))
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(pay)
+    assert pay._last_snapshot is published and pay._private == {2}
+    pay.snapshot()
+    col = pickle.loads(pickle.dumps(pay))
+    generation = col.snapshot()  # clean: the unpickled generation itself
+    assert col.snapshot() is generation
+    assert generation.take(np.array([9, 0])).tolist() == [-1.0, 0.0]
+    assert_values_live_once(col, generation)
+    col.set_physical(np.array([0]), np.array([7.0]))
+    after = col.snapshot()
+    assert generation.take(np.array([0])).tolist() == [0.0]
+    assert after.take(np.array([0])).tolist() == [7.0]
+    assert after.chunks[0] is not generation.chunks[0]
+    assert all(map(operator.is_, after.chunks[1:], generation.chunks[1:]))
+    assert_values_live_once(col, after)
